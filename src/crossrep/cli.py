@@ -154,8 +154,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         ids = pool_task.example_ids
     else:
         pool, ids = _load_pool_matrix(pool_path)
-    matrix = cross_prediction_matrix(bank, pool, example_ids=ids,
-                                     workers=resolve_workers(args.workers))
+    matrix = cross_prediction_matrix(bank, pool, example_ids=ids)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     wrote = []
@@ -219,6 +218,8 @@ def _read_scores(path: Path) -> list[dict]:
     if not path.is_file():
         raise IngestionError(f"score file not found: {path}")
     lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise IngestionError(f"{path}: empty score file")
     header = lines[0].split("\t")
     out = []
     for ln in lines[1:]:
@@ -321,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--standardize", action="store_true")
     p_cluster.add_argument("--distances", action="store_true",
                            help="also dump pairwise distance matrices")
-    p_cluster.add_argument("--workers", type=int, default=None)
     p_cluster.add_argument("--out", required=True)
     p_cluster.set_defaults(fn=cmd_cluster)
 

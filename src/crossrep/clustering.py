@@ -1,9 +1,10 @@
 """Prediction-space analysis: cross-prediction matrices and k-means.
 
 Applying every bank model to a pooled example set gives a full matrix of
-predictions (no leave-own-task-out here; this is analysis, not training
-input). Clustering its columns groups tasks by how they predict;
-clustering its rows groups examples by how they are predicted.
+predictions: ``engine.cross_predict``, the kernel the extrinsic views are
+sliced from, kept whole (no leave-own-task-out here; this is analysis,
+not training input). Clustering its columns groups tasks by how they
+predict; clustering its rows groups examples by how they are predicted.
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CollectionMode, TaskCollection
-from .engine import ModelBank
+from .engine import ModelBank, cross_predict
 from .errors import ValidationError
-from .learners import predict
-from .parallel import pmap
 
 KMEANS_MAX_ITER = 300
 KMEANS_TOL = 1e-6
@@ -86,17 +85,21 @@ class ClusterResult:
 
 
 def cross_prediction_matrix(bank: ModelBank, pool: np.ndarray,
-                            example_ids: tuple[str, ...] | None = None,
-                            workers: int = 1) -> CrossPredictionMatrix:
+                            example_ids: tuple[str, ...] | None = None
+                            ) -> CrossPredictionMatrix:
     """Apply all n bank models to the pool; returns a |pool| x n matrix."""
     pool = np.asarray(pool, dtype=np.float64)
     if pool.ndim != 2:
         raise ValidationError("pool must be a 2-d matrix")
+    expected = {m.feature_count for m in bank.models.values()}
+    if expected - {pool.shape[1]}:
+        raise ValidationError(
+            f"pool has {pool.shape[1]} feature columns, bank models expect "
+            f"{', '.join(map(str, sorted(expected)))}"
+        )
     ids = example_ids if example_ids is not None else tuple(
         f"pool{i:05d}" for i in range(pool.shape[0]))
-    columns = pmap(lambda tid: predict(bank.models[tid], pool), bank.task_ids,
-                   workers=workers)
-    return CrossPredictionMatrix(values=np.column_stack(columns), example_ids=ids,
+    return CrossPredictionMatrix(values=cross_predict(bank, pool), example_ids=ids,
                                  task_ids=bank.task_ids)
 
 

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IngestionError, ValidationError
-from .seeding import derive_seed
 
 
 class CollectionMode(Enum):
@@ -416,8 +415,3 @@ def write_collection(collection: TaskCollection, out_dir: str | Path,
     manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return manifest_path
-
-
-def split_seed_for_task(master_seed: int, task_id: str) -> int:
-    """Per-task split-plan seed, stable in the task id alone."""
-    return derive_seed(master_seed, "split", task_id)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,24 @@ class ModelBank:
     @property
     def task_ids(self) -> tuple[str, ...]:
         return tuple(self.models.keys())
+
+    @cached_property
+    def _columns_memo(self) -> dict[tuple[str, ...], np.ndarray]:
+        return {}
+
+    def columns(self, task_ids: tuple[str, ...]) -> np.ndarray:
+        """Positions of ``task_ids`` among the columns of ``cross_predict``.
+
+        Memoized per tuple: order 2 reads the same source tuples once per
+        target task.
+        """
+        cols = self._columns_memo.get(task_ids)
+        if cols is None:
+            column_of = {task_id: j for j, task_id in enumerate(self.models)}
+            cols = np.array([column_of[t] for t in task_ids], dtype=np.intp)
+            cols.setflags(write=False)
+            self._columns_memo[task_ids] = cols
+        return cols
 
     def model(self, task_id: str) -> FittedModel:
         if task_id not in self.models:
@@ -148,23 +167,47 @@ def stage1_train(collection: TaskCollection, spec: LearnerSpec, scope: TrainingS
                      collection_id=collection.feature_space_id, training_scope=scope)
 
 
-def build_extrinsic(target_task_id: str, bank: ModelBank, X: np.ndarray,
-                    workers: int = 1) -> ExtrinsicMatrix:
-    """Predict X with every bank model except the target task's own."""
+def cross_predict(bank: ModelBank, X: np.ndarray) -> np.ndarray:
+    """Every bank model's predictions on X: a rows x T matrix.
+
+    Column j is ``predict`` of the model of ``bank.task_ids[j]``. A task's
+    order-1 view, the stage-2 inputs of order 2 and the clustering matrix
+    are all slices of this one matrix, so each block of rows is predicted
+    once per model however many views read it.
+    """
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValidationError("cross-prediction input must be a 2-d matrix")
+    out = np.empty((X.shape[0], len(bank.models)), dtype=np.float64)
+    for j, (task_id, model) in enumerate(bank.models.items()):
+        try:
+            out[:, j] = predict(model, X)
+        except Exception as exc:
+            raise FitError(f"prediction failed for source model {task_id!r}: {exc}") from exc
+    out.setflags(write=False)
+    return out
+
+
+def _check_block(bank: ModelBank, predictions: np.ndarray) -> None:
+    if predictions.ndim != 2 or predictions.shape[1] != len(bank.models):
+        raise ValidationError(
+            f"prediction block of shape {predictions.shape} does not have one column "
+            f"per bank model ({len(bank.models)})"
+        )
+
+
+def build_extrinsic(target_task_id: str, bank: ModelBank,
+                    predictions: np.ndarray) -> ExtrinsicMatrix:
+    """The target's order-1 view: ``predictions`` without its own column.
+
+    ``predictions`` is ``cross_predict(bank, X)`` for the target's rows X.
+    """
     if target_task_id not in bank.models:
         raise ValidationError(f"unknown task id {target_task_id!r}")
-    X = np.asarray(X, dtype=np.float64)
+    _check_block(bank, predictions)
     source_ids = tuple(t for t in bank.task_ids if t != target_task_id)
-
-    def one_column(src: str) -> np.ndarray:
-        try:
-            return predict(bank.models[src], X)
-        except Exception as exc:
-            raise FitError(f"prediction failed for source model {src!r}: {exc}") from exc
-
-    columns = pmap(one_column, source_ids, workers=workers)
-    values = np.column_stack(columns) if columns else np.empty((X.shape[0], 0))
-    return ExtrinsicMatrix(values=values, source_model_ids=source_ids,
+    return ExtrinsicMatrix(values=predictions.take(bank.columns(source_ids), axis=1),
+                           source_model_ids=source_ids,
                            target_task_id=target_task_id, order=1)
 
 
@@ -201,18 +244,19 @@ def stage2_train(extrinsic: ExtrinsicMatrix, y: np.ndarray, spec: LearnerSpec,
 def second_order_extrinsic(target_task_id: str, bank: ModelBank,
                            stage2_models: dict[str, FittedModel],
                            stage2_sources: dict[str, tuple[str, ...]],
-                           X: np.ndarray, workers: int = 1,
+                           predictions: np.ndarray,
                            source_ids: tuple[str, ...] | None = None) -> ExtrinsicMatrix:
-    """Order-2 representation: other tasks' stage-2 models applied to X.
+    """Order-2 representation: other tasks' stage-2 models on the target's rows.
 
-    Column j is produced by rebuilding task j's own extrinsic view of X
-    (its stage-1 sources, post-capping) and predicting with task j's
-    stage-2 model. ``source_ids`` restricts the stage-2 column set; the
-    default is every bank task except the target.
+    ``predictions`` is ``cross_predict(bank, X)`` for the target's rows X.
+    Column j applies task j's stage-2 model to task j's own view of those
+    rows: the columns of its stage-1 sources (post-capping).
+    ``source_ids`` restricts the stage-2 column set; the default is every
+    bank task except the target.
     """
     if target_task_id not in bank.models:
         raise ValidationError(f"unknown task id {target_task_id!r}")
-    X = np.asarray(X, dtype=np.float64)
+    _check_block(bank, predictions)
     if source_ids is None:
         source_ids = bank.task_ids
     other_ids = tuple(t for t in source_ids if t != target_task_id)
@@ -220,20 +264,13 @@ def second_order_extrinsic(target_task_id: str, bank: ModelBank,
     if missing:
         raise ValidationError(f"missing stage-2 models for tasks: {', '.join(missing)}")
 
-    # Stage-1 predictions are shared across the views; compute each once.
-    needed = sorted({src for j in other_ids for src in stage2_sources[j]})
-    stage1_cols = dict(zip(needed, pmap(lambda s: predict(bank.models[s], X),
-                                        needed, workers=workers)))
-
-    def one_column(j: str) -> np.ndarray:
-        view = np.column_stack([stage1_cols[src] for src in stage2_sources[j]])
+    values = np.empty((predictions.shape[0], len(other_ids)), dtype=np.float64)
+    for c, j in enumerate(other_ids):
+        view = predictions.take(bank.columns(stage2_sources[j]), axis=1)
         try:
-            return predict(stage2_models[j], view)
+            values[:, c] = predict(stage2_models[j], view)
         except Exception as exc:
             raise FitError(f"stage-2 prediction failed for model {j!r}: {exc}") from exc
-
-    columns = pmap(one_column, other_ids, workers=workers)
-    values = np.column_stack(columns) if columns else np.empty((X.shape[0], 0))
     return ExtrinsicMatrix(values=values, source_model_ids=other_ids,
                            target_task_id=target_task_id, order=2)
 
@@ -285,7 +322,12 @@ def load_bank(bank_dir: str | Path) -> ModelBank:
     index_path = bank_dir / BANK_INDEX_NAME
     if not index_path.is_file():
         raise IngestionError(f"bank index not found: {index_path}")
-    index = json.loads(index_path.read_text(encoding="utf-8"))
+    try:
+        index = json.loads(index_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise IngestionError(
+            f"{index_path}: corrupt bank index, invalid JSON at line {exc.lineno}: {exc.msg}"
+        ) from None
     order = index.get("task_order", list(index["models"].keys()))
     models = {task_id: load_model(bank_dir / index["models"][task_id])
               for task_id in order}

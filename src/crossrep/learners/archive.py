@@ -91,8 +91,13 @@ def load_model(path: str | Path) -> FittedModel:
     path = Path(path)
     if not path.is_file():
         raise IngestionError(f"model archive not found: {path}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    if doc.get("format") != FORMAT_NAME:
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise IngestionError(
+            f"{path}: corrupt model archive, invalid JSON at line {exc.lineno}: {exc.msg}"
+        ) from None
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise IngestionError(f"{path}: not a {FORMAT_NAME} archive")
     if doc.get("version") != FORMAT_VERSION:
         raise IngestionError(f"{path}: unsupported archive version {doc.get('version')}")

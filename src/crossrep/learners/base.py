@@ -1,9 +1,10 @@
 """Shared learner contracts: specs, fingerprints, fitted models, predict.
 
 Predictions are computed with row-stable reductions (sums only along
-feature or tree axes), so predicting one row at a time is bitwise
-identical to predicting a whole matrix. The transform engine's oracle
-equivalence tests rely on this.
+feature or tree axes) on a C-ordered copy of the input, so predicting one
+row at a time is bitwise identical to predicting a whole matrix, and a
+Fortran-ordered or sliced input predicts like its C-ordered equal. The
+transform engine's oracle equivalence tests rely on this.
 """
 
 from __future__ import annotations
@@ -136,9 +137,6 @@ class TrainFingerprint:
             h.update(rid.encode("utf-8"))
         return h.hexdigest()
 
-    def disjoint_from(self, row_ids) -> bool:
-        return not set(self.row_ids) & set(row_ids)
-
 
 EMPTY_FINGERPRINT = TrainFingerprint(task_id="", row_ids=())
 
@@ -177,7 +175,9 @@ class FittedModel:
 
 
 def _check_predict_input(model: FittedModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
+    # Row reductions run along the contiguous axis, so a C-ordered copy
+    # keeps predictions independent of the caller's memory layout.
+    X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValidationError("predict expects a 2-d matrix")
     if X.shape[1] != model.feature_count:

@@ -12,6 +12,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
+from .errors import ConfigError
+
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -24,7 +26,11 @@ def resolve_workers(requested: int | None) -> int:
         return max(1, int(requested))
     env = os.environ.get(WORKERS_ENV_VAR)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(
+                f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
     return 1
 
 

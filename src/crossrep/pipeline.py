@@ -10,6 +10,7 @@ score tables.
 from __future__ import annotations
 
 import datetime as _dt
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +22,8 @@ from .data import (CollectionMode, NormalizationParams, SplitKind, SplitPlan, Ta
                    TaskCollection, assemble_collection, make_fold_plan,
                    make_holdout_plan, normalize_targets)
 from .engine import (ExtrinsicMatrix, ModelBank, TrainingScope, audit_no_leakage,
-                     build_extrinsic, select_descriptors, stage1_train, stage2_train)
+                     build_extrinsic, cross_predict, second_order_extrinsic,
+                     select_descriptors, stage1_train, stage2_train)
 from .errors import ConfigError, CrossrepError, FitError, ValidationError
 from .evaluation import (ComparisonTable, CvResult, Representation,
                          compare_representations, comparison_tsv, cross_validate,
@@ -205,14 +207,18 @@ def _failed_task_id(exc: FitError, collection: TaskCollection) -> str | None:
     return None
 
 
-def _evaluate_task(task: Task, plan: SplitPlan, feature_sets: list[tuple[Representation, np.ndarray]],
-                   config: PipelineConfig) -> list[CvResult]:
-    out = []
-    for rep, feats in feature_sets:
-        out.append(cross_validate(feats, task.targets, config.final_spec, plan,
-                                  task_id=task.task_id, representation=rep,
-                                  row_ids=task.example_ids, workers=config.workers))
-    return out
+def _block_key(features: np.ndarray) -> tuple:
+    """Content key of a feature block; equal keys mean equal rows."""
+    return features.shape, hashlib.sha256(np.ascontiguousarray(features)).digest()
+
+
+def _order1_view(task: Task, bank: ModelBank, block: np.ndarray,
+                 config: PipelineConfig) -> ExtrinsicMatrix:
+    ext = build_extrinsic(task.task_id, bank, block)
+    if config.descriptor_cap is not None:
+        ext = select_descriptors(ext, config.descriptor_cap,
+                                 derive_seed(config.seed, "cap", task.task_id))
+    return ext
 
 
 def run_pipeline(config: PipelineConfig) -> ExperimentResult:
@@ -237,35 +243,38 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
                 "leakage audit failed: " + "; ".join(audit_violations)
             )
 
-    extrinsics: dict[str, ExtrinsicMatrix] = {}
+    # One cross-prediction block per distinct feature block: the tasks of a
+    # shared-examples collection (or any tasks with equal rows) share it.
+    blocks: dict[tuple, np.ndarray] = {}
+    evaluated: dict[str, tuple[Task, SplitPlan, np.ndarray]] = {}
     results: list[CvResult] = []
-    order2_inputs: dict[str, tuple[Task, SplitPlan]] = {}
 
     for task in collection.tasks:
         plan = plans[task.task_id]
+        key = _block_key(task.features)
         try:
-            ext = build_extrinsic(task.task_id, bank, task.features, workers=config.workers)
-            if config.descriptor_cap is not None:
-                ext = select_descriptors(ext, config.descriptor_cap,
-                                         derive_seed(config.seed, "cap", task.task_id))
+            if key not in blocks:
+                blocks[key] = cross_predict(bank, task.features)
+            ext = _order1_view(task, bank, blocks[key], config)
             feats = ext.values
             if config.augment:
                 feats = np.hstack([task.features, ext.values])
             feature_sets = [(Representation.original(), task.features),
                             (Representation.transformed(config.transformer_spec, 1), feats)]
-            task_results = _evaluate_task(task, plan, feature_sets, config)
+            task_results = [cross_validate(f, task.targets, config.final_spec, plan,
+                                           task_id=task.task_id, representation=rep,
+                                           row_ids=task.example_ids, workers=config.workers)
+                            for rep, f in feature_sets]
         except CrossrepError as exc:
             if config.strict:
                 raise
             failures.append(TaskFailure(task.task_id, "evaluate", str(exc)))
             continue
-        extrinsics[task.task_id] = ext
+        evaluated[task.task_id] = (task, plan, blocks[key])
         results.extend(task_results)
-        order2_inputs[task.task_id] = (task, plan)
 
     if config.order == 2:
-        results.extend(_run_second_order(bank, collection, extrinsics, order2_inputs,
-                                         failures, config))
+        results.extend(_run_second_order(bank, evaluated, failures, config))
 
     # Keep only tasks scored under every representation so the comparison
     # table always sees identical task sets; recorded failures explain gaps.
@@ -287,22 +296,17 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
     )
 
 
-def _run_second_order(bank: ModelBank, collection: TaskCollection,
-                      extrinsics: dict[str, ExtrinsicMatrix],
-                      order2_inputs: dict[str, tuple[Task, SplitPlan]],
+def _run_second_order(bank: ModelBank,
+                      evaluated: dict[str, tuple[Task, SplitPlan, np.ndarray]],
                       failures: list[TaskFailure],
                       config: PipelineConfig) -> list[CvResult]:
-    from .engine import second_order_extrinsic
-
     # Tasks that failed first-order evaluation drop out of the order-2
     # column set; their stage-1 models may still feed surviving views.
-    surviving = tuple(t for t in bank.task_ids if t in extrinsics)
-
     shared_holdout = (config.resolved_scope is TrainingScope.TRAIN_SPLIT_ONLY)
     stage2_models = {}
     stage2_sources = {}
-    for task_id, ext in extrinsics.items():
-        task, plan = order2_inputs[task_id]
+    for task_id, (task, plan, block) in evaluated.items():
+        ext = _order1_view(task, bank, block, config)
         rows = np.arange(task.n_examples)
         if shared_holdout:
             rows, _ = plan.split(0)
@@ -321,15 +325,14 @@ def _run_second_order(bank: ModelBank, collection: TaskCollection,
             failures.append(TaskFailure(task_id, "stage2", str(exc)))
             continue
         stage2_sources[task_id] = ext.source_model_ids
-    surviving = tuple(t for t in surviving if t in stage2_models)
+    surviving = tuple(t for t in bank.task_ids if t in stage2_models)
 
     out: list[CvResult] = []
     rep = Representation.transformed(config.transformer_spec, 2)
-    for task_id, (task, plan) in order2_inputs.items():
+    for task_id, (task, plan, block) in evaluated.items():
         try:
             ext2 = second_order_extrinsic(task_id, bank, stage2_models, stage2_sources,
-                                          task.features, workers=config.workers,
-                                          source_ids=surviving)
+                                          block, source_ids=surviving)
             if config.descriptor_cap is not None:
                 ext2 = select_descriptors(ext2, config.descriptor_cap,
                                           derive_seed(config.seed, "cap2", task_id))

@@ -10,7 +10,7 @@ import pytest
 
 from crossrep.data import CollectionMode, SplitKind
 from crossrep.engine import (TrainingScope, audit_no_leakage, build_extrinsic,
-                             second_order_extrinsic, select_descriptors,
+                             cross_predict, second_order_extrinsic, select_descriptors,
                              stage1_train, stage2_train)
 from crossrep.evaluation import improvement_pct, rmse, win_count
 from crossrep.learners import (LearnerSpec, dual_objective, fit_forest, fit_ridge,
@@ -65,14 +65,14 @@ def test_criterion_2_oracle_equivalence():
         bank = stage1_train(col, spec, TrainingScope.FULL_TASK)
         stage2_models, stage2_sources = {}, {}
         for task in col.tasks:
-            ext = build_extrinsic(task.task_id, bank, task.features)
+            ext = build_extrinsic(task.task_id, bank, cross_predict(bank, task.features))
             oracle = oracle_extrinsic(col, bank, task.task_id)
             assert np.array_equal(ext.values, oracle), f"{name}: first order differs"
             stage2_models[task.task_id] = stage2_train(ext, task.targets, spec)
             stage2_sources[task.task_id] = ext.source_model_ids
         for task in col.tasks:
-            ext2 = second_order_extrinsic(task.task_id, bank, stage2_models,
-                                          stage2_sources, task.features)
+            ext2 = second_order_extrinsic(task.task_id, bank, stage2_models, stage2_sources,
+                                          cross_predict(bank, task.features))
             # manual chaining oracle, one example and one source at a time
             for j, src in enumerate(ext2.source_model_ids):
                 for i in range(task.n_examples):
@@ -210,10 +210,11 @@ def test_criterion_6_width_laws():
             nonlinearity=Nonlinearity.LINEAR, noise_sd=0.05, seed=31))
         bank = stage1_train(col, LearnerSpec.ridge(5.0), TrainingScope.FULL_TASK)
         for task in col.tasks:
-            ext = build_extrinsic(task.task_id, bank, task.features)
+            ext = build_extrinsic(task.task_id, bank, cross_predict(bank, task.features))
             assert ext.n_columns == n_tasks - 1
         # descriptor capping yields exactly min(cap, n - 1) columns
-        ext = build_extrinsic(col.tasks[0].task_id, bank, col.tasks[0].features)
+        ext = build_extrinsic(col.tasks[0].task_id, bank,
+                              cross_predict(bank, col.tasks[0].features))
         for cap in (1, 5, n_tasks - 1, n_tasks + 10):
             capped = select_descriptors(ext, cap, seed=1)
             assert capped.n_columns == min(cap, n_tasks - 1)

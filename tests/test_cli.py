@@ -131,6 +131,21 @@ class TestBankAndCluster:
                        "--k", "0", "--out", str(tmp_path / "x"))
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["inspect-bank", "cluster"])
+    def test_truncated_model_archive_is_validation_error(self, command, tmp_path,
+                                                         bank_dir, synth_dir, capsys):
+        archive = bank_dir / "task001.model.json"
+        text = archive.read_text()
+        archive.write_text(text[: len(text) // 2])
+        argv = ["--bank", str(bank_dir)]
+        if command == "cluster":
+            argv += ["--pool", str(synth_dir / "task000.csv"), "--target", "y",
+                     "--k", "2", "--out", str(tmp_path / "x")]
+        assert run_cli(command, *argv) == 3
+        err = capsys.readouterr().err
+        assert "task001.model.json" in err
+        assert "Traceback" not in err
+
     def test_missing_bank(self, tmp_path, synth_dir):
         code = run_cli("cluster", "--bank", str(tmp_path / "nope"),
                        "--pool", str(synth_dir / "task000.csv"), "--target", "y",
@@ -154,6 +169,14 @@ class TestCompare:
         text = capsys.readouterr().out
         assert "TL - Ridge" in text
         assert "TL - RF" in text
+
+    def test_empty_score_file_is_validation_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty_scores.tsv"
+        empty.write_text("")
+        assert run_cli("compare", str(empty)) == 3
+        err = capsys.readouterr().err
+        assert "empty_scores.tsv" in err
+        assert "Traceback" not in err
 
     def test_usage_error_without_files(self):
         with pytest.raises(SystemExit) as exc:
@@ -179,6 +202,14 @@ class TestSeedAndWorkers:
         run_cli("run", "--config", str(run_config), "--out", str(out2))
         assert ((out1 / "scores.tsv").read_bytes()
                 == (out2 / "scores.tsv").read_bytes())
+
+    def test_non_integer_workers_env_var_is_config_error(self, tmp_path, run_config,
+                                                         monkeypatch, capsys):
+        monkeypatch.setenv("CROSSREP_WORKERS", "two")
+        assert run_cli("run", "--config", str(run_config), "--out", str(tmp_path / "x")) == 3
+        err = capsys.readouterr().err
+        assert "CROSSREP_WORKERS" in err
+        assert "Traceback" not in err
 
 
 def test_run_with_corrupt_task_file_names_it(tmp_path, synth_dir, run_config, capsys):

@@ -46,6 +46,12 @@ class TestCrossPredictionMatrix:
         matrix = cross_prediction_matrix(bank, np.empty((0, 3)))
         assert matrix.values.shape == (0, 3)
 
+    def test_pool_of_wrong_width_is_a_validation_error(self, small_collection):
+        bank = stage1_train(small_collection, LearnerSpec.ridge(2.0),
+                            TrainingScope.FULL_TASK)
+        with pytest.raises(ValidationError, match="4 feature columns"):
+            cross_prediction_matrix(bank, np.ones((5, 4)))
+
 
 class TestKmeans:
     def test_identical_columns_cluster_together(self):

@@ -3,10 +3,10 @@ import pytest
 
 from crossrep.data import CollectionMode, make_holdout_plan
 from crossrep.engine import (ExtrinsicMatrix, TrainingScope,
-                             audit_no_leakage, build_extrinsic, load_bank,
+                             audit_no_leakage, build_extrinsic, cross_predict, load_bank,
                              save_bank, second_order_extrinsic, select_descriptors,
                              stage1_train, stage2_train)
-from crossrep.errors import FitError, ValidationError
+from crossrep.errors import FitError, IngestionError, ValidationError
 from crossrep.evaluation import rmse
 from crossrep.learners import LearnerSpec, predict
 from crossrep.synth import (Nonlinearity, SynthSpec, generate_collection,
@@ -71,21 +71,22 @@ class TestBuildExtrinsic:
     def test_width_is_n_minus_one(self, small_collection):
         bank = stage1_train(small_collection, RIDGE, TrainingScope.FULL_TASK)
         task = small_collection.tasks[0]
-        ext = build_extrinsic(task.task_id, bank, task.features)
+        ext = build_extrinsic(task.task_id, bank, cross_predict(bank, task.features))
         assert ext.n_columns == small_collection.n_tasks - 1
         assert task.task_id not in ext.source_model_ids
 
     def test_matches_oracle_exactly(self, small_collection):
         bank = stage1_train(small_collection, RIDGE, TrainingScope.FULL_TASK)
         for task in small_collection.tasks:
-            ext = build_extrinsic(task.task_id, bank, task.features)
+            ext = build_extrinsic(task.task_id, bank, cross_predict(bank, task.features))
             oracle = oracle_extrinsic(small_collection, bank, task.task_id)
             assert np.array_equal(ext.values, oracle)
 
     def test_unknown_task(self, small_collection):
         bank = stage1_train(small_collection, RIDGE, TrainingScope.FULL_TASK)
         with pytest.raises(ValidationError, match="unknown task"):
-            build_extrinsic("nope", bank, small_collection.tasks[0].features)
+            build_extrinsic("nope", bank,
+                            cross_predict(bank, small_collection.tasks[0].features))
 
     def test_leave_own_task_out_type_invariant(self):
         with pytest.raises(ValidationError, match="leave-own-task-out"):
@@ -174,7 +175,7 @@ class TestSecondOrder:
         bank = stage1_train(col, RIDGE, TrainingScope.FULL_TASK)
         stage2_models, stage2_sources = {}, {}
         for task in col.tasks:
-            ext = build_extrinsic(task.task_id, bank, task.features)
+            ext = build_extrinsic(task.task_id, bank, cross_predict(bank, task.features))
             stage2_models[task.task_id] = stage2_train(ext, task.targets,
                                                        LearnerSpec.ridge(2.0))
             stage2_sources[task.task_id] = ext.source_model_ids
@@ -184,7 +185,7 @@ class TestSecondOrder:
         col, bank, models, sources = setup
         for task in col.tasks:
             ext2 = second_order_extrinsic(task.task_id, bank, models, sources,
-                                          task.features)
+                                          cross_predict(bank, task.features))
             assert ext2.n_columns == col.n_tasks - 1
             assert ext2.order == 2
 
@@ -192,7 +193,7 @@ class TestSecondOrder:
         col, bank, models, sources = setup
         target = col.tasks[0]
         ext2 = second_order_extrinsic(target.task_id, bank, models, sources,
-                                      target.features)
+                                      cross_predict(bank, target.features))
         for j, src in enumerate(ext2.source_model_ids):
             view_cols = [predict(bank.models[s], target.features)
                          for s in sources[src]]
@@ -205,7 +206,7 @@ class TestSecondOrder:
         incomplete = dict(list(models.items())[:1])
         with pytest.raises(ValidationError, match="missing stage-2"):
             second_order_extrinsic(col.tasks[0].task_id, bank, incomplete, sources,
-                                   col.tasks[0].features)
+                                   cross_predict(bank, col.tasks[0].features))
 
     def test_order_three_rejected(self):
         with pytest.raises(ValidationError, match="order must be 1 or 2"):
@@ -226,6 +227,14 @@ class TestBankPersistence:
             assert np.array_equal(predict(bank.models[tid], X),
                                   predict(loaded.models[tid], X))
 
+    def test_truncated_archive_names_the_file(self, tmp_path, small_collection):
+        bank = stage1_train(small_collection, RIDGE, TrainingScope.FULL_TASK)
+        save_bank(bank, tmp_path / "bank")
+        archive = tmp_path / "bank" / "t1.model.json"
+        archive.write_text(archive.read_text()[:40])
+        with pytest.raises(IngestionError, match="t1.model.json"):
+            load_bank(tmp_path / "bank")
+
     def test_audit_detects_leak(self, shared_collection):
         bank = stage1_train(shared_collection, RIDGE, TrainingScope.FULL_TASK)
         heldout = shared_collection.tasks[0].example_ids[:5]
@@ -237,7 +246,8 @@ def test_build_extrinsic_propagates_model_failure(small_collection):
     bank = stage1_train(small_collection, RIDGE, TrainingScope.FULL_TASK)
     wrong_width = np.ones((4, 7))  # models expect 3 columns
     with pytest.raises(FitError, match="source model"):
-        build_extrinsic(small_collection.tasks[0].task_id, bank, wrong_width)
+        build_extrinsic(small_collection.tasks[0].task_id, bank,
+                        cross_predict(bank, wrong_width))
 
 
 def test_select_descriptors_977_to_500():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crossrep.data import CollectionMode
-from crossrep.engine import TrainingScope, build_extrinsic, stage1_train
+from crossrep.engine import TrainingScope, build_extrinsic, cross_predict, stage1_train
 from crossrep.errors import ValidationError
 from crossrep.learners import LearnerSpec
 from crossrep.synth import (Nonlinearity, SynthSpec, generate_collection,
@@ -101,7 +101,7 @@ class TestOracleExtrinsic:
         col = generate_collection(spec(n_tasks=4, n_examples_per_task=10))
         bank = stage1_train(col, learner, TrainingScope.FULL_TASK)
         for task in col.tasks:
-            engine = build_extrinsic(task.task_id, bank, task.features)
+            engine = build_extrinsic(task.task_id, bank, cross_predict(bank, task.features))
             oracle = oracle_extrinsic(col, bank, task.task_id)
             assert np.array_equal(engine.values, oracle)
 
