@@ -11,21 +11,19 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .clustering import (assignments_tsv, build_pool, cluster_examples,
                          cluster_tasks, cross_prediction_matrix,
                          pairwise_distances_tsv)
-from .data import CollectionMode, SplitKind, load_collection, load_task, write_collection
+from .data import (CollectionMode, SplitKind, load_collection, load_pool, load_task,
+                   write_collection)
 from .engine import TrainingScope, load_bank, save_bank, stage1_train
 from .errors import (ConfigError, ConvergenceError, CrossrepError, FitError,
                      IngestionError, ValidationError)
-from .evaluation import (ComparisonTable, ComparisonRow, render_comparison)
+from .evaluation import compare_scores, render_comparison
 from .learners import LearnerKind, LearnerSpec
-from .parallel import resolve_workers
-from .pipeline import (PipelineConfig, SCORES_NAME, SplitProtocol, run_pipeline,
-                       write_result)
+from .pipeline import (PipelineConfig, SCORES_NAME, SplitProtocol, load_scores,
+                       run_pipeline, write_result)
 from .synth import Nonlinearity, SynthSpec, generate_collection
 
 EXIT_OK = 0
@@ -36,28 +34,30 @@ EXIT_RUNTIME = 4
 
 def parse_learner_spec(doc: dict) -> LearnerSpec:
     """Flat config form: {"kind": ..., "seed": ..., <hyperparams>}."""
-    if "kind" not in doc:
-        raise ConfigError("learner spec needs a 'kind' field")
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise ConfigError("learner spec needs to be a JSON object with a 'kind' field")
     try:
         kind = LearnerKind(doc["kind"])
-    except ValueError:
+    except (TypeError, ValueError):
         valid = ", ".join(k.value for k in LearnerKind)
         raise ConfigError(f"unknown learner kind {doc['kind']!r} (valid: {valid})") from None
+    seed = doc.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"learner seed must be an integer, got {seed!r}")
     kwargs = {k: v for k, v in doc.items() if k != "kind"}
-    if "lambda_grid" in kwargs:
-        kwargs["lambda_grid"] = tuple(kwargs["lambda_grid"])
     ctor = {LearnerKind.RIDGE: LearnerSpec.ridge,
             LearnerKind.RIDGE_CV: LearnerSpec.ridge_cv,
             LearnerKind.FOREST: LearnerSpec.forest,
             LearnerKind.SVR: LearnerSpec.svr}[kind]
     try:
+        if "lambda_grid" in kwargs:
+            kwargs["lambda_grid"] = tuple(kwargs["lambda_grid"])
         return ctor(**kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad hyperparams for {kind.value}: {exc}") from None
 
 
-def load_config(path: Path, seed_override: int | None, workers: int,
-                strict_flag: bool) -> PipelineConfig:
+def load_config(path: Path, seed_override: int | None, strict_flag: bool) -> PipelineConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
@@ -97,14 +97,12 @@ def load_config(path: Path, seed_override: int | None, workers: int,
         strict=bool(doc.get("strict", False)) or strict_flag,
         augment=bool(doc.get("augment", False)),
         normalize=bool(doc.get("normalize_targets", False)),
-        workers=workers,
         collection_ref=collection_ref,
     )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    workers = resolve_workers(args.workers)
-    config = load_config(Path(args.config), args.seed, workers, args.strict)
+    config = load_config(Path(args.config), args.seed, args.strict)
     result = run_pipeline(config)
     out_dir = write_result(result, Path(args.out))
     print(f"wrote {out_dir / SCORES_NAME}")
@@ -133,9 +131,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_train_bank(args: argparse.Namespace) -> int:
     collection = load_collection(Path(args.collection))
-    spec = parse_learner_spec(json.loads(args.learner))
-    bank = stage1_train(collection, spec, TrainingScope.FULL_TASK,
-                        workers=resolve_workers(args.workers))
+    try:
+        doc = json.loads(args.learner)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--learner: invalid JSON at line {exc.lineno}, column "
+                          f"{exc.colno}: {exc.msg}") from None
+    bank = stage1_train(collection, parse_learner_spec(doc), TrainingScope.FULL_TASK)
     index = save_bank(bank, Path(args.out))
     print(f"wrote {index}")
     return EXIT_OK
@@ -153,7 +154,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         pool = pool_task.features
         ids = pool_task.example_ids
     else:
-        pool, ids = _load_pool_matrix(pool_path)
+        pool, ids = load_pool(pool_path)
     matrix = cross_prediction_matrix(bank, pool, example_ids=ids)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -178,33 +179,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_pool_matrix(path: Path) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Pool file: id column plus numeric feature columns, no target."""
-    if not path.is_file():
-        raise IngestionError(f"pool file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise IngestionError(f"{path}: empty file")
-    delim = "\t" if "\t" in lines[0] else ","
-    header = lines[0].split(delim)
-    rows = [ln.split(delim) for ln in lines[1:] if ln.strip()]
-    ids = tuple(r[0] for r in rows)
-    try:
-        values = np.array([[float(c) for c in r[1:]] for r in rows], dtype=np.float64)
-    except ValueError as exc:
-        raise IngestionError(f"{path}: non-numeric pool value ({exc})") from None
-    if values.size and not np.isfinite(values).all():
-        raise IngestionError(f"{path}: pool contains non-finite values")
-    if len(header) - 1 != (values.shape[1] if len(rows) else 0) and rows:
-        raise IngestionError(f"{path}: ragged pool rows")
-    return values, ids
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
-    rows = []
-    for path in args.scores:
-        rows.extend(_read_scores(Path(path)))
-    table = _table_from_scores(rows)
+    table = compare_scores(score for path in args.scores for score in load_scores(path))
     text = render_comparison(table)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -212,47 +188,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     else:
         print(text, end="")
     return EXIT_OK
-
-
-def _read_scores(path: Path) -> list[dict]:
-    if not path.is_file():
-        raise IngestionError(f"score file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise IngestionError(f"{path}: empty score file")
-    header = lines[0].split("\t")
-    out = []
-    for ln in lines[1:]:
-        if not ln.strip():
-            continue
-        cells = dict(zip(header, ln.split("\t")))
-        out.append(cells)
-    return out
-
-
-def _table_from_scores(rows: list[dict]) -> ComparisonTable:
-    """Rebuild the comparison table from persisted score rows."""
-    from .evaluation import improvement_pct, win_count
-
-    groups: dict[tuple[str, str], dict[str, float]] = {}
-    for r in rows:
-        key = (r["final"], r["representation"])
-        groups.setdefault(key, {})[r["task_id"]] = float(r["mean_rmse"])
-    out_rows = []
-    for (final, rep), scores in sorted(groups.items()):
-        mean = float(np.mean(sorted(scores.values())))
-        if rep == "Original rep.":
-            out_rows.append(ComparisonRow(final, rep, mean, None, 0, 0,
-                                          len(scores), len(scores)))
-            continue
-        base = groups.get((final, "Original rep."))
-        if base is None:
-            raise ValidationError(f"no original-representation scores for {final!r}")
-        wins, losses, ties = win_count(base, scores)
-        base_mean = float(np.mean(sorted(base.values())))
-        out_rows.append(ComparisonRow(final, rep, mean, improvement_pct(base_mean, mean),
-                                      wins, losses, ties, len(scores)))
-    return ComparisonTable(rows=tuple(out_rows))
 
 
 def cmd_inspect_bank(args: argparse.Namespace) -> int:
@@ -280,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--workers", type=int, default=None)
     p_run.add_argument("--strict", action="store_true")
     p_run.set_defaults(fn=cmd_run)
 
@@ -303,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bank.add_argument("--learner", required=True,
                         help='learner spec as JSON, e.g. \'{"kind": "ridge", "lam": 10}\'')
     p_bank.add_argument("--out", required=True)
-    p_bank.add_argument("--workers", type=int, default=None)
     p_bank.set_defaults(fn=cmd_train_bank)
 
     p_cluster = sub.add_parser("cluster", help="cluster tasks/examples in prediction space")

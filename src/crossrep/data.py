@@ -1,9 +1,10 @@
 """Task data model, file ingestion, split planning, and target normalization.
 
 A task file is a UTF-8 delimited table (comma or tab, auto-detected from
-the header line): first column holds example ids, one header-named column
-holds the regression target, and every remaining column is a numeric
-feature. A collection manifest is a JSON document listing task files, the
+the header line): first column holds unique example ids, one header-named
+column holds the regression target, and every remaining column is a
+numeric feature. A pool file is a task file without the target column. A
+collection manifest is a JSON document listing task files, the
 target column name, the collection mode, and a collection id.
 """
 
@@ -79,6 +80,14 @@ class Task:
             if name in seen:
                 raise ValidationError(f"task {self.task_id!r}: duplicate feature name {name!r}")
             seen.add(name)
+        example_ids = tuple(str(e) for e in self.example_ids)
+        if len(set(example_ids)) != n:
+            seen = set()
+            for example_id in example_ids:
+                if example_id in seen:
+                    raise ValidationError(
+                        f"task {self.task_id!r}: duplicate example id {example_id!r}")
+                seen.add(example_id)
         if not np.isfinite(feats).all():
             i, j = np.argwhere(~np.isfinite(feats))[0]
             raise ValidationError(
@@ -93,7 +102,7 @@ class Task:
         object.__setattr__(self, "features", _readonly(feats))
         object.__setattr__(self, "targets", _readonly(targs))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        object.__setattr__(self, "example_ids", tuple(str(e) for e in self.example_ids))
+        object.__setattr__(self, "example_ids", example_ids)
 
     @property
     def n_examples(self) -> int:
@@ -268,83 +277,115 @@ def denormalize_targets(values: np.ndarray, params: NormalizationParams) -> np.n
     return np.asarray(values, dtype=np.float64) * (params.max - params.min) + params.min
 
 
-def _detect_delimiter(header_line: str) -> str:
-    if "\t" in header_line:
-        return "\t"
-    return ","
+def read_table(path: str | Path, what: str) -> tuple[tuple[str, ...],
+                                                     list[tuple[int, list[str]]]]:
+    """Header and data rows of a UTF-8 delimited text file.
+
+    The delimiter (tab, else comma) is detected from the header line and
+    cells may be quoted. Blank rows are skipped; every other row comes
+    with its line number and must have one cell per header column.
+    ``what`` names the kind of file when it is missing.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise IngestionError(f"{what} not found: {path}")
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    if not lines or not lines[0].strip():
+        raise IngestionError(f"{path}: empty file")
+    reader = csv.reader(lines, delimiter="\t" if "\t" in lines[0] else ",")
+    try:
+        header = tuple(h.strip() for h in next(reader))
+        seen: set[str] = set()
+        for name in header:
+            if name in seen:
+                raise IngestionError(f"{path}: duplicate header column {name!r}")
+            seen.add(name)
+        rows = []
+        for row in reader:
+            if not any(cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise IngestionError(f"{path}: row {reader.line_num} has {len(row)} cells, "
+                                     f"expected {len(header)}")
+            rows.append((reader.line_num, row))
+    except csv.Error as exc:
+        raise IngestionError(f"{path}: row {reader.line_num}: {exc}") from None
+    return header, rows
 
 
-def load_task(path: str | Path, target: str, *, task_id: str | None = None,
-              delimiter: str | None = None) -> Task:
+def parse_value(path: Path, line: int, column: str, cell: str) -> float:
+    """One finite float cell; the error names the file, row and column."""
+    try:
+        value = float(cell)
+    except ValueError:
+        raise IngestionError(f"{path}: non-numeric value {cell.strip()!r} at row {line}, "
+                             f"column {column!r}") from None
+    if not math.isfinite(value):
+        raise IngestionError(f"{path}: non-finite value {cell.strip()!r} at row {line}, "
+                             f"column {column!r}")
+    return value
+
+
+def _example_table(path: Path, header: tuple[str, ...], rows: list[tuple[int, list[str]]]
+                   ) -> tuple[tuple[str, ...], np.ndarray]:
+    """Unique example ids (first column) and the values of every other column."""
+    if not rows:
+        raise IngestionError(f"{path}: header only, zero examples")
+    values = np.empty((len(rows), len(header) - 1), dtype=np.float64)
+    first_row: dict[str, int] = {}
+    for i, (line, row) in enumerate(rows):
+        example_id = row[0].strip()
+        if example_id in first_row:
+            raise IngestionError(f"{path}: duplicate example id {example_id!r} at row {line} "
+                                 f"(first at row {first_row[example_id]})")
+        first_row[example_id] = line
+        try:
+            values[i] = [float(cell) for cell in row[1:]]
+        except ValueError:
+            for j in range(1, len(row)):
+                parse_value(path, line, header[j], row[j])
+    if not np.isfinite(values).all():
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        line, row = rows[i]
+        parse_value(path, line, header[j + 1], row[j + 1])
+    return tuple(first_row), values
+
+
+def load_task(path: str | Path, target: str, *, task_id: str | None = None) -> Task:
     """Load one task from a delimited text file.
 
     The first column is the example id, ``target`` names the target
     column, and every other column is parsed as a numeric feature.
     """
     path = Path(path)
-    if not path.is_file():
-        raise IngestionError(f"task file not found: {path}")
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
-        raise IngestionError(f"{path}: empty file")
-    delim = delimiter or _detect_delimiter(lines[0])
-    rows = list(csv.reader(lines, delimiter=delim))
-    header = [h.strip() for h in rows[0]]
+    header, rows = read_table(path, "task file")
     if len(header) < 3:
         raise IngestionError(f"{path}: need at least an id column, one feature, and a target")
-    seen: set[str] = set()
-    for name in header:
-        if name in seen:
-            raise IngestionError(f"{path}: duplicate header column {name!r}")
-        seen.add(name)
     if target not in header[1:]:
         raise IngestionError(f"{path}: missing target column {target!r}")
-    target_idx = header.index(target)
-    feature_names = tuple(h for i, h in enumerate(header) if i != 0 and i != target_idx)
-
-    data_rows = [r for r in rows[1:] if any(cell.strip() for cell in r)]
-    if not data_rows:
-        raise IngestionError(f"{path}: task has zero examples")
-
-    n = len(data_rows)
-    features = np.empty((n, len(feature_names)), dtype=np.float64)
-    targets = np.empty(n, dtype=np.float64)
-    example_ids: list[str] = []
-    for i, row in enumerate(data_rows):
-        if len(row) != len(header):
-            raise IngestionError(
-                f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}"
-            )
-        example_ids.append(row[0].strip())
-        col = 0
-        for j, cell in enumerate(row):
-            if j == 0:
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise IngestionError(
-                    f"{path}: non-numeric value {cell.strip()!r} at row {i + 2}, "
-                    f"column {header[j]!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise IngestionError(
-                    f"{path}: non-finite value {cell.strip()!r} at row {i + 2}, "
-                    f"column {header[j]!r}"
-                )
-            if j == target_idx:
-                targets[i] = value
-            else:
-                features[i, col] = value
-                col += 1
+    example_ids, values = _example_table(path, header, rows)
+    target_col = header.index(target) - 1
+    feature_cols = [j for j in range(values.shape[1]) if j != target_col]
     return Task(
         task_id=task_id or path.stem,
-        features=features,
-        targets=targets,
-        feature_names=feature_names,
-        example_ids=tuple(example_ids),
+        features=values[:, feature_cols],
+        targets=values[:, target_col],
+        feature_names=tuple(header[j + 1] for j in feature_cols),
+        example_ids=example_ids,
     )
+
+
+def load_pool(path: str | Path) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Pooled example rows: a task file without a target column."""
+    path = Path(path)
+    header, rows = read_table(path, "pool file")
+    if len(header) < 2:
+        raise IngestionError(f"{path}: need at least an id column and one feature")
+    example_ids, values = _example_table(path, header, rows)
+    return values, example_ids
 
 
 def assemble_collection(tasks: list[Task] | tuple[Task, ...], mode: CollectionMode,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from .data import CollectionMode, SplitPlan, Task, TaskCollection
 from .errors import FitError, IngestionError, ValidationError
 from .learners import (FittedModel, LearnerSpec, TrainFingerprint, fit_learner,
                        load_model, predict, save_model)
-from .parallel import pmap
 from .seeding import derive_seed
 
 
@@ -130,11 +130,14 @@ def _training_rows(task: Task, scope: TrainingScope, plan: SplitPlan | None) -> 
 
 def stage1_train(collection: TaskCollection, spec: LearnerSpec, scope: TrainingScope,
                  split_plans: dict[str, SplitPlan] | None = None,
-                 workers: int = 1) -> ModelBank:
-    """Fit one model per task on its intrinsic features.
+                 on_failure: Callable[[str, FitError], None] | None = None) -> ModelBank:
+    """Fit one model per task on its intrinsic features, each task once.
 
     Under TRAIN_SPLIT_ONLY only the training side of each task's holdout
     plan is used; shared-example collections must then share one plan.
+    A task whose fit fails raises its FitError, unless ``on_failure`` is
+    given: it is then called with the task id and the error, and the task
+    is left out of the bank.
     """
     plans = split_plans or {}
     if scope is TrainingScope.TRAIN_SPLIT_ONLY:
@@ -148,22 +151,21 @@ def stage1_train(collection: TaskCollection, spec: LearnerSpec, scope: TrainingS
                     "shared-examples collections must use one split plan for all tasks"
                 )
 
-    def fit_one(task: Task) -> tuple[str, FittedModel]:
+    models: dict[str, FittedModel] = {}
+    for task in collection.tasks:
         rows = _training_rows(task, scope, plans.get(task.task_id))
         fp = TrainFingerprint(task_id=task.task_id,
                               row_ids=tuple(task.example_ids[i] for i in rows))
         seed = derive_seed(spec.seed, "stage1", task.task_id)
         try:
-            model = fit_learner(spec, task.features[rows], task.targets[rows],
-                                fingerprint=fp, seed=seed)
+            models[task.task_id] = fit_learner(spec, task.features[rows], task.targets[rows],
+                                               fingerprint=fp, seed=seed)
         except FitError as exc:
             err = FitError(f"stage-1 fit failed for task {task.task_id!r}: {exc}")
-            err.task_id = task.task_id
-            raise err from exc
-        return task.task_id, model
-
-    fitted = pmap(fit_one, collection.tasks, workers=workers)
-    return ModelBank(models=dict(fitted), learner_spec=spec,
+            if on_failure is None:
+                raise err from exc
+            on_failure(task.task_id, err)
+    return ModelBank(models=models, learner_spec=spec,
                      collection_id=collection.feature_space_id, training_scope=scope)
 
 
@@ -229,7 +231,7 @@ def select_descriptors(matrix: ExtrinsicMatrix, cap: int, seed: int) -> Extrinsi
 
 def stage2_train(extrinsic: ExtrinsicMatrix, y: np.ndarray, spec: LearnerSpec,
                  fingerprint: TrainFingerprint | None = None,
-                 seed: int | None = None, workers: int = 1) -> FittedModel:
+                 seed: int | None = None) -> FittedModel:
     """Fit the final learner on the extrinsic representation."""
     y = np.asarray(y, dtype=np.float64)
     if extrinsic.values.shape[0] != len(y):
@@ -238,7 +240,7 @@ def stage2_train(extrinsic: ExtrinsicMatrix, y: np.ndarray, spec: LearnerSpec,
         )
     fp = fingerprint if fingerprint is not None else TrainFingerprint(
         task_id=extrinsic.target_task_id, row_ids=())
-    return fit_learner(spec, extrinsic.values, y, fingerprint=fp, seed=seed, workers=workers)
+    return fit_learner(spec, extrinsic.values, y, fingerprint=fp, seed=seed)
 
 
 def second_order_extrinsic(target_task_id: str, bank: ModelBank,

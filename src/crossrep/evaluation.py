@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from .data import SplitPlan
 from .errors import FitError, ValidationError
 from .learners import LearnerSpec, TrainFingerprint, fit_learner, predict
-from .parallel import pmap
 from .seeding import derive_seed
 
 TIE_TOLERANCE = 1e-12
@@ -95,8 +95,7 @@ def cross_validate(data, targets: np.ndarray | None = None,
                    spec: LearnerSpec | None = None, plan: SplitPlan | None = None,
                    task_id: str = "",
                    representation: Representation | None = None,
-                   row_ids: tuple[str, ...] | None = None,
-                   workers: int = 1) -> CvResult:
+                   row_ids: tuple[str, ...] | None = None) -> CvResult:
     """Fit on each split's train side, score RMSE on its test side.
 
     ``data`` may be a Task (targets implied), an extrinsic matrix view
@@ -126,7 +125,8 @@ def cross_validate(data, targets: np.ndarray | None = None,
     rep = representation if representation is not None else Representation.original()
     ids = row_ids if row_ids is not None else tuple(str(i) for i in range(plan.n))
 
-    def one_fold(f: int) -> float:
+    scores = []
+    for f in range(plan.n_splits):
         train, test = plan.split(f)
         fp = TrainFingerprint(task_id=task_id, row_ids=tuple(ids[i] for i in train))
         seed = derive_seed(spec.seed, "cv", task_id, f)
@@ -136,9 +136,7 @@ def cross_validate(data, targets: np.ndarray | None = None,
             pred = predict(model, features[test])
         except FitError as exc:
             raise FitError(f"fold {f} of task {task_id!r}: {exc}") from exc
-        return rmse(pred, targets[test])
-
-    scores = pmap(one_fold, range(plan.n_splits), workers=workers)
+        scores.append(rmse(pred, targets[test]))
     return CvResult(task_id=task_id, per_fold_rmse=tuple(scores), representation=rep,
                     final_learner=spec, plan_digest=plan.digest)
 
@@ -178,26 +176,33 @@ class ComparisonTable:
 
 
 def compare_representations(results: list[CvResult]) -> ComparisonTable:
-    """Aggregate per-task results into the per-learner comparison table.
+    """Aggregate per-task results into the per-learner comparison table."""
+    return compare_scores((r.final_learner.label, r.representation.label, r.task_id,
+                           r.mean_rmse) for r in results)
 
-    Mean RMSE is the unweighted mean over tasks of each task's mean fold
-    RMSE; improvement and win counts are taken against the original
-    representation under the same final learner.
+
+def compare_scores(scores: Iterable[tuple[str, str, str, float]]) -> ComparisonTable:
+    """The comparison table of (final, representation, task id, mean RMSE) scores.
+
+    Scores group by final learner and representation label. Mean RMSE is
+    the unweighted mean over tasks of each task's mean fold RMSE;
+    improvement and win counts are taken against the original
+    representation under the same final learner. A task scored twice in
+    one group must have the same score both times (merged score tables
+    repeat their shared baseline); a different score is an error.
     """
-    groups: dict[tuple, dict[str, float]] = {}
-    labels: dict[tuple, tuple[str, str, int]] = {}
-    for r in results:
-        key = (r.final_learner.key(), r.representation.key())
-        scores = groups.setdefault(key, {})
-        if r.task_id in scores:
+    original = Representation.original().label
+    groups: dict[tuple[str, str], dict[str, float]] = {}
+    for final_label, rep_label, task_id, mean_rmse in scores:
+        group = groups.setdefault((final_label, rep_label), {})
+        seen = group.setdefault(task_id, mean_rmse)
+        if seen != mean_rmse:
             raise ValidationError(
-                f"duplicate result for task {r.task_id!r} in group {r.representation.label}"
+                f"conflicting scores for task {task_id!r} under {final_label} / "
+                f"{rep_label}: {seen!r} and {mean_rmse!r}"
             )
-        scores[r.task_id] = r.mean_rmse
-        order = 0 if r.representation.kind == "original" else r.representation.order
-        labels[key] = (r.final_learner.label, r.representation.label, order)
 
-    task_sets = {frozenset(scores) for scores in groups.values()}
+    task_sets = {frozenset(group) for group in groups.values()}
     if len(task_sets) > 1:
         counts = sorted(len(s) for s in task_sets)
         raise ValidationError(
@@ -206,25 +211,22 @@ def compare_representations(results: list[CvResult]) -> ComparisonTable:
         )
 
     rows = []
-    for key, scores in groups.items():
-        final_key, rep_key = key
-        final_label, rep_label, order = labels[key]
-        mean = float(np.mean(sorted(scores.values())))
-        if rep_key[0] == "original":
+    for (final_label, rep_label), group in groups.items():
+        mean = float(np.mean(sorted(group.values())))
+        if rep_label == original:
             rows.append(ComparisonRow(final_label, rep_label, mean, None,
-                                      0, 0, len(scores), len(scores)))
+                                      0, 0, len(group), len(group)))
             continue
-        base_key = (final_key, Representation.original().key())
-        if base_key not in groups:
+        baseline = groups.get((final_label, original))
+        if baseline is None:
             raise ValidationError(
                 f"no original-representation baseline for final learner {final_label!r}"
             )
-        baseline = groups[base_key]
         base_mean = float(np.mean(sorted(baseline.values())))
-        wins, losses, ties = win_count(baseline, scores)
+        wins, losses, ties = win_count(baseline, group)
         rows.append(ComparisonRow(final_label, rep_label, mean,
                                   improvement_pct(base_mean, mean),
-                                  wins, losses, ties, len(scores)))
+                                  wins, losses, ties, len(group)))
 
     def sort_key(row: ComparisonRow) -> tuple:
         rep_rank = 0 if row.improvement is None else 1

@@ -209,7 +209,7 @@ def predict(model: FittedModel, X: np.ndarray) -> np.ndarray:
 
 def fit_learner(spec: LearnerSpec, X: np.ndarray, y: np.ndarray,
                 fingerprint: TrainFingerprint = EMPTY_FINGERPRINT,
-                seed: int | None = None, workers: int = 1) -> FittedModel:
+                seed: int | None = None) -> FittedModel:
     """Fit any learner kind from its spec; ``seed`` overrides spec.seed."""
     from . import forest, ridge, svr
 
@@ -223,7 +223,7 @@ def fit_learner(spec: LearnerSpec, X: np.ndarray, y: np.ndarray,
     if spec.kind is LearnerKind.FOREST:
         return forest.fit_forest(X, y, n_trees=hp["n_trees"], mtry=hp["mtry"],
                                  min_node_size=hp["min_node_size"], seed=use_seed,
-                                 fingerprint=fingerprint, spec=spec, workers=workers)
+                                 fingerprint=fingerprint, spec=spec)
     if spec.kind is LearnerKind.SVR:
         return svr.fit_svr(X, y, c=hp["c"], epsilon=hp["epsilon"], sigma=hp["sigma"],
                            tol=hp["tol"], max_iter=hp["max_iter"],

@@ -2,8 +2,8 @@
 
 Each tree is grown on a bootstrap sample; at every split a fresh random
 subset of candidate features is scanned for the best variance reduction.
-Per-tree randomness is derived from (seed, tree index), so the forest is
-identical for any worker count or construction order.
+Per-tree randomness is derived from (seed, tree index), so the forest
+depends only on the data and the seed.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import FitError
-from ..parallel import pmap
 from ..seeding import derive_seed
 from .base import (EMPTY_FINGERPRINT, FittedModel, LearnerSpec,
                    TrainFingerprint, check_fit_input)
@@ -139,7 +138,7 @@ def predict_state(state: ForestState, X: np.ndarray) -> np.ndarray:
 def fit_forest(X: np.ndarray, y: np.ndarray, *, n_trees: int = 500, mtry: int = 0,
                min_node_size: int = 5, seed: int = 0,
                fingerprint: TrainFingerprint = EMPTY_FINGERPRINT,
-               spec: LearnerSpec | None = None, workers: int = 1) -> FittedModel:
+               spec: LearnerSpec | None = None) -> FittedModel:
     """Fit a bagged forest; mtry = 0 means ceil(p / 3)."""
     X, y = check_fit_input(X, y, min_rows=1)
     if n_trees < 1:
@@ -149,11 +148,9 @@ def fit_forest(X: np.ndarray, y: np.ndarray, *, n_trees: int = 500, mtry: int = 
     p = X.shape[1]
     eff_mtry = mtry if mtry > 0 else -(-p // 3)
 
-    def grow(t: int) -> Tree:
-        rng = np.random.default_rng(derive_seed(seed, "tree", t))
-        return _grow_tree(X, y, eff_mtry, min_node_size, rng)
-
-    trees = tuple(pmap(grow, range(n_trees), workers=workers))
+    trees = tuple(_grow_tree(X, y, eff_mtry, min_node_size,
+                             np.random.default_rng(derive_seed(seed, "tree", t)))
+                  for t in range(n_trees))
     if spec is None:
         spec = LearnerSpec.forest(n_trees=n_trees, mtry=mtry,
                                   min_node_size=min_node_size, seed=seed)

@@ -20,11 +20,11 @@ import numpy as np
 from . import __version__
 from .data import (CollectionMode, NormalizationParams, SplitKind, SplitPlan, Task,
                    TaskCollection, assemble_collection, make_fold_plan,
-                   make_holdout_plan, normalize_targets)
+                   make_holdout_plan, normalize_targets, parse_value, read_table)
 from .engine import (ExtrinsicMatrix, ModelBank, TrainingScope, audit_no_leakage,
                      build_extrinsic, cross_predict, second_order_extrinsic,
                      select_descriptors, stage1_train, stage2_train)
-from .errors import ConfigError, CrossrepError, FitError, ValidationError
+from .errors import ConfigError, CrossrepError, FitError, IngestionError, ValidationError
 from .evaluation import (ComparisonTable, CvResult, Representation,
                          compare_representations, comparison_tsv, cross_validate,
                          render_comparison)
@@ -72,7 +72,6 @@ class PipelineConfig:
     strict: bool = False
     augment: bool = False
     normalize: bool = False
-    workers: int = 1
     collection_ref: str = "<in-memory>"
 
     def __post_init__(self) -> None:
@@ -172,39 +171,21 @@ def _normalize_collection(collection: TaskCollection
 def _train_bank_with_isolation(collection: TaskCollection, config: PipelineConfig,
                                plans: dict[str, SplitPlan]
                                ) -> tuple[ModelBank, TaskCollection, list[TaskFailure]]:
-    """Fit the stage-1 bank; non-strict mode drops failing tasks and retries."""
+    """Fit the stage-1 bank; non-strict mode records failing tasks and drops them."""
     failures: list[TaskFailure] = []
-    scope = config.resolved_scope
-    current = collection
-    while True:
-        try:
-            bank = stage1_train(current, config.transformer_spec, scope,
-                                split_plans=plans, workers=config.workers)
-            return bank, current, failures
-        except FitError as exc:
-            if config.strict:
-                raise
-            failed = _failed_task_id(exc, current)
-            if failed is None:
-                raise
-            failures.append(TaskFailure(failed, "stage1", str(exc)))
-            remaining = [t for t in current.tasks if t.task_id != failed]
-            if len(remaining) < 2:
-                raise FitError(
-                    "fewer than 2 tasks survived stage-1 training; cannot continue"
-                ) from exc
-            current = assemble_collection(remaining, current.mode,
-                                          current.feature_space_id)
 
+    def record(task_id: str, exc: FitError) -> None:
+        failures.append(TaskFailure(task_id, "stage1", str(exc)))
 
-def _failed_task_id(exc: FitError, collection: TaskCollection) -> str | None:
-    tagged = getattr(exc, "task_id", None)
-    if tagged is not None:
-        return tagged
-    for t in collection.tasks:
-        if f"{t.task_id!r}" in str(exc):
-            return t.task_id
-    return None
+    bank = stage1_train(collection, config.transformer_spec, config.resolved_scope,
+                        split_plans=plans, on_failure=None if config.strict else record)
+    if failures:
+        survivors = [t for t in collection.tasks if t.task_id in bank.models]
+        if len(survivors) < 2:
+            raise FitError("fewer than 2 tasks survived stage-1 training; cannot continue")
+        collection = assemble_collection(survivors, collection.mode,
+                                         collection.feature_space_id)
+    return bank, collection, failures
 
 
 def _block_key(features: np.ndarray) -> tuple:
@@ -263,7 +244,7 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
                             (Representation.transformed(config.transformer_spec, 1), feats)]
             task_results = [cross_validate(f, task.targets, config.final_spec, plan,
                                            task_id=task.task_id, representation=rep,
-                                           row_ids=task.example_ids, workers=config.workers)
+                                           row_ids=task.example_ids)
                             for rep, f in feature_sets]
         except CrossrepError as exc:
             if config.strict:
@@ -318,7 +299,7 @@ def _run_second_order(bank: ModelBank,
         try:
             stage2_models[task_id] = stage2_train(
                 train_view, task.targets[rows], config.final_spec, fingerprint=fp,
-                seed=derive_seed(config.seed, "stage2", task_id), workers=config.workers)
+                seed=derive_seed(config.seed, "stage2", task_id))
         except CrossrepError as exc:
             if config.strict:
                 raise
@@ -338,7 +319,7 @@ def _run_second_order(bank: ModelBank,
                                           derive_seed(config.seed, "cap2", task_id))
             out.append(cross_validate(ext2.values, task.targets, config.final_spec, plan,
                                       task_id=task_id, representation=rep,
-                                      row_ids=task.example_ids, workers=config.workers))
+                                      row_ids=task.example_ids))
         except CrossrepError as exc:
             if config.strict:
                 raise
@@ -373,6 +354,19 @@ def scores_tsv(result: ExperimentResult) -> str:
             r.plan_digest,
         ]))
     return "\n".join(lines) + "\n"
+
+
+def load_scores(path: str | Path) -> list[tuple[str, str, str, float]]:
+    """(final, representation, task id, mean RMSE) of each row of a score file."""
+    header, rows = read_table(path, "score file")
+    columns = ("final", "representation", "task_id", "mean_rmse")
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise IngestionError(f"{path}: score file missing column(s) {', '.join(missing)}")
+    final, rep, task, score = (header.index(c) for c in columns)
+    return [(row[final], row[rep], row[task],
+             parse_value(Path(path), line, "mean_rmse", row[score]))
+            for line, row in rows]
 
 
 def render_report(result: ExperimentResult) -> str:

@@ -2,8 +2,7 @@
 
 Every source of randomness in the package draws from numpy's PCG64
 generator, seeded through :func:`derive_seed` so that results depend only
-on the master seed and a stable context path, never on execution order or
-worker count.
+on the master seed and a stable context path, never on execution order.
 """
 
 from __future__ import annotations

@@ -31,6 +31,15 @@ def run_config(tmp_path, synth_dir):
     return path
 
 
+@pytest.fixture
+def bank_dir(tmp_path, synth_dir):
+    out = tmp_path / "bank"
+    assert run_cli("train-bank", "--collection", str(synth_dir / "manifest.json"),
+                   "--learner", '{"kind": "ridge", "lam": 10}',
+                   "--out", str(out)) == 0
+    return out
+
+
 class TestSynth:
     def test_writes_task_files_and_manifest(self, synth_dir):
         assert (synth_dir / "manifest.json").is_file()
@@ -60,7 +69,7 @@ class TestRun:
     def test_rerun_fresh_directory_byte_identical(self, tmp_path, run_config):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         run_cli("run", "--config", str(run_config), "--out", str(out1))
-        run_cli("run", "--config", str(run_config), "--out", str(out2), "--workers", "2")
+        run_cli("run", "--config", str(run_config), "--out", str(out2))
         assert (out1 / "scores.tsv").read_bytes() == (out2 / "scores.tsv").read_bytes()
 
     def test_cap_validation_before_training(self, tmp_path, run_config):
@@ -89,14 +98,6 @@ class TestRun:
 
 
 class TestBankAndCluster:
-    @pytest.fixture
-    def bank_dir(self, tmp_path, synth_dir):
-        out = tmp_path / "bank"
-        assert run_cli("train-bank", "--collection", str(synth_dir / "manifest.json"),
-                       "--learner", '{"kind": "ridge", "lam": 10}',
-                       "--out", str(out)) == 0
-        return out
-
     def test_inspect_bank(self, bank_dir, capsys):
         assert run_cli("inspect-bank", "--bank", str(bank_dir)) == 0
         out = capsys.readouterr().out
@@ -178,6 +179,29 @@ class TestCompare:
         assert "empty_scores.tsv" in err
         assert "Traceback" not in err
 
+    def test_conflicting_scores_name_the_task(self, tmp_path, run_config, capsys):
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        run_cli("run", "--config", str(run_config), "--out", str(out1))
+        run_cli("run", "--config", str(run_config), "--out", str(out2), "--seed", "100")
+        capsys.readouterr()
+        assert run_cli("compare", str(out1 / "scores.tsv"), str(out2 / "scores.tsv")) == 3
+        err = capsys.readouterr().err
+        assert "conflicting scores for task 'task000'" in err
+        assert "Traceback" not in err
+
+    def test_score_file_without_mean_rmse_names_column(self, tmp_path, run_config, capsys):
+        out = tmp_path / "r1"
+        run_cli("run", "--config", str(run_config), "--out", str(out))
+        lines = (out / "scores.tsv").read_text().splitlines()
+        cut = tmp_path / "cut_scores.tsv"
+        cut.write_text("".join("\t".join(ln.split("\t")[:5]) + "\n" for ln in lines))
+        capsys.readouterr()
+        assert run_cli("compare", str(cut)) == 3
+        err = capsys.readouterr().err
+        assert "cut_scores.tsv" in err
+        assert "mean_rmse" in err
+        assert "Traceback" not in err
+
     def test_usage_error_without_files(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("compare")
@@ -195,21 +219,14 @@ class TestSeedAndWorkers:
         manifest = json.loads((out1 / "run_manifest.json").read_text())
         assert manifest["config"]["seed"] == 100
 
-    def test_workers_env_var(self, tmp_path, run_config, monkeypatch):
-        out1, out2 = tmp_path / "e1", tmp_path / "e2"
-        run_cli("run", "--config", str(run_config), "--out", str(out1))
-        monkeypatch.setenv("CROSSREP_WORKERS", "3")
-        run_cli("run", "--config", str(run_config), "--out", str(out2))
-        assert ((out1 / "scores.tsv").read_bytes()
-                == (out2 / "scores.tsv").read_bytes())
-
-    def test_non_integer_workers_env_var_is_config_error(self, tmp_path, run_config,
-                                                         monkeypatch, capsys):
-        monkeypatch.setenv("CROSSREP_WORKERS", "two")
-        assert run_cli("run", "--config", str(run_config), "--out", str(tmp_path / "x")) == 3
-        err = capsys.readouterr().err
-        assert "CROSSREP_WORKERS" in err
-        assert "Traceback" not in err
+    @pytest.mark.parametrize("command", ["run", "train-bank"])
+    def test_workers_flag_is_usage_error(self, command, tmp_path, run_config, synth_dir):
+        argv = {"run": ["--config", str(run_config)],
+                "train-bank": ["--collection", str(synth_dir / "manifest.json"),
+                               "--learner", '{"kind": "ridge"}']}[command]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, *argv, "--out", str(tmp_path / "x"), "--workers", "2")
+        assert exc.value.code == 2
 
 
 def test_run_with_corrupt_task_file_names_it(tmp_path, synth_dir, run_config, capsys):
@@ -240,3 +257,53 @@ def test_invalid_stage1_scope_is_config_error(tmp_path, run_config, capsys):
     bad.write_text(json.dumps(doc))
     assert run_cli("run", "--config", str(bad), "--out", str(tmp_path / "x")) == 3
     assert "stage1_scope" in capsys.readouterr().err
+
+
+def test_train_bank_malformed_learner_json(tmp_path, synth_dir, capsys):
+    code = run_cli("train-bank", "--collection", str(synth_dir / "manifest.json"),
+                   "--learner", '{"kind": "ridge"', "--out", str(tmp_path / "b"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "--learner: invalid JSON at line 1, column 17" in err
+    assert "Traceback" not in err
+
+
+def test_run_with_duplicate_example_ids_names_file(tmp_path, synth_dir, run_config, capsys):
+    path = synth_dir / "task002.csv"
+    lines = path.read_text().splitlines()
+    lines[3] = lines[1].split(",")[0] + "," + lines[3].split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    assert run_cli("run", "--config", str(run_config), "--out", str(tmp_path / "x")) == 3
+    err = capsys.readouterr().err
+    assert "task002.csv: duplicate example id 'ex0000' at row 4 (first at row 2)" in err
+
+
+class TestPoolFile:
+    HEADER = "id,x0,x1,x2,x3,x4,x5"
+
+    def cluster(self, tmp_path, bank_dir, text):
+        pool = tmp_path / "pool.csv"
+        pool.write_text(text)
+        return run_cli("cluster", "--bank", str(bank_dir), "--pool", str(pool),
+                       "--k", "2", "--items", "examples", "--out", str(tmp_path / "c"))
+
+    def test_ragged_row_names_file_and_row(self, tmp_path, bank_dir, capsys):
+        text = f"{self.HEADER}\ne1,1,2,3,4,5,6\ne2,1,2,3\n"
+        assert self.cluster(tmp_path, bank_dir, text) == 3
+        assert "pool.csv: row 3 has 4 cells, expected 7" in capsys.readouterr().err
+
+    def test_quoted_id_is_one_cell(self, tmp_path, bank_dir):
+        text = f'{self.HEADER}\n"e,1",1,2,3,4,5,6\n"e,2",6,5,4,3,2,1\n'
+        assert self.cluster(tmp_path, bank_dir, text) == 0
+        rows = (tmp_path / "c" / "example_clusters.tsv").read_text().splitlines()
+        assert [r.split("\t")[0] for r in rows[1:]] == ["e,1", "e,2"]
+
+    def test_header_only_names_file(self, tmp_path, bank_dir, capsys):
+        assert self.cluster(tmp_path, bank_dir, self.HEADER + "\n") == 3
+        assert "pool.csv: header only, zero examples" in capsys.readouterr().err
+
+    def test_duplicate_ids_rejected(self, tmp_path, bank_dir, capsys):
+        text = f"{self.HEADER}\ne1,1,2,3,4,5,6\ne1,6,5,4,3,2,1\n"
+        assert self.cluster(tmp_path, bank_dir, text) == 3
+        assert "pool.csv: duplicate example id 'e1' at row 3" in capsys.readouterr().err
+        assert not (tmp_path / "c" / "example_clusters.tsv").exists()

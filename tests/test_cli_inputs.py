@@ -1,0 +1,145 @@
+"""Property: malformed inputs end in a documented exit code, never a traceback.
+
+Hypothesis writes task, pool and score files that may be ragged,
+non-numeric, empty, missing a column or hold duplicate ids, plus
+malformed ``--learner`` JSON, and runs the CLI on them in-process. Every
+run must exit 0, 2, 3 or 4 and print no traceback; an exception escaping
+``main`` fails the property with the input that raised it.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crossrep.cli import main
+
+PROPERTY = settings(max_examples=40, deadline=None)
+EXIT_CODES = {0, 2, 3, 4}
+
+CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-5, 5).map(str),
+    st.sampled_from(["", " ", "nan", "inf", "-inf", "1e400", "abc", "0x1", "1_0",
+                     '"1,5"', '"', "e1"]),
+    st.text(max_size=4),
+)
+IDS = st.sampled_from(["e0", "e1", "e2", "e3", "e4", "e5", "", '"e,1"', "e 1"])
+
+
+@st.composite
+def tables(draw, columns):
+    """Delimited text over ``columns``, with the defects named above."""
+    header = list(columns)
+    defect = draw(st.sampled_from(["none", "none", "drop", "duplicate", "empty"]))
+    if defect == "empty":
+        return draw(st.sampled_from(["", "\n", " \n\n"]))
+    if defect == "drop":
+        del header[draw(st.integers(0, len(header) - 1))]
+    elif defect == "duplicate":
+        header.append(draw(st.sampled_from(header)))
+    rows = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        width = len(header) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+        cells = draw(st.lists(CELLS, min_size=max(width - 1, 0), max_size=max(width - 1, 0)))
+        rows.append([draw(IDS), *cells])
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    return "".join(delimiter.join(row) + "\n" for row in rows)
+
+
+def run(*argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def check(code, err):
+    assert code in EXIT_CODES, err
+    assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def bank(tmp_path_factory):
+    """A 3-task ridge bank over two features, and its collection manifest."""
+    root = tmp_path_factory.mktemp("bank")
+    assert run("synth", "--tasks", 3, "--examples", 10, "--features", 2, "--seed", 1,
+               "--out", root / "coll")[0] == 0
+    manifest = root / "coll" / "manifest.json"
+    assert run("train-bank", "--collection", manifest, "--learner", '{"kind": "ridge"}',
+               "--out", root / "bank")[0] == 0
+    return root / "bank", manifest
+
+
+@given(tables(("id", "x0", "x1", "y")), tables(("id", "x0", "x1", "y")))
+@PROPERTY
+def test_run_on_malformed_task_files(first, second):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "a.csv").write_text(first, encoding="utf-8")
+        (root / "b.csv").write_text(second, encoding="utf-8")
+        (root / "manifest.json").write_text(json.dumps(
+            {"collection_id": "c", "mode": "independent", "target": "y",
+             "tasks": ["a.csv", "b.csv"]}))
+        (root / "cfg.json").write_text(json.dumps(
+            {"collection": "manifest.json", "transformer": {"kind": "ridge"},
+             "final": {"kind": "ridge"}, "split": {"kind": "kfold", "k": 2}, "seed": 0}))
+        check(*run("run", "--config", root / "cfg.json", "--out", root / "out"))
+
+
+@given(tables(("id", "x0", "x1")))
+@PROPERTY
+def test_cluster_on_malformed_pool_files(bank, pool):
+    bank_dir, _ = bank
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "pool.csv").write_text(pool, encoding="utf-8")
+        check(*run("cluster", "--bank", bank_dir, "--pool", root / "pool.csv", "--k", 2,
+                   "--out", root / "out"))
+
+
+SCORE_COLUMNS = ("task_id", "final", "representation", "order", "n_folds", "mean_rmse",
+                 "per_fold_rmse", "plan_digest")
+
+
+@given(st.lists(tables(SCORE_COLUMNS), min_size=1, max_size=2))
+@PROPERTY
+def test_compare_on_malformed_score_files(score_files):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, text in enumerate(score_files):
+            paths.append(Path(tmp) / f"scores{i}.tsv")
+            paths[-1].write_text(text, encoding="utf-8")
+        check(*run("compare", *paths))
+
+
+VALUES = st.sampled_from([-1, 0, 1, 2.5, True, None, "a", [], [1.0], {}])
+LEARNER_DOCS = st.dictionaries(
+    st.sampled_from(["kind", "seed", "lam", "lambda_grid", "k", "n_trees", "mtry",
+                     "min_node_size", "c", "epsilon", "sigma", "tol", "max_iter", "extra"]),
+    VALUES, max_size=3,
+).flatmap(lambda doc: st.sampled_from(["ridge", "ridge_cv", "forest", "svr", "boost", 1])
+          .map(lambda kind: {"kind": kind, **doc}))
+
+
+@given(st.one_of(
+    LEARNER_DOCS.map(json.dumps),
+    LEARNER_DOCS.map(json.dumps).flatmap(
+        lambda text: st.integers(0, len(text) - 1).map(lambda n: text[:n])),
+    st.sampled_from(["[]", "1", '"ridge"', "null", "{}", "{'kind': 'ridge'}"]),
+    st.text(max_size=8),
+))
+@PROPERTY
+def test_train_bank_on_malformed_learner_json(bank, learner):
+    _, manifest = bank
+    with tempfile.TemporaryDirectory() as tmp:
+        check(*run("train-bank", "--collection", manifest, "--learner", learner,
+                   "--out", Path(tmp) / "bank"))

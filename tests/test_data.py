@@ -80,6 +80,10 @@ class TestTaskInvariants:
         with pytest.raises(ValidationError, match="duplicate feature name"):
             Task("t", np.ones((2, 2)), np.ones(2), ("a", "a"), ("x", "y"))
 
+    def test_duplicate_example_id(self):
+        with pytest.raises(ValidationError, match="task 't': duplicate example id 'e1'"):
+            Task("t", np.zeros((2, 1)), np.zeros(2), ("a",), ("e1", "e1"))
+
     def test_nonfinite_feature_rejected(self):
         X = np.ones((2, 2))
         X[1, 0] = np.inf

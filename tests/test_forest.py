@@ -33,14 +33,14 @@ def test_degenerate_tree_predicts_bootstrap_mean():
     assert y.min() <= pred[0] <= y.max()
 
 
-def test_seed_determinism_and_worker_independence():
+def test_seed_determinism():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(40, 5))
     y = rng.normal(size=40)
     Xt = rng.normal(size=(10, 5))
-    a = predict(fit_forest(X, y, n_trees=16, seed=7, workers=1), Xt)
-    b = predict(fit_forest(X, y, n_trees=16, seed=7, workers=4), Xt)
-    c = predict(fit_forest(X, y, n_trees=16, seed=8, workers=1), Xt)
+    a = predict(fit_forest(X, y, n_trees=16, seed=7), Xt)
+    b = predict(fit_forest(X, y, n_trees=16, seed=7), Xt)
+    c = predict(fit_forest(X, y, n_trees=16, seed=8), Xt)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 

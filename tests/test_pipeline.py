@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from crossrep import engine
 from crossrep.data import (CollectionMode, SplitKind, Task, assemble_collection)
 from crossrep.engine import TrainingScope
 from crossrep.errors import ConfigError, FitError
@@ -37,10 +38,10 @@ class TestRunPipeline:
         assert len(intrinsic) == 4
         assert len(transformed) == 4
 
-    def test_determinism_across_runs_and_workers(self, tmp_path):
+    def test_determinism_across_runs(self, tmp_path):
         col = toy_collection()
-        a = run_pipeline(config(col, workers=1))
-        b = run_pipeline(config(col, workers=3))
+        a = run_pipeline(config(col))
+        b = run_pipeline(config(col))
         assert scores_tsv(a) == scores_tsv(b)
         write_result(a, tmp_path / "a")
         write_result(b, tmp_path / "b")
@@ -80,6 +81,32 @@ class TestRunPipeline:
         assert result.failures[0].stage == "stage1"
         scored = {r.task_id for r in result.results}
         assert scored == {t.task_id for t in tasks}
+
+    def test_each_task_fitted_once_at_stage1(self, monkeypatch):
+        tasks = list(toy_collection().tasks)
+        rng = np.random.default_rng(0)
+        tiny = [Task(f"tiny{k}", tasks[0].features[:8], rng.normal(size=8),
+                     tasks[0].feature_names, tuple(f"w{i}" for i in range(8)))
+                for k in range(2)]
+        col = assemble_collection([tiny[0], *tasks, tiny[1]],
+                                  CollectionMode.INDEPENDENT_EXAMPLES)
+        fits = []
+        real_fit = engine.fit_learner
+
+        def counting_fit(spec, X, y, fingerprint, seed=None):
+            fits.append(fingerprint.task_id)
+            return real_fit(spec, X, y, fingerprint=fingerprint, seed=seed)
+
+        monkeypatch.setattr(engine, "fit_learner", counting_fit)
+        # internal 10-fold CV cannot run on the 8-row tasks; order 1 has no
+        # stage-2 fits, so every engine-level fit is a stage-1 fit
+        cfg = config(col, transformer_spec=LearnerSpec.ridge_cv((1.0, 10.0), k=10),
+                     final_spec=RIDGE)
+        result = run_pipeline(cfg)
+        assert sorted(fits) == sorted(col.task_ids)
+        assert [(f.task_id, f.stage) for f in result.failures] == [
+            ("tiny0", "stage1"), ("tiny1", "stage1")]
+        assert {r.task_id for r in result.results} == {t.task_id for t in tasks}
 
     def test_descriptor_cap_respected(self):
         col = toy_collection(n_tasks=5)
