@@ -57,6 +57,21 @@ def parse_learner_spec(doc: dict) -> LearnerSpec:
         raise ConfigError(f"bad hyperparams for {kind.value}: {exc}") from None
 
 
+_JSON_KINDS = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string", dict: "an object"}
+
+
+def _typed(path: Path, field: str, value, kind: type):
+    """``value`` if it is a JSON ``kind``: an integer is a number, a boolean is not."""
+    if kind in (int, float):
+        ok = isinstance(value, (int, kind)) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{path}: {field} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def load_config(path: Path, seed_override: int | None, strict_flag: bool) -> PipelineConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -64,41 +79,62 @@ def load_config(path: Path, seed_override: int | None, strict_flag: bool) -> Pip
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    _typed(path, "the config", doc, dict)
     for field in ("collection", "transformer", "final", "split", "seed"):
         if field not in doc:
             raise ConfigError(f"{path}: config missing field {field!r}")
-    collection_ref = str(doc["collection"])
-    collection = load_collection(path.parent / collection_ref)
-    split_doc = doc["split"]
-    if split_doc.get("kind") == "kfold":
-        split = SplitProtocol(SplitKind.KFOLD, k=int(split_doc.get("k", 0)))
-    elif split_doc.get("kind") == "holdout":
-        split = SplitProtocol(SplitKind.HOLDOUT,
-                              test_fraction=float(split_doc.get("test_fraction", 0.0)))
-    else:
-        raise ConfigError(f"{path}: split.kind must be 'kfold' or 'holdout'")
-    scope_doc = doc.get("stage1_scope")
+
+    def optional(field: str, kind: type, default):
+        value = doc.get(field)
+        return default if value is None else _typed(path, field, value, kind)
+
+    collection_ref = _typed(path, "collection", doc["collection"], str)
+    split_doc = _typed(path, "split", doc["split"], dict)
+    seed = _typed(path, "seed", doc["seed"], int)
+    cap = optional("descriptor_cap", int, None)
+    order = optional("order", int, 1)
+    scope_doc = optional("stage1_scope", str, None)
+    strict = optional("strict", bool, False)
+    augment = optional("augment", bool, False)
+    normalize = optional("normalize_targets", bool, False)
     try:
-        scope = TrainingScope(scope_doc) if scope_doc else None
+        scope = None if scope_doc is None else TrainingScope(scope_doc)
     except ValueError:
         raise ConfigError(
             f"{path}: stage1_scope must be 'full_task' or 'train_split_only', "
             f"got {scope_doc!r}") from None
-    cap = doc.get("descriptor_cap")
-    return PipelineConfig(
-        collection=collection,
-        transformer_spec=parse_learner_spec(doc["transformer"]),
-        final_spec=parse_learner_spec(doc["final"]),
-        split=split,
-        seed=int(doc["seed"] if seed_override is None else seed_override),
-        descriptor_cap=None if cap is None else int(cap),
-        order=int(doc.get("order", 1)),
-        stage1_scope=scope,
-        strict=bool(doc.get("strict", False)) or strict_flag,
-        augment=bool(doc.get("augment", False)),
-        normalize=bool(doc.get("normalize_targets", False)),
-        collection_ref=collection_ref,
-    )
+    specs = {}
+    for field in ("transformer", "final"):
+        try:
+            specs[field] = parse_learner_spec(doc[field])
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {field}: {exc}") from None
+    split_kind = split_doc.get("kind")
+    if split_kind == "kfold":
+        split_args = {"k": _typed(path, "split.k", split_doc.get("k", 0), int)}
+    elif split_kind == "holdout":
+        fraction = split_doc.get("test_fraction", 0.0)
+        split_args = {"test_fraction": float(_typed(path, "split.test_fraction", fraction, float))}
+    else:
+        raise ConfigError(f"{path}: split.kind must be 'kfold' or 'holdout'")
+    collection = load_collection(path.parent / collection_ref)
+    try:
+        return PipelineConfig(
+            collection=collection,
+            transformer_spec=specs["transformer"],
+            final_spec=specs["final"],
+            split=SplitProtocol(SplitKind(split_kind), **split_args),
+            seed=seed if seed_override is None else seed_override,
+            descriptor_cap=cap,
+            order=order,
+            stage1_scope=scope,
+            strict=strict or strict_flag,
+            augment=augment,
+            normalize=normalize,
+            collection_ref=collection_ref,
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -199,8 +235,10 @@ def cmd_inspect_bank(args: argparse.Namespace) -> int:
     for task_id in bank.task_ids:
         model = bank.models[task_id]
         fp = model.train_fingerprint
+        solver = " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
+                          for k, v in model.state.diagnostics().items())
         print(f"  {task_id}: features={model.feature_count} "
-              f"rows={len(fp.row_ids)} fingerprint={fp.digest[:16]}")
+              f"rows={len(fp.row_ids)} fingerprint={fp.digest[:16]} {solver}")
     return EXIT_OK
 
 
@@ -263,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--out", default=None)
     p_cmp.set_defaults(fn=cmd_compare)
 
-    p_inspect = sub.add_parser("inspect-bank", help="list bank models and fingerprints")
+    p_inspect = sub.add_parser(
+        "inspect-bank", help="list bank models, fingerprints and solver diagnostics")
     p_inspect.add_argument("--bank", required=True)
     p_inspect.set_defaults(fn=cmd_inspect_bank)
 

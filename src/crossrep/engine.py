@@ -330,10 +330,35 @@ def load_bank(bank_dir: str | Path) -> ModelBank:
         raise IngestionError(
             f"{index_path}: corrupt bank index, invalid JSON at line {exc.lineno}: {exc.msg}"
         ) from None
-    order = index.get("task_order", list(index["models"].keys()))
-    models = {task_id: load_model(bank_dir / index["models"][task_id])
-              for task_id in order}
-    return ModelBank(models=models,
-                     learner_spec=LearnerSpec.from_dict(index["learner_spec"]),
-                     collection_id=index["collection_id"],
-                     training_scope=TrainingScope(index["training_scope"]))
+    corrupt = f"{index_path}: corrupt bank index"
+    if not isinstance(index, dict):
+        raise IngestionError(f"{corrupt}, not a JSON object")
+
+    def field(key: str, kind: type, what: str):
+        if key not in index:
+            raise IngestionError(f"{corrupt}, missing key {key!r}")
+        if not isinstance(index[key], kind):
+            raise IngestionError(f"{corrupt}, {key!r} must be {what}, got {index[key]!r}")
+        return index[key]
+
+    files = field("models", dict, "an object of task id -> archive file name")
+    spec_doc = field("learner_spec", dict, "a learner spec object")
+    collection_id = field("collection_id", str, "a string")
+    scope_value = field("training_scope", str, "a string")
+    try:
+        spec = LearnerSpec.from_dict(spec_doc)
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        raise IngestionError(f"{corrupt}, bad 'learner_spec': {exc!r}") from None
+    try:
+        scope = TrainingScope(scope_value)
+    except ValueError:
+        raise IngestionError(f"{corrupt}, 'training_scope' must be 'full_task' or "
+                             f"'train_split_only', got {scope_value!r}") from None
+    order = index.get("task_order", list(files))
+    if not isinstance(order, list) or not all(
+            isinstance(t, str) and isinstance(files.get(t), str) for t in order):
+        raise IngestionError(f"{corrupt}, 'task_order' must list task ids whose "
+                             f"'models' entry is an archive file name")
+    models = {task_id: load_model(bank_dir / files[task_id]) for task_id in order}
+    return ModelBank(models=models, learner_spec=spec, collection_id=collection_id,
+                     training_scope=scope)

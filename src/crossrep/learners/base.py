@@ -191,8 +191,6 @@ def _check_predict_input(model: FittedModel, X: np.ndarray) -> np.ndarray:
 
 def predict(model: FittedModel, X: np.ndarray) -> np.ndarray:
     """One finite prediction per row; a pure function of (model, X)."""
-    from . import forest, ridge, svr
-
     X = _check_predict_input(model, X)
     if X.shape[0] == 0:
         return np.empty(0, dtype=np.float64)
@@ -211,8 +209,6 @@ def fit_learner(spec: LearnerSpec, X: np.ndarray, y: np.ndarray,
                 fingerprint: TrainFingerprint = EMPTY_FINGERPRINT,
                 seed: int | None = None) -> FittedModel:
     """Fit any learner kind from its spec; ``seed`` overrides spec.seed."""
-    from . import forest, ridge, svr
-
     hp = spec.hyperparams
     use_seed = spec.seed if seed is None else seed
     if spec.kind is LearnerKind.RIDGE:
@@ -245,3 +241,8 @@ def check_fit_input(X: np.ndarray, y: np.ndarray, min_rows: int = 1) -> tuple[np
     if y.size and not np.isfinite(y).all():
         raise FitError("fit: targets contain non-finite values")
     return X, y
+
+
+# The learner modules import their contracts from this module, so they are
+# bound here, once, after every name they import from it is defined.
+from . import forest, ridge, svr  # noqa: E402

@@ -36,6 +36,10 @@ class ForestState:
     mtry: int
     min_node_size: int
 
+    def diagnostics(self) -> dict:
+        return {"trees": len(self.trees),
+                "nodes": sum(t.feature.shape[0] for t in self.trees)}
+
 
 def _best_split(sub: np.ndarray, ynode: np.ndarray):
     """Best (column, threshold, score) over the candidate submatrix, or None."""

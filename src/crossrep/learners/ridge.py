@@ -24,6 +24,9 @@ class RidgeState:
     intercept: float
     lam: float
 
+    def diagnostics(self) -> dict:
+        return {"lam": self.lam}
+
 
 def predict_state(state: RidgeState, X: np.ndarray) -> np.ndarray:
     # (X * coef).sum(axis=1) keeps each row's accumulation independent of

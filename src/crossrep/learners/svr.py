@@ -52,6 +52,9 @@ class SvrState:
     n_iter: int
     kkt_gap: float
 
+    def diagnostics(self) -> dict:
+        return {"n_iter": self.n_iter, "kkt_gap": self.kkt_gap}
+
 
 def predict_state(state: SvrState, X: np.ndarray) -> np.ndarray:
     if state.support.shape[0] == 0:
@@ -69,45 +72,72 @@ def dual_objective(K: np.ndarray, y: np.ndarray, epsilon: float, a: np.ndarray) 
 
 def _smo(K: np.ndarray, y: np.ndarray, c: float, epsilon: float, tol: float,
          max_iter: int) -> tuple[np.ndarray, float, int, float]:
-    """Returns (a, bias, n_iter, kkt_gap) for the 2l-variable dual."""
-    l = len(y)
-    a = np.zeros(2 * l, dtype=np.float64)
-    u = np.concatenate([np.ones(l), -np.ones(l)])
-    Kbeta = np.zeros(l, dtype=np.float64)
+    """Returns (a, bias, n_iter, kkt_gap) for the 2l-variable dual.
 
-    def gradient() -> np.ndarray:
-        return np.concatenate([Kbeta + epsilon - y, -Kbeta + epsilon + y])
+    Variable k < l is alpha_k (u_k = +1), variable l + k is alpha*_k
+    (u_k = -1). Each iteration refreshes the gradient and the violation
+    values in preallocated buffers and updates the up/low index sets only
+    at the two variables it moves; the pair update runs on Python floats.
+    ``K`` must be exactly symmetric: the Kbeta update reads rows of K in
+    place of its columns.
+    """
+    l = len(y)
+    a = [0.0] * (2 * l)
+    diag = K.diagonal().tolist()
+    neg_u = np.concatenate([-np.ones(l), np.ones(l)])
+    Kbeta = np.zeros(l, dtype=np.float64)
+    g = np.empty(2 * l, dtype=np.float64)
+    g_alpha, g_star = g[:l], g[l:]
+    vals = np.empty(2 * l, dtype=np.float64)
+    # up: alpha below c or alpha* above 0; low: alpha above 0 or alpha* below c.
+    zeros = np.zeros(l)
+    up = np.concatenate([zeros < c, zeros > 0])
+    low = np.concatenate([zeros > 0, zeros < c])
+    n_up, n_low = int(up.sum()), int(low.sum())
+    # vals on up (low), -inf (+inf) elsewhere: argmax (argmin) is the first
+    # maximal (minimal) index of the set, as over vals[up] (vals[low]).
+    up_vals = np.full(2 * l, -np.inf)
+    low_vals = np.full(2 * l, np.inf)
+    step_i = np.empty(l, dtype=np.float64)
+    step_j = np.empty(l, dtype=np.float64)
 
     gap = np.inf
     m = M = 0.0
     it = 0
     while True:
-        g = gradient()
-        vals = -u * g
-        up = ((u > 0) & (a < c)) | ((u < 0) & (a > 0))
-        low = ((u > 0) & (a > 0)) | ((u < 0) & (a < c))
-        if not up.any() or not low.any():
+        # g = [(Kbeta + eps) - y, ((-Kbeta) + eps) + y], vals = -u * g
+        np.add(Kbeta, epsilon, out=g_alpha)
+        np.subtract(g_alpha, y, out=g_alpha)
+        np.negative(Kbeta, out=g_star)
+        np.add(g_star, epsilon, out=g_star)
+        np.add(g_star, y, out=g_star)
+        np.multiply(neg_u, g, out=vals)
+        if n_up == 0 or n_low == 0:
             gap = 0.0
             break
-        m = float(np.max(vals[up]))
-        M = float(np.min(vals[low]))
-        gap = float(m - M)
+        np.copyto(up_vals, vals, where=up)
+        np.copyto(low_vals, vals, where=low)
+        i = int(up_vals.argmax())
+        j = int(low_vals.argmin())
+        m = vals.item(i)
+        M = vals.item(j)
+        gap = m - M
         if gap <= tol:
             break
         if it >= max_iter:
             raise ConvergenceError(
                 f"SVR solver exhausted {max_iter} iterations; KKT gap {gap:.3e} > tol {tol:.1e}"
             )
-        i = int(np.flatnonzero(up)[np.argmax(vals[up])])
-        j = int(np.flatnonzero(low)[np.argmin(vals[low])])
-        ri, rj = i % l, j % l
-        sign = 1.0 if (i < l) == (j < l) else -1.0
-        quad = K[ri, ri] + K[rj, rj] - 2.0 * sign * K[ri, rj]
+        i_alpha, j_alpha = i < l, j < l
+        ri, rj = (i if i_alpha else i - l), (j if j_alpha else j - l)
+        gi, gj = (-m if i_alpha else m), (-M if j_alpha else M)
+        sign = 1.0 if i_alpha == j_alpha else -1.0
+        quad = diag[ri] + diag[rj] - 2.0 * sign * K.item(ri, rj)
         if quad <= 0.0:
             quad = 1e-12
         old_i, old_j = a[i], a[j]
-        if u[i] != u[j]:
-            delta = (-g[i] - g[j]) / quad
+        if i_alpha != j_alpha:
+            delta = (-gi - gj) / quad
             diff = old_i - old_j
             ai, aj = old_i + delta, old_j + delta
             if diff > 0:
@@ -123,7 +153,7 @@ def _smo(K: np.ndarray, y: np.ndarray, c: float, epsilon: float, tol: float,
                 if aj > c:
                     aj, ai = c, c + diff
         else:
-            delta = (g[i] - g[j]) / quad
+            delta = (gi - gj) / quad
             total = old_i + old_j
             ai, aj = old_i - delta, old_j + delta
             if total > c:
@@ -137,11 +167,31 @@ def _smo(K: np.ndarray, y: np.ndarray, c: float, epsilon: float, tol: float,
                 elif ai < 0:
                     ai, aj = 0.0, total
         a[i], a[j] = ai, aj
-        Kbeta += K[:, ri] * (u[i] * (ai - old_i)) + K[:, rj] * (u[j] * (aj - old_j))
+        # i == j only if a zero gap exceeds tol (tol < 0); a[i] then ends at aj.
+        for k, old in ((i, old_i), (j, old_j)) if i != j else ((j, old_j),):
+            new = a[k]
+            if k < l:  # alpha: up <=> a < c, low <=> a > 0
+                was_up, was_low, in_up, in_low = old < c, old > 0, new < c, new > 0
+            else:  # alpha*: up <=> a > 0, low <=> a < c
+                was_up, was_low, in_up, in_low = old > 0, old < c, new > 0, new < c
+            if in_up != was_up:
+                up[k] = in_up
+                n_up += 1 if in_up else -1
+                if not in_up:
+                    up_vals[k] = -np.inf
+            if in_low != was_low:
+                low[k] = in_low
+                n_low += 1 if in_low else -1
+                if not in_low:
+                    low_vals[k] = np.inf
+        # Kbeta += K[:, ri] * (u_i * (ai - old_i)) + K[:, rj] * (u_j * (aj - old_j))
+        np.multiply(K[ri], (ai - old_i) if i_alpha else -(ai - old_i), out=step_i)
+        np.multiply(K[rj], (aj - old_j) if j_alpha else -(aj - old_j), out=step_j)
+        np.add(step_i, step_j, out=step_i)
+        np.add(Kbeta, step_i, out=Kbeta)
         it += 1
 
-    g = gradient()
-    vals = -u * g
+    a = np.array(a)
     free = (a > 0) & (a < c)
     if free.any():
         bias = float(np.mean(vals[free]))

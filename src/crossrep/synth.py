@@ -19,9 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .data import CollectionMode, Task, TaskCollection, assemble_collection
-from .engine import ModelBank
 from .errors import ValidationError
-from .learners import predict
 from .seeding import rng_for
 
 
@@ -126,24 +124,3 @@ def generate_collection(spec: SynthSpec) -> TaskCollection:
     return assemble_collection(tasks, spec.mode,
                                collection_id=f"synth-{spec.seed}-{spec.n_tasks}")
 
-
-def oracle_extrinsic(collection: TaskCollection, bank: ModelBank,
-                     task_id: str) -> np.ndarray:
-    """Naive re-derivation of the extrinsic matrix, for exact comparison.
-
-    Deliberately loops model by model and row by row through the public
-    predict call; used only by tests.
-    """
-    if task_id not in bank.models:
-        raise ValidationError(f"unknown task id {task_id!r}")
-    X = collection.task(task_id).features
-    columns = []
-    for src in bank.task_ids:
-        if src == task_id:
-            continue
-        model = bank.models[src]
-        col = np.empty(X.shape[0], dtype=np.float64)
-        for i in range(X.shape[0]):
-            col[i] = predict(model, X[i : i + 1])[0]
-        columns.append(col)
-    return np.column_stack(columns) if columns else np.empty((X.shape[0], 0))

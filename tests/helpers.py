@@ -2,10 +2,13 @@
 
 These deliberately avoid the library's solution paths: ridge is solved by
 plain gradient descent, the SVR dual by projected gradient with a tiny
-step size.
+step size, and the extrinsic matrix model by model and row by row.
 """
 
 import numpy as np
+
+from crossrep.errors import ValidationError
+from crossrep.learners import predict
 
 
 def ridge_gradient(X, y, b0, beta, lam):
@@ -73,3 +76,24 @@ def projected_gradient_svr_dual(K, y, c, epsilon, n_iter=20_000):
     for _ in range(n_iter):
         a = project_box_hyperplane(a - step * grad(a), c, u)
     return a, objective(a)
+
+
+def oracle_extrinsic(collection, bank, task_id):
+    """Naive re-derivation of the extrinsic matrix, for exact comparison.
+
+    Deliberately loops model by model and row by row through the public
+    predict call.
+    """
+    if task_id not in bank.models:
+        raise ValidationError(f"unknown task id {task_id!r}")
+    X = collection.task(task_id).features
+    columns = []
+    for src in bank.task_ids:
+        if src == task_id:
+            continue
+        model = bank.models[src]
+        col = np.empty(X.shape[0], dtype=np.float64)
+        for i in range(X.shape[0]):
+            col[i] = predict(model, X[i : i + 1])[0]
+        columns.append(col)
+    return np.column_stack(columns) if columns else np.empty((X.shape[0], 0))

@@ -19,10 +19,9 @@ from crossrep.learners.svr import _smo
 from crossrep.pipeline import (PipelineConfig, SplitProtocol, run_pipeline,
                                scores_tsv, write_result)
 from crossrep.seeding import derive_seed
-from crossrep.synth import (Nonlinearity, SynthSpec, generate_collection,
-                            oracle_extrinsic)
+from crossrep.synth import Nonlinearity, SynthSpec, generate_collection
 
-from helpers import gradient_descent_ridge, projected_gradient_svr_dual
+from helpers import gradient_descent_ridge, oracle_extrinsic, projected_gradient_svr_dual
 
 
 def report(n, message):

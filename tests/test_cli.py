@@ -3,6 +3,7 @@ import json
 import pytest
 
 from crossrep.cli import main
+from crossrep.engine import load_bank
 
 
 def run_cli(*argv):
@@ -89,6 +90,22 @@ class TestRun:
         assert run_cli("run", "--config", str(bad), "--out", str(tmp_path / "x")) == 3
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", "a"), ("seed", 1.5), ("split", "kfold"), ("split", {"kind": "kfold", "k": "x"}),
+        ("split", {"kind": "holdout", "test_fraction": [0.3]}), ("order", "x"),
+        ("descriptor_cap", []), ("strict", "false"), ("collection", 3),
+        ("stage1_scope", 1), ("transformer", [])])
+    def test_wrongly_typed_config_value_names_file_and_field(self, tmp_path, run_config,
+                                                             capsys, field, value):
+        doc = json.loads(run_config.read_text())
+        doc[field] = value
+        bad = tmp_path / "typed.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("run", "--config", str(bad), "--out", str(tmp_path / "x")) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and field in err
+        assert "Traceback" not in err
+
     def test_unknown_learner_kind(self, tmp_path, run_config):
         doc = json.loads(run_config.read_text())
         doc["transformer"] = {"kind": "boosting"}
@@ -103,6 +120,35 @@ class TestBankAndCluster:
         out = capsys.readouterr().out
         assert "models: 4" in out
         assert "fingerprint=" in out
+        assert sum(line.endswith(" lam=10") for line in out.splitlines()) == 4
+
+    @pytest.mark.parametrize("learner, fields", [
+        ('{"kind": "ridge_cv", "lambda_grid": [0.5, 50.0], "k": 3}', ("lam",)),
+        ('{"kind": "forest", "n_trees": 3, "seed": 1}', ("trees", "nodes")),
+        ('{"kind": "svr", "c": 2.0}', ("n_iter", "kkt_gap")),
+    ])
+    def test_inspect_bank_prints_solver_diagnostics(self, tmp_path, synth_dir, capsys,
+                                                     learner, fields):
+        out_dir = tmp_path / "diag_bank"
+        assert run_cli("train-bank", "--collection", str(synth_dir / "manifest.json"),
+                       "--learner", learner, "--out", str(out_dir)) == 0
+        capsys.readouterr()
+        assert run_cli("inspect-bank", "--bank", str(out_dir)) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("  ")]
+        bank = load_bank(out_dir)
+        assert len(lines) == 4
+        for task_id, line in zip(bank.task_ids, lines):
+            state = bank.models[task_id].state
+            printed = dict(tok.split("=", 1) for tok in line.split()[1:])
+            assert set(fields) <= set(printed)
+            if "lam" in fields:
+                assert float(printed["lam"]) == state.lam
+            if "trees" in fields:
+                assert int(printed["trees"]) == 3
+                assert int(printed["nodes"]) == sum(t.feature.shape[0] for t in state.trees)
+            if "n_iter" in fields:
+                assert int(printed["n_iter"]) == state.n_iter
+                assert abs(float(printed["kkt_gap"]) - state.kkt_gap) <= 1e-6 * state.kkt_gap
 
     def test_cluster_writes_reports(self, tmp_path, bank_dir, synth_dir):
         out = tmp_path / "clusters"
@@ -145,6 +191,32 @@ class TestBankAndCluster:
         assert run_cli(command, *argv) == 3
         err = capsys.readouterr().err
         assert "task001.model.json" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("models", None), ("learner_spec", None), ("collection_id", None),
+        ("training_scope", None), ("models", []), ("learner_spec", "ridge"),
+        ("learner_spec", {"kind": "ridge"}), ("collection_id", 5),
+        ("training_scope", "everything"), ("task_order", ["task000", 1]),
+    ])
+    @pytest.mark.parametrize("command", ["inspect-bank", "cluster"])
+    def test_malformed_bank_index_is_validation_error(self, command, key, value, tmp_path,
+                                                      bank_dir, synth_dir, capsys):
+        """A valid-JSON index that lacks a key (None) or holds a wrong value."""
+        index_path = bank_dir / "bank_index.json"
+        index = json.loads(index_path.read_text())
+        if value is None:
+            del index[key]
+        else:
+            index[key] = value
+        index_path.write_text(json.dumps(index))
+        argv = ["--bank", str(bank_dir)]
+        if command == "cluster":
+            argv += ["--pool", str(synth_dir / "task000.csv"), "--target", "y",
+                     "--k", "2", "--out", str(tmp_path / "x")]
+        assert run_cli(command, *argv) == 3
+        err = capsys.readouterr().err
+        assert "bank_index.json" in err and repr(key) in err
         assert "Traceback" not in err
 
     def test_missing_bank(self, tmp_path, synth_dir):

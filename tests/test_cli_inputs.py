@@ -2,7 +2,8 @@
 
 Hypothesis writes task, pool and score files that may be ragged,
 non-numeric, empty, missing a column or hold duplicate ids, plus
-malformed ``--learner`` JSON, and runs the CLI on them in-process. Every
+malformed ``--learner`` JSON and config documents with missing or wrongly
+typed fields, and runs the CLI on them in-process. Every
 run must exit 0, 2, 3 or 4 and print no traceback; an exception escaping
 ``main`` fails the property with the input that raised it.
 """
@@ -143,3 +144,39 @@ def test_train_bank_on_malformed_learner_json(bank, learner):
     with tempfile.TemporaryDirectory() as tmp:
         check(*run("train-bank", "--collection", manifest, "--learner", learner,
                    "--out", Path(tmp) / "bank"))
+
+
+CONFIG_VALUES = st.sampled_from([
+    -1, 0, 1, 2, 2.5, 0.3, True, None, "a", "", "kfold", "holdout", "full_task",
+    "train_split_only", [], [1.0], {}, {"kind": "ridge"},
+])
+SPLIT_DOCS = st.dictionaries(
+    st.sampled_from(["kind", "k", "test_fraction"]),
+    st.one_of(CONFIG_VALUES, st.sampled_from(["kfold", "holdout", 3, 0.5])), max_size=3)
+CONFIG_FIELDS = ("collection", "transformer", "final", "split", "seed", "descriptor_cap",
+                 "order", "stage1_scope", "strict", "augment", "normalize_targets")
+
+
+@given(st.one_of(
+    st.tuples(st.dictionaries(st.sampled_from(CONFIG_FIELDS),
+                              st.one_of(CONFIG_VALUES, SPLIT_DOCS), max_size=3),
+              st.lists(st.sampled_from(CONFIG_FIELDS), max_size=2)),
+    st.sampled_from(["[]", "1", '"cfg"', "null"]),
+))
+@PROPERTY
+def test_run_on_malformed_config(bank, config):
+    _, manifest = bank
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        if isinstance(config, str):
+            text = config
+        else:
+            overrides, dropped = config
+            doc = {"collection": str(manifest), "transformer": {"kind": "ridge"},
+                   "final": {"kind": "ridge"}, "split": {"kind": "kfold", "k": 2},
+                   "seed": 0, **overrides}
+            for field in dropped:
+                doc.pop(field, None)
+            text = json.dumps(doc)
+        (root / "cfg.json").write_text(text, encoding="utf-8")
+        check(*run("run", "--config", root / "cfg.json", "--out", root / "out"))

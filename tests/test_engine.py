@@ -9,8 +9,9 @@ from crossrep.engine import (ExtrinsicMatrix, TrainingScope,
 from crossrep.errors import FitError, IngestionError, ValidationError
 from crossrep.evaluation import rmse
 from crossrep.learners import LearnerSpec, predict
-from crossrep.synth import (Nonlinearity, SynthSpec, generate_collection,
-                            oracle_extrinsic)
+from crossrep.synth import Nonlinearity, SynthSpec, generate_collection
+
+from helpers import oracle_extrinsic
 
 
 RIDGE = LearnerSpec.ridge(5.0, seed=0)

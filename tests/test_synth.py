@@ -5,8 +5,9 @@ from crossrep.data import CollectionMode
 from crossrep.engine import TrainingScope, build_extrinsic, cross_predict, stage1_train
 from crossrep.errors import ValidationError
 from crossrep.learners import LearnerSpec
-from crossrep.synth import (Nonlinearity, SynthSpec, generate_collection,
-                            oracle_extrinsic)
+from crossrep.synth import Nonlinearity, SynthSpec, generate_collection
+
+from helpers import oracle_extrinsic
 
 
 def spec(**overrides):
