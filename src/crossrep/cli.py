@@ -15,13 +15,13 @@ from . import __version__
 from .clustering import (assignments_tsv, build_pool, cluster_examples,
                          cluster_tasks, cross_prediction_matrix,
                          pairwise_distances_tsv)
-from .data import (CollectionMode, SplitKind, load_collection, load_pool, load_task,
-                   write_collection)
+from .data import (CollectionMode, SplitKind, json_field, load_collection, load_pool,
+                   load_task, read_json, write_collection)
 from .engine import TrainingScope, load_bank, save_bank, stage1_train
 from .errors import (ConfigError, ConvergenceError, CrossrepError, FitError,
                      IngestionError, ValidationError)
 from .evaluation import compare_scores, render_comparison
-from .learners import LearnerKind, LearnerSpec
+from .learners import parse_learner_spec
 from .pipeline import (PipelineConfig, SCORES_NAME, SplitProtocol, load_scores,
                        run_pipeline, write_result)
 from .synth import Nonlinearity, SynthSpec, generate_collection
@@ -32,91 +32,38 @@ EXIT_VALIDATION = 3
 EXIT_RUNTIME = 4
 
 
-def parse_learner_spec(doc: dict) -> LearnerSpec:
-    """Flat config form: {"kind": ..., "seed": ..., <hyperparams>}."""
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ConfigError("learner spec needs to be a JSON object with a 'kind' field")
-    try:
-        kind = LearnerKind(doc["kind"])
-    except (TypeError, ValueError):
-        valid = ", ".join(k.value for k in LearnerKind)
-        raise ConfigError(f"unknown learner kind {doc['kind']!r} (valid: {valid})") from None
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"learner seed must be an integer, got {seed!r}")
-    kwargs = {k: v for k, v in doc.items() if k != "kind"}
-    ctor = {LearnerKind.RIDGE: LearnerSpec.ridge,
-            LearnerKind.RIDGE_CV: LearnerSpec.ridge_cv,
-            LearnerKind.FOREST: LearnerSpec.forest,
-            LearnerKind.SVR: LearnerSpec.svr}[kind]
-    try:
-        if "lambda_grid" in kwargs:
-            kwargs["lambda_grid"] = tuple(kwargs["lambda_grid"])
-        return ctor(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad hyperparams for {kind.value}: {exc}") from None
-
-
-_JSON_KINDS = {int: "an integer", float: "a number", bool: "true or false",
-               str: "a string", dict: "an object"}
-
-
-def _typed(path: Path, field: str, value, kind: type):
-    """``value`` if it is a JSON ``kind``: an integer is a number, a boolean is not."""
-    if kind in (int, float):
-        ok = isinstance(value, (int, kind)) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
-        raise ConfigError(f"{path}: {field} must be {_JSON_KINDS[kind]}, got {value!r}")
-    return value
-
-
 def load_config(path: Path, seed_override: int | None, strict_flag: bool) -> PipelineConfig:
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    _typed(path, "the config", doc, dict)
-    for field in ("collection", "transformer", "final", "split", "seed"):
-        if field not in doc:
-            raise ConfigError(f"{path}: config missing field {field!r}")
-
-    def optional(field: str, kind: type, default):
-        value = doc.get(field)
-        return default if value is None else _typed(path, field, value, kind)
-
-    collection_ref = _typed(path, "collection", doc["collection"], str)
-    split_doc = _typed(path, "split", doc["split"], dict)
-    seed = _typed(path, "seed", doc["seed"], int)
-    cap = optional("descriptor_cap", int, None)
-    order = optional("order", int, 1)
-    scope_doc = optional("stage1_scope", str, None)
-    strict = optional("strict", bool, False)
-    augment = optional("augment", bool, False)
-    normalize = optional("normalize_targets", bool, False)
+    doc = read_json(path, "config file")
+    collection_ref = json_field(path, doc, "collection", str)
+    split_doc = json_field(path, doc, "split", dict)
+    seed = json_field(path, doc, "seed", int)
+    cap = json_field(path, doc, "descriptor_cap", int, None)
+    order = json_field(path, doc, "order", int, 1)
+    scope_doc = json_field(path, doc, "stage1_scope", str, None)
+    strict = json_field(path, doc, "strict", bool, False)
+    augment = json_field(path, doc, "augment", bool, False)
+    normalize = json_field(path, doc, "normalize_targets", bool, False)
     try:
         scope = None if scope_doc is None else TrainingScope(scope_doc)
     except ValueError:
-        raise ConfigError(
+        raise IngestionError(
             f"{path}: stage1_scope must be 'full_task' or 'train_split_only', "
             f"got {scope_doc!r}") from None
     specs = {}
-    for field in ("transformer", "final"):
+    for key in ("transformer", "final"):
         try:
-            specs[field] = parse_learner_spec(doc[field])
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {field}: {exc}") from None
-    split_kind = split_doc.get("kind")
+            specs[key] = parse_learner_spec(json_field(path, doc, key, dict))
+        except ValidationError as exc:
+            raise IngestionError(f"{path}: {key}: {exc}") from None
+    split_where = f"{path}: split"
+    split_kind = json_field(split_where, split_doc, "kind", str)
     if split_kind == "kfold":
-        split_args = {"k": _typed(path, "split.k", split_doc.get("k", 0), int)}
+        split_args = {"k": json_field(split_where, split_doc, "k", int, 0)}
     elif split_kind == "holdout":
-        fraction = split_doc.get("test_fraction", 0.0)
-        split_args = {"test_fraction": float(_typed(path, "split.test_fraction", fraction, float))}
+        fraction = json_field(split_where, split_doc, "test_fraction", float, 0.0)
+        split_args = {"test_fraction": float(fraction)}
     else:
-        raise ConfigError(f"{path}: split.kind must be 'kfold' or 'holdout'")
+        raise IngestionError(f"{path}: split.kind must be 'kfold' or 'holdout'")
     collection = load_collection(path.parent / collection_ref)
     try:
         return PipelineConfig(

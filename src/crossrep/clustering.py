@@ -9,6 +9,7 @@ predict; clustering its rows groups examples by how they are predicted.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from .data import CollectionMode, TaskCollection
 from .engine import ModelBank, cross_predict
 from .errors import ValidationError
+from .learners import Standardizer
 
 KMEANS_MAX_ITER = 300
 KMEANS_TOL = 1e-6
@@ -103,13 +105,6 @@ def cross_prediction_matrix(bank: ModelBank, pool: np.ndarray,
                                  task_ids=bank.task_ids)
 
 
-def _standardize_columns(X: np.ndarray) -> np.ndarray:
-    mean = X.mean(axis=0)
-    scale = X.std(axis=0)
-    scale = np.where(scale == 0.0, 1.0, scale)
-    return (X - mean) / scale
-
-
 def kmeans(X: np.ndarray, k: int, seed: int, max_iter: int = KMEANS_MAX_ITER,
            tol: float = KMEANS_TOL) -> ClusterResult:
     """Lloyd's algorithm with seeded distinct-item initialization.
@@ -185,6 +180,15 @@ def kmeans(X: np.ndarray, k: int, seed: int, max_iter: int = KMEANS_MAX_ITER,
                          inertia_history=tuple(history))
 
 
+def _cluster_items(items: np.ndarray, item_ids: tuple[str, ...], k: int, seed: int,
+                   standardize: bool) -> ClusterResult:
+    if standardize:
+        # Each item's features are the columns of ``items``: standardize those.
+        items = Standardizer.fit(items).transform(items)
+    result = kmeans(np.ascontiguousarray(items), k, seed)
+    return dataclasses.replace(result, item_ids=item_ids)
+
+
 def cluster_tasks(matrix: CrossPredictionMatrix, k: int, seed: int,
                   standardize: bool = False) -> ClusterResult:
     """K-means over task columns (each task = its prediction vector)."""
@@ -192,16 +196,7 @@ def cluster_tasks(matrix: CrossPredictionMatrix, k: int, seed: int,
         raise ValidationError(f"k must be in [1, {len(matrix.task_ids)}], got {k}")
     if matrix.values.shape[0] == 0:
         raise ValidationError("cannot cluster tasks of an empty pool")
-    items = matrix.values.T
-    if standardize:
-        # A task item's features are the pool rows: standardize those.
-        items = _standardize_columns(items)
-    result = kmeans(np.ascontiguousarray(items), k, seed)
-    return ClusterResult(assignments=result.assignments, centroids=result.centroids,
-                         inertia=result.inertia, k=k, seed=seed,
-                         converged=result.converged, n_iter=result.n_iter,
-                         inertia_history=result.inertia_history,
-                         item_ids=matrix.task_ids)
+    return _cluster_items(matrix.values.T, matrix.task_ids, k, seed, standardize)
 
 
 def cluster_examples(matrix: CrossPredictionMatrix, k: int, seed: int,
@@ -209,15 +204,7 @@ def cluster_examples(matrix: CrossPredictionMatrix, k: int, seed: int,
     """K-means over example rows (each example = its prediction tuple)."""
     if not 1 <= k <= len(matrix.example_ids):
         raise ValidationError(f"k must be in [1, {len(matrix.example_ids)}], got {k}")
-    items = matrix.values
-    if standardize:
-        items = _standardize_columns(items)
-    result = kmeans(np.ascontiguousarray(items), k, seed)
-    return ClusterResult(assignments=result.assignments, centroids=result.centroids,
-                         inertia=result.inertia, k=k, seed=seed,
-                         converged=result.converged, n_iter=result.n_iter,
-                         inertia_history=result.inertia_history,
-                         item_ids=matrix.example_ids)
+    return _cluster_items(matrix.values, matrix.example_ids, k, seed, standardize)
 
 
 def assignments_tsv(result: ClusterResult) -> str:

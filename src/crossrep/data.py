@@ -108,10 +108,6 @@ class Task:
     def n_examples(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
-
     def with_targets(self, targets: np.ndarray) -> "Task":
         return Task(self.task_id, self.features, targets, self.feature_names, self.example_ids)
 
@@ -316,6 +312,54 @@ def read_table(path: str | Path, what: str) -> tuple[tuple[str, ...],
     return header, rows
 
 
+def read_json(path: str | Path, what: str) -> dict:
+    """The JSON object in a UTF-8 file.
+
+    A missing file, text that is not UTF-8, invalid JSON and a document
+    that is not an object are IngestionErrors naming the file; ``what``
+    names the kind of file.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise IngestionError(f"{what} not found: {path}")
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except json.JSONDecodeError as exc:
+        raise IngestionError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
+                             f"{exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise IngestionError(f"{path}: the {what} must be a JSON object, got {doc!r}")
+    return doc
+
+
+_JSON_KINDS = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string", list: "a list", dict: "an object"}
+_REQUIRED = object()
+
+
+def json_field(where: str | Path, doc: dict, key: str, kind: type, default=_REQUIRED):
+    """``doc[key]`` if it is a JSON ``kind``: an integer is a number, a boolean is not.
+
+    A null or absent key gives ``default``; without a default the key is
+    required. Errors are IngestionErrors prefixed with ``where``, the file
+    and, for a nested object, the key that holds it.
+    """
+    value = doc.get(key)
+    if value is None and default is not _REQUIRED:
+        return default
+    if key not in doc:
+        raise IngestionError(f"{where}: missing key {key!r}")
+    if kind in (int, float):
+        ok = isinstance(value, (int, kind)) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise IngestionError(f"{where}: {key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def parse_value(path: Path, line: int, column: str, cell: str) -> float:
     """One finite float cell; the error names the file, row and column."""
     try:
@@ -401,27 +445,22 @@ def assemble_collection(tasks: list[Task] | tuple[Task, ...], mode: CollectionMo
 
 def load_collection(manifest_path: str | Path) -> TaskCollection:
     """Load a collection from a JSON manifest listing task files."""
-    manifest_path = Path(manifest_path)
-    if not manifest_path.is_file():
-        raise IngestionError(f"manifest not found: {manifest_path}")
+    path = Path(manifest_path)
+    doc = read_json(path, "manifest")
+    collection_id = json_field(path, doc, "collection_id", str)
+    mode_value = json_field(path, doc, "mode", str)
+    target = json_field(path, doc, "target", str)
+    files = json_field(path, doc, "tasks", list)
     try:
-        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise IngestionError(f"{manifest_path}: invalid JSON ({exc})") from None
-    for key in ("collection_id", "mode", "target", "tasks"):
-        if key not in doc:
-            raise IngestionError(f"{manifest_path}: manifest missing key {key!r}")
-    try:
-        mode = CollectionMode(doc["mode"])
+        mode = CollectionMode(mode_value)
     except ValueError:
         raise IngestionError(
-            f"{manifest_path}: mode must be 'independent' or 'shared', got {doc['mode']!r}"
-        ) from None
-    if not isinstance(doc["tasks"], list) or not doc["tasks"]:
-        raise IngestionError(f"{manifest_path}: 'tasks' must be a non-empty list of file paths")
-    base = manifest_path.parent
-    tasks = [load_task(base / rel, target=doc["target"]) for rel in doc["tasks"]]
-    return assemble_collection(tasks, mode, collection_id=str(doc["collection_id"]))
+            f"{path}: 'mode' must be 'independent' or 'shared', got {mode_value!r}") from None
+    if not files or not all(isinstance(f, str) for f in files):
+        raise IngestionError(f"{path}: 'tasks' must be a non-empty list of file paths, "
+                             f"got {files!r}")
+    tasks = [load_task(path.parent / f, target=target) for f in files]
+    return assemble_collection(tasks, mode, collection_id=collection_id)
 
 
 def write_task_file(task: Task, path: str | Path, target: str = "y") -> None:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import CollectionMode, SplitPlan, Task, TaskCollection
+from .data import CollectionMode, SplitPlan, Task, TaskCollection, json_field, read_json
 from .errors import FitError, IngestionError, ValidationError
 from .learners import (FittedModel, LearnerSpec, TrainFingerprint, fit_learner,
                        load_model, predict, save_model)
@@ -65,11 +65,6 @@ class ModelBank:
             cols.setflags(write=False)
             self._columns_memo[task_ids] = cols
         return cols
-
-    def model(self, task_id: str) -> FittedModel:
-        if task_id not in self.models:
-            raise ValidationError(f"bank has no model for task {task_id!r}")
-        return self.models[task_id]
 
 
 @dataclass(frozen=True)
@@ -322,42 +317,23 @@ def save_bank(bank: ModelBank, out_dir: str | Path) -> Path:
 def load_bank(bank_dir: str | Path) -> ModelBank:
     bank_dir = Path(bank_dir)
     index_path = bank_dir / BANK_INDEX_NAME
-    if not index_path.is_file():
-        raise IngestionError(f"bank index not found: {index_path}")
-    try:
-        index = json.loads(index_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise IngestionError(
-            f"{index_path}: corrupt bank index, invalid JSON at line {exc.lineno}: {exc.msg}"
-        ) from None
-    corrupt = f"{index_path}: corrupt bank index"
-    if not isinstance(index, dict):
-        raise IngestionError(f"{corrupt}, not a JSON object")
-
-    def field(key: str, kind: type, what: str):
-        if key not in index:
-            raise IngestionError(f"{corrupt}, missing key {key!r}")
-        if not isinstance(index[key], kind):
-            raise IngestionError(f"{corrupt}, {key!r} must be {what}, got {index[key]!r}")
-        return index[key]
-
-    files = field("models", dict, "an object of task id -> archive file name")
-    spec_doc = field("learner_spec", dict, "a learner spec object")
-    collection_id = field("collection_id", str, "a string")
-    scope_value = field("training_scope", str, "a string")
+    index = read_json(index_path, "bank index")
+    files = json_field(index_path, index, "models", dict)
+    spec_doc = json_field(index_path, index, "learner_spec", dict)
+    collection_id = json_field(index_path, index, "collection_id", str)
+    scope_value = json_field(index_path, index, "training_scope", str)
+    order = json_field(index_path, index, "task_order", list, list(files))
     try:
         spec = LearnerSpec.from_dict(spec_doc)
     except (KeyError, TypeError, ValueError, ValidationError) as exc:
-        raise IngestionError(f"{corrupt}, bad 'learner_spec': {exc!r}") from None
+        raise IngestionError(f"{index_path}: bad 'learner_spec': {exc!r}") from None
     try:
         scope = TrainingScope(scope_value)
     except ValueError:
-        raise IngestionError(f"{corrupt}, 'training_scope' must be 'full_task' or "
+        raise IngestionError(f"{index_path}: 'training_scope' must be 'full_task' or "
                              f"'train_split_only', got {scope_value!r}") from None
-    order = index.get("task_order", list(files))
-    if not isinstance(order, list) or not all(
-            isinstance(t, str) and isinstance(files.get(t), str) for t in order):
-        raise IngestionError(f"{corrupt}, 'task_order' must list task ids whose "
+    if not all(isinstance(t, str) and isinstance(files.get(t), str) for t in order):
+        raise IngestionError(f"{index_path}: 'task_order' must list task ids whose "
                              f"'models' entry is an archive file name")
     models = {task_id: load_model(bank_dir / files[task_id]) for task_id in order}
     return ModelBank(models=models, learner_spec=spec, collection_id=collection_id,

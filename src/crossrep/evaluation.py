@@ -91,31 +91,11 @@ class CvResult:
         object.__setattr__(self, "mean_rmse", float(np.mean(self.per_fold_rmse)))
 
 
-def cross_validate(data, targets: np.ndarray | None = None,
-                   spec: LearnerSpec | None = None, plan: SplitPlan | None = None,
-                   task_id: str = "",
+def cross_validate(features: np.ndarray, targets: np.ndarray, spec: LearnerSpec,
+                   plan: SplitPlan, *, task_id: str = "",
                    representation: Representation | None = None,
                    row_ids: tuple[str, ...] | None = None) -> CvResult:
-    """Fit on each split's train side, score RMSE on its test side.
-
-    ``data`` may be a Task (targets implied), an extrinsic matrix view
-    (targets required), or a plain feature matrix.
-    """
-    from .data import Task
-    from .engine import ExtrinsicMatrix
-
-    if isinstance(data, Task):
-        features = data.features
-        targets = data.targets if targets is None else targets
-        task_id = task_id or data.task_id
-        row_ids = row_ids if row_ids is not None else data.example_ids
-    elif isinstance(data, ExtrinsicMatrix):
-        features = data.values
-        task_id = task_id or data.target_task_id
-    else:
-        features = data
-    if targets is None or spec is None or plan is None:
-        raise ValidationError("cross_validate needs targets, a learner spec, and a plan")
+    """Fit on each split's train side, score RMSE on its test side."""
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if plan.n != features.shape[0]:

@@ -2,7 +2,8 @@
 
 from .archive import load_model, save_model
 from .base import (EMPTY_FINGERPRINT, FittedModel, LearnerKind, LearnerSpec,
-                   Standardizer, TrainFingerprint, fit_learner, predict)
+                   Standardizer, TrainFingerprint, fit_learner, parse_learner_spec,
+                   predict)
 from .forest import fit_forest
 from .ridge import fit_ridge, fit_ridge_cv
 from .svr import dual_objective, fit_svr, rbf_gram, rbf_kernel
@@ -21,6 +22,7 @@ __all__ = [
     "fit_ridge_cv",
     "fit_svr",
     "load_model",
+    "parse_learner_spec",
     "predict",
     "rbf_gram",
     "rbf_kernel",

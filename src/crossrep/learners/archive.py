@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import IngestionError
+from ..data import json_field, read_json
+from ..errors import IngestionError, ValidationError
 from .base import FittedModel, LearnerKind, LearnerSpec, Standardizer, TrainFingerprint
 from .forest import ForestState, Tree
 from .ridge import RidgeState
@@ -89,24 +90,23 @@ def save_model(model: FittedModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> FittedModel:
     path = Path(path)
-    if not path.is_file():
-        raise IngestionError(f"model archive not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise IngestionError(
-            f"{path}: corrupt model archive, invalid JSON at line {exc.lineno}: {exc.msg}"
-        ) from None
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
+    doc = read_json(path, "model archive")
+    if doc.get("format") != FORMAT_NAME:
         raise IngestionError(f"{path}: not a {FORMAT_NAME} archive")
     if doc.get("version") != FORMAT_VERSION:
         raise IngestionError(f"{path}: unsupported archive version {doc.get('version')}")
-    spec = LearnerSpec.from_dict(doc["spec"])
-    fp = TrainFingerprint(task_id=doc["train_fingerprint"]["task_id"],
-                          row_ids=tuple(doc["train_fingerprint"]["row_ids"]))
-    std_doc = doc["standardization"]
-    std = None if std_doc is None else Standardizer(mean=_dec(std_doc["mean"]),
-                                                    scale=_dec(std_doc["scale"]))
-    return FittedModel(spec=spec, state=_state_from_doc(spec.kind, doc["state"]),
-                       feature_count=int(doc["feature_count"]),
+    fp_doc = json_field(path, doc, "train_fingerprint", dict)
+    fp_where = f"{path}: train_fingerprint"
+    fp = TrainFingerprint(task_id=json_field(fp_where, fp_doc, "task_id", str),
+                          row_ids=tuple(json_field(fp_where, fp_doc, "row_ids", list)))
+    feature_count = json_field(path, doc, "feature_count", int)
+    try:
+        spec = LearnerSpec.from_dict(json_field(path, doc, "spec", dict))
+        std_doc = doc["standardization"]
+        std = None if std_doc is None else Standardizer(mean=_dec(std_doc["mean"]),
+                                                        scale=_dec(std_doc["scale"]))
+        state = _state_from_doc(spec.kind, json_field(path, doc, "state", dict))
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        raise IngestionError(f"{path}: corrupt model archive, {exc!r}") from None
+    return FittedModel(spec=spec, state=state, feature_count=feature_count,
                        train_fingerprint=fp, standardization=std)

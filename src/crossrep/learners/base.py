@@ -45,20 +45,13 @@ _LABELS = {
 class LearnerSpec:
     """A fully resolved learner configuration.
 
-    ``hyperparams`` must contain every required key for the kind; the
-    classmethod constructors fill in defaults.
+    Build one with a classmethod constructor, which fills in defaults, or
+    with ``parse_learner_spec`` from a JSON document.
     """
 
     kind: LearnerKind
     hyperparams: dict
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        missing = [k for k in _REQUIRED_KEYS[self.kind] if k not in self.hyperparams]
-        if missing:
-            raise ValidationError(
-                f"{self.kind.value} spec missing hyperparams: {', '.join(missing)}"
-            )
 
     @classmethod
     def ridge(cls, lam: float = 10.0, seed: int = 0) -> "LearnerSpec":
@@ -100,10 +93,37 @@ class LearnerSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LearnerSpec":
-        hp = dict(doc["hyperparams"])
-        if "lambda_grid" in hp:
-            hp["lambda_grid"] = tuple(hp["lambda_grid"])
-        return cls(LearnerKind(doc["kind"]), hp, int(doc.get("seed", 0)))
+        """Inverse of ``to_dict``: every hyperparameter of the kind is present."""
+        hp = doc["hyperparams"]
+        missing = [k for k in _REQUIRED_KEYS[LearnerKind(doc["kind"])] if k not in hp]
+        if missing:
+            raise ValidationError(f"{doc['kind']} spec missing hyperparams: {', '.join(missing)}")
+        return parse_learner_spec({**hp, "kind": doc["kind"], "seed": doc.get("seed", 0)})
+
+
+def parse_learner_spec(doc: dict) -> LearnerSpec:
+    """Flat form: {"kind": ..., "seed": ..., <hyperparams>}; defaults fill the rest."""
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise ValidationError("learner spec needs to be a JSON object with a 'kind' field")
+    try:
+        kind = LearnerKind(doc["kind"])
+    except (TypeError, ValueError):
+        valid = ", ".join(k.value for k in LearnerKind)
+        raise ValidationError(f"unknown learner kind {doc['kind']!r} (valid: {valid})") from None
+    seed = doc.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValidationError(f"learner seed must be an integer, got {seed!r}")
+    kwargs = {k: v for k, v in doc.items() if k != "kind"}
+    ctor = {LearnerKind.RIDGE: LearnerSpec.ridge,
+            LearnerKind.RIDGE_CV: LearnerSpec.ridge_cv,
+            LearnerKind.FOREST: LearnerSpec.forest,
+            LearnerKind.SVR: LearnerSpec.svr}[kind]
+    try:
+        if "lambda_grid" in kwargs:
+            kwargs["lambda_grid"] = tuple(kwargs["lambda_grid"])
+        return ctor(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad hyperparams for {kind.value}: {exc}") from None
 
 
 def _freeze(value: Any) -> Any:

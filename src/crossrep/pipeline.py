@@ -193,15 +193,6 @@ def _block_key(features: np.ndarray) -> tuple:
     return features.shape, hashlib.sha256(np.ascontiguousarray(features)).digest()
 
 
-def _order1_view(task: Task, bank: ModelBank, block: np.ndarray,
-                 config: PipelineConfig) -> ExtrinsicMatrix:
-    ext = build_extrinsic(task.task_id, bank, block)
-    if config.descriptor_cap is not None:
-        ext = select_descriptors(ext, config.descriptor_cap,
-                                 derive_seed(config.seed, "cap", task.task_id))
-    return ext
-
-
 def run_pipeline(config: PipelineConfig) -> ExperimentResult:
     """Run the full two-stage experiment described by ``config``."""
     collection = config.collection
@@ -227,7 +218,10 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
     # One cross-prediction block per distinct feature block: the tasks of a
     # shared-examples collection (or any tasks with equal rows) share it.
     blocks: dict[tuple, np.ndarray] = {}
-    evaluated: dict[str, tuple[Task, SplitPlan, np.ndarray]] = {}
+    # Order 2 reads each task's order-1 view back from its block by the view's
+    # source ids; keeping the views themselves would hold a second copy of
+    # every block.
+    evaluated: dict[str, tuple[Task, SplitPlan, np.ndarray, tuple[str, ...]]] = {}
     results: list[CvResult] = []
 
     for task in collection.tasks:
@@ -236,7 +230,10 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
         try:
             if key not in blocks:
                 blocks[key] = cross_predict(bank, task.features)
-            ext = _order1_view(task, bank, blocks[key], config)
+            ext = build_extrinsic(task.task_id, bank, blocks[key])
+            if config.descriptor_cap is not None:
+                ext = select_descriptors(ext, config.descriptor_cap,
+                                         derive_seed(config.seed, "cap", task.task_id))
             feats = ext.values
             if config.augment:
                 feats = np.hstack([task.features, ext.values])
@@ -251,7 +248,7 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
                 raise
             failures.append(TaskFailure(task.task_id, "evaluate", str(exc)))
             continue
-        evaluated[task.task_id] = (task, plan, blocks[key])
+        evaluated[task.task_id] = (task, plan, blocks[key], ext.source_model_ids)
         results.extend(task_results)
 
     if config.order == 2:
@@ -278,7 +275,8 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
 
 
 def _run_second_order(bank: ModelBank,
-                      evaluated: dict[str, tuple[Task, SplitPlan, np.ndarray]],
+                      evaluated: dict[str, tuple[Task, SplitPlan, np.ndarray,
+                                                 tuple[str, ...]]],
                       failures: list[TaskFailure],
                       config: PipelineConfig) -> list[CvResult]:
     # Tasks that failed first-order evaluation drop out of the order-2
@@ -286,16 +284,14 @@ def _run_second_order(bank: ModelBank,
     shared_holdout = (config.resolved_scope is TrainingScope.TRAIN_SPLIT_ONLY)
     stage2_models = {}
     stage2_sources = {}
-    for task_id, (task, plan, block) in evaluated.items():
-        ext = _order1_view(task, bank, block, config)
+    for task_id, (task, plan, block, sources) in evaluated.items():
         rows = np.arange(task.n_examples)
         if shared_holdout:
             rows, _ = plan.split(0)
         fp = TrainFingerprint(task_id=task_id,
                               row_ids=tuple(task.example_ids[i] for i in rows))
-        train_view = ExtrinsicMatrix(values=ext.values[rows],
-                                     source_model_ids=ext.source_model_ids,
-                                     target_task_id=task_id, order=ext.order)
+        train_view = ExtrinsicMatrix(values=block[np.ix_(rows, bank.columns(sources))],
+                                     source_model_ids=sources, target_task_id=task_id)
         try:
             stage2_models[task_id] = stage2_train(
                 train_view, task.targets[rows], config.final_spec, fingerprint=fp,
@@ -305,12 +301,12 @@ def _run_second_order(bank: ModelBank,
                 raise
             failures.append(TaskFailure(task_id, "stage2", str(exc)))
             continue
-        stage2_sources[task_id] = ext.source_model_ids
+        stage2_sources[task_id] = sources
     surviving = tuple(t for t in bank.task_ids if t in stage2_models)
 
     out: list[CvResult] = []
     rep = Representation.transformed(config.transformer_spec, 2)
-    for task_id, (task, plan, block) in evaluated.items():
+    for task_id, (task, plan, block, _) in evaluated.items():
         try:
             ext2 = second_order_extrinsic(task_id, bank, stage2_models, stage2_sources,
                                           block, source_ids=surviving)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -197,6 +198,8 @@ class TestBankAndCluster:
         ("models", None), ("learner_spec", None), ("collection_id", None),
         ("training_scope", None), ("models", []), ("learner_spec", "ridge"),
         ("learner_spec", {"kind": "ridge"}), ("collection_id", 5),
+        ("learner_spec", {"kind": "ridge", "hyperparams": {"lam": 10.0, "mu": 1}, "seed": 0}),
+        ("learner_spec", {"kind": "ridge", "hyperparams": {"lam": "x"}, "seed": 0}),
         ("training_scope", "everything"), ("task_order", ["task000", 1]),
     ])
     @pytest.mark.parametrize("command", ["inspect-bank", "cluster"])
@@ -218,6 +221,25 @@ class TestBankAndCluster:
         err = capsys.readouterr().err
         assert "bank_index.json" in err and repr(key) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("learner, k, digest", [
+        ('{"kind": "ridge", "lam": 10}', "2",
+         "fc03fb9f2a5e60b4725dcc15dfc9464b8f801875a6c538f4473b37124191d15c"),
+        ('{"kind": "forest", "n_trees": 3, "seed": 2}', "3",
+         "629cea048b6aaf32fd952e4c3389d17136e0789749b66be2313b3479eead1dad"),
+    ])
+    def test_cluster_standardize_digest(self, tmp_path, synth_dir, learner, k, digest):
+        """Golden bytes of standardized task and example clusters of the pooled collection."""
+        manifest = str(synth_dir / "manifest.json")
+        assert run_cli("train-bank", "--collection", manifest, "--learner", learner,
+                       "--out", str(tmp_path / "b")) == 0
+        out = tmp_path / "std"
+        assert run_cli("cluster", "--bank", str(tmp_path / "b"), "--pool", manifest,
+                       "--k", k, "--seed", "3", "--standardize", "--out", str(out)) == 0
+        h = hashlib.sha256()
+        for name in ("task_clusters.tsv", "example_clusters.tsv"):
+            h.update((out / name).read_bytes())
+        assert h.hexdigest() == digest
 
     def test_missing_bank(self, tmp_path, synth_dir):
         code = run_cli("cluster", "--bank", str(tmp_path / "nope"),
@@ -379,3 +401,49 @@ class TestPoolFile:
         assert self.cluster(tmp_path, bank_dir, text) == 3
         assert "pool.csv: duplicate example id 'e1' at row 3" in capsys.readouterr().err
         assert not (tmp_path / "c" / "example_clusters.tsv").exists()
+
+
+class TestJsonDocuments:
+    """Config, manifest and archive documents that used to end in a traceback."""
+
+    MANIFEST = {"collection_id": "c", "mode": "independent", "target": "y",
+                "tasks": ["task000.csv", "task001.csv"]}
+
+    def check(self, capsys, code, path, key=None):
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert key is None or repr(key) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, key", [
+        (b"1", None),
+        (json.dumps({**MANIFEST, "tasks": [1, 2]}).encode(), "tasks"),
+        (json.dumps({**MANIFEST, "collection_id": 7}).encode(), "collection_id"),
+        (json.dumps({**MANIFEST, "collection_id": "caf\u00e9"}, ensure_ascii=False)
+         .encode("latin-1"), None),
+    ], ids=["not-an-object", "task-entries", "numeric-id", "not-utf8"])
+    def test_bad_manifest(self, tmp_path, synth_dir, capsys, text, key):
+        manifest = synth_dir / "bad_manifest.json"
+        manifest.write_bytes(text)
+        code = run_cli("train-bank", "--collection", str(manifest),
+                       "--learner", '{"kind": "ridge"}', "--out", str(tmp_path / "b"))
+        self.check(capsys, code, manifest, key)
+
+    def test_config_not_utf8(self, tmp_path, run_config, capsys):
+        doc = json.loads(run_config.read_text())
+        doc["collection"] = "caf\u00e9/manifest.json"
+        run_config.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+        code = run_cli("run", "--config", str(run_config), "--out", str(tmp_path / "x"))
+        self.check(capsys, code, run_config)
+
+    def test_archive_without_n_iter(self, tmp_path, synth_dir, capsys):
+        bank = tmp_path / "svr_bank"
+        assert run_cli("train-bank", "--collection", str(synth_dir / "manifest.json"),
+                       "--learner", '{"kind": "svr"}', "--out", str(bank)) == 0
+        archive = bank / "task002.model.json"
+        doc = json.loads(archive.read_text())
+        del doc["state"]["n_iter"]
+        archive.write_text(json.dumps(doc))
+        capsys.readouterr()
+        self.check(capsys, run_cli("inspect-bank", "--bank", str(bank)), archive, "n_iter")

@@ -2,15 +2,18 @@
 
 Hypothesis writes task, pool and score files that may be ragged,
 non-numeric, empty, missing a column or hold duplicate ids, plus
-malformed ``--learner`` JSON and config documents with missing or wrongly
-typed fields, and runs the CLI on them in-process. Every
+malformed ``--learner`` JSON, and config, collection manifest and model
+archive documents with missing or wrongly typed fields, and runs the CLI
+on them in-process. Every
 run must exit 0, 2, 3 or 4 and print no traceback; an exception escaping
 ``main`` fails the property with the input that raised it.
 """
 
 import contextlib
+import copy
 import io
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -180,3 +183,68 @@ def test_run_on_malformed_config(bank, config):
             text = json.dumps(doc)
         (root / "cfg.json").write_text(text, encoding="utf-8")
         check(*run("run", "--config", root / "cfg.json", "--out", root / "out"))
+
+
+MANIFEST_VALUES = st.sampled_from([-1, 0, 2.5, True, None, "", "a", "c", "independent",
+                                   "shared", "y", "x0", [], {}, {"a": 1}])
+TASK_ENTRIES = st.sampled_from(["task000.csv", "task001.csv", "task002.csv", "absent.csv",
+                                "", 1, 2.5, True, None, [], {}])
+MANIFEST_KEYS = ("collection_id", "mode", "target", "tasks")
+
+
+@given(st.one_of(
+    st.tuples(st.dictionaries(st.sampled_from(MANIFEST_KEYS),
+                              st.one_of(MANIFEST_VALUES, st.lists(TASK_ENTRIES, max_size=3)),
+                              max_size=2),
+              st.lists(st.sampled_from(MANIFEST_KEYS), max_size=2)),
+    st.sampled_from(["[]", "1", '"manifest"', "null", "{", ""]),
+))
+@PROPERTY
+def test_train_bank_on_malformed_manifest(bank, manifest):
+    _, good = bank
+    if isinstance(manifest, str):
+        text = manifest
+    else:
+        overrides, dropped = manifest
+        doc = {**json.loads(good.read_text()), **overrides}
+        for key in dropped:
+            doc.pop(key, None)
+        text = json.dumps(doc)
+    # Task entries are relative to the manifest, so it sits next to the task files.
+    path = good.parent / "property_manifest.json"
+    path.write_text(text, encoding="utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        check(*run("train-bank", "--collection", path, "--learner", '{"kind": "ridge"}',
+                   "--out", Path(tmp) / "bank"))
+
+
+ARCHIVE_VALUES = st.sampled_from([-1, 0, 2.5, True, None, "a", [], [1.0], {},
+                                  {"kind": "ridge"}, {"dtype": "<f8", "shape": [2], "data": ""}])
+ARCHIVE_EDITS = st.tuples(
+    st.sampled_from(["spec", "state", "train_fingerprint"]),
+    st.sampled_from([None, "kind", "hyperparams", "seed", "coef", "intercept", "lam",
+                     "task_id", "row_ids"]),
+    st.one_of(st.just("drop"), ARCHIVE_VALUES),
+)
+
+
+@given(st.lists(ARCHIVE_EDITS, min_size=1, max_size=2))
+@PROPERTY
+def test_inspect_bank_on_malformed_archive(bank, edits):
+    """Drop or retype a top-level key of one archive, or a key inside it."""
+    bank_dir, _ = bank
+    with tempfile.TemporaryDirectory() as tmp:
+        copied = Path(tmp) / "bank"
+        shutil.copytree(bank_dir, copied)
+        archive = copied / "task001.model.json"
+        doc = json.loads(archive.read_text())
+        for key, inner, value in edits:
+            target, name = (doc, key) if inner is None else (doc.get(key), inner)
+            if not isinstance(target, dict):
+                continue
+            if value == "drop":
+                target.pop(name, None)
+            else:
+                target[name] = copy.deepcopy(value)  # sampled values are shared objects
+        archive.write_text(json.dumps(doc), encoding="utf-8")
+        check(*run("inspect-bank", "--bank", copied))

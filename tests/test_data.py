@@ -1,12 +1,16 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crossrep
 from crossrep.data import (CollectionMode, Task, assemble_collection,
-                           denormalize_targets, load_collection, load_task,
+                           denormalize_targets, json_field, load_collection, load_task,
                            make_fold_plan, make_holdout_plan, normalize_targets,
-                           write_collection)
+                           read_json, write_collection)
 from crossrep.errors import IngestionError, ValidationError
 
 from conftest import make_task
@@ -238,3 +242,59 @@ class TestManifestRoundTrip:
         bad.write_text('{"mode": "independent"}')
         with pytest.raises(IngestionError, match="missing key"):
             load_collection(bad)
+
+
+class TestJsonDocument:
+    @pytest.mark.parametrize("text, message", [
+        (None, "config file not found"),
+        (b"{\n  broken", "invalid JSON at line 2, column 3"),
+        (b'{"a": "\xe9"}', "not UTF-8 text"),
+        (b"[1]", r"the config file must be a JSON object, got \[1\]"),
+    ])
+    def test_read_json_errors_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "doc.json"
+        if text is not None:
+            path.write_bytes(text)
+        with pytest.raises(IngestionError, match=message) as exc:
+            read_json(path, "config file")
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("doc, kind, default, expected", [
+        ({"k": 3}, float, 0.0, 3), ({"k": 3}, int, 0, 3), ({"k": None}, int, 7, 7),
+        ({}, str, None, None), ({"k": False}, bool, True, False),
+    ])
+    def test_json_field_accepts(self, doc, kind, default, expected):
+        assert json_field("f.json", doc, "k", kind, default) == expected
+
+    @pytest.mark.parametrize("doc, kind, message", [
+        ({}, int, "f.json: missing key 'k'"),
+        ({"k": None}, int, "f.json: 'k' must be an integer, got None"),
+        ({"k": True}, int, "'k' must be an integer, got True"),
+        ({"k": True}, float, "'k' must be a number, got True"),
+        ({"k": 1.5}, int, "'k' must be an integer, got 1.5"),
+        ({"k": "1"}, float, "'k' must be a number, got '1'"),
+        ({"k": []}, dict, "'k' must be an object, got \\[\\]"),
+    ])
+    def test_json_field_rejects(self, doc, kind, message):
+        with pytest.raises(IngestionError, match=message):
+            json_field("f.json", doc, "k", kind)
+
+
+def test_json_is_decoded_in_one_place():
+    """Only ``data.read_json`` and the ``--learner`` option decode JSON text."""
+    decoders = set()
+    package = Path(crossrep.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(path.relative_to(package).with_suffix("").parts)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        enclosing = {}  # node -> innermost function; ast.walk visits outer ones first
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                enclosing.update((node, fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                decoders.add(f"{module} (from json import)")
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                decoders.add(f"{module}.{enclosing.get(node, '<module>')}")
+    assert decoders == {"data.read_json", "cli.cmd_train_bank"}

@@ -220,24 +220,21 @@ class TestCompareRepresentations:
 
 
 class TestCrossValidateInputForms:
-    def test_accepts_task_directly(self):
+    def test_scores_task_features(self):
         from conftest import make_task
         task = make_task("direct", n=12, p=2, seed=3)
         plan = make_fold_plan(12, 3, seed=0)
-        result = cross_validate(task, spec=LearnerSpec.ridge(1.0), plan=plan)
+        result = cross_validate(task.features, task.targets, LearnerSpec.ridge(1.0), plan,
+                                task_id=task.task_id)
         assert result.task_id == "direct"
         assert len(result.per_fold_rmse) == 3
 
-    def test_accepts_extrinsic_matrix(self):
+    def test_scores_extrinsic_values(self):
         from crossrep.engine import ExtrinsicMatrix
         rng = np.random.default_rng(0)
         ext = ExtrinsicMatrix(values=rng.normal(size=(12, 2)),
                               source_model_ids=("a", "b"), target_task_id="me")
         plan = make_fold_plan(12, 3, seed=0)
-        result = cross_validate(ext, rng.normal(size=12),
-                                spec=LearnerSpec.ridge(1.0), plan=plan)
+        result = cross_validate(ext.values, rng.normal(size=12), LearnerSpec.ridge(1.0),
+                                plan, task_id=ext.target_task_id)
         assert result.task_id == "me"
-
-    def test_missing_pieces_rejected(self):
-        with pytest.raises(ValidationError, match="needs targets"):
-            cross_validate(np.ones((4, 2)), None, LearnerSpec.ridge(1.0), None)
