@@ -49,12 +49,8 @@ def load_config(path: Path, seed_override: int | None, strict_flag: bool) -> Pip
         raise IngestionError(
             f"{path}: stage1_scope must be 'full_task' or 'train_split_only', "
             f"got {scope_doc!r}") from None
-    specs = {}
-    for key in ("transformer", "final"):
-        try:
-            specs[key] = parse_learner_spec(json_field(path, doc, key, dict))
-        except ValidationError as exc:
-            raise IngestionError(f"{path}: {key}: {exc}") from None
+    specs = {key: parse_learner_spec(json_field(path, doc, key, dict), f"{path}: {key}")
+             for key in ("transformer", "final")}
     split_where = f"{path}: split"
     split_kind = json_field(split_where, split_doc, "kind", str)
     if split_kind == "kfold":
@@ -119,7 +115,8 @@ def cmd_train_bank(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--learner: invalid JSON at line {exc.lineno}, column "
                           f"{exc.colno}: {exc.msg}") from None
-    bank = stage1_train(collection, parse_learner_spec(doc), TrainingScope.FULL_TASK)
+    bank = stage1_train(collection, parse_learner_spec(doc, "--learner"),
+                        TrainingScope.FULL_TASK)
     index = save_bank(bank, Path(args.out))
     print(f"wrote {index}")
     return EXIT_OK

@@ -269,10 +269,6 @@ def normalize_targets(task: Task) -> tuple[Task, NormalizationParams]:
     return task.with_targets((task.targets - lo) / (hi - lo)), params
 
 
-def denormalize_targets(values: np.ndarray, params: NormalizationParams) -> np.ndarray:
-    return np.asarray(values, dtype=np.float64) * (params.max - params.min) + params.min
-
-
 def read_table(path: str | Path, what: str) -> tuple[tuple[str, ...],
                                                      list[tuple[int, list[str]]]]:
     """Header and data rows of a UTF-8 delimited text file.

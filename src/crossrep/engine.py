@@ -323,10 +323,7 @@ def load_bank(bank_dir: str | Path) -> ModelBank:
     collection_id = json_field(index_path, index, "collection_id", str)
     scope_value = json_field(index_path, index, "training_scope", str)
     order = json_field(index_path, index, "task_order", list, list(files))
-    try:
-        spec = LearnerSpec.from_dict(spec_doc)
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
-        raise IngestionError(f"{index_path}: bad 'learner_spec': {exc!r}") from None
+    spec = LearnerSpec.from_dict(spec_doc, f"{index_path}: 'learner_spec'")
     try:
         scope = TrainingScope(scope_value)
     except ValueError:

@@ -6,7 +6,7 @@ from .base import (EMPTY_FINGERPRINT, FittedModel, LearnerKind, LearnerSpec,
                    predict)
 from .forest import fit_forest
 from .ridge import fit_ridge, fit_ridge_cv
-from .svr import dual_objective, fit_svr, rbf_gram, rbf_kernel
+from .svr import fit_svr, rbf_gram
 
 __all__ = [
     "EMPTY_FINGERPRINT",
@@ -15,7 +15,6 @@ __all__ = [
     "LearnerSpec",
     "Standardizer",
     "TrainFingerprint",
-    "dual_objective",
     "fit_forest",
     "fit_learner",
     "fit_ridge",
@@ -25,6 +24,5 @@ __all__ = [
     "parse_learner_spec",
     "predict",
     "rbf_gram",
-    "rbf_kernel",
     "save_model",
 ]

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..data import json_field, read_json
-from ..errors import IngestionError, ValidationError
+from ..errors import IngestionError
 from .base import FittedModel, LearnerKind, LearnerSpec, Standardizer, TrainFingerprint
 from .forest import ForestState, Tree
 from .ridge import RidgeState
@@ -53,22 +53,26 @@ def _state_to_doc(model: FittedModel) -> dict:
     raise IngestionError(f"cannot archive state of type {type(s).__name__}")
 
 
-def _state_from_doc(kind: LearnerKind, doc: dict):
+def _state_from_doc(kind: LearnerKind, doc: dict, where: str):
     if kind in (LearnerKind.RIDGE, LearnerKind.RIDGE_CV):
-        return RidgeState(coef=_dec(doc["coef"]), intercept=float(doc["intercept"]),
-                          lam=float(doc["lam"]))
+        return RidgeState(coef=_dec(doc["coef"]),
+                          intercept=float(json_field(where, doc, "intercept", float)),
+                          lam=float(json_field(where, doc, "lam", float)))
     if kind is LearnerKind.FOREST:
         trees = tuple(
             Tree(feature=_dec(t["feature"]), threshold=_dec(t["threshold"]),
                  left=_dec(t["left"]), right=_dec(t["right"]), value=_dec(t["value"]))
-            for t in doc["trees"]
+            for t in json_field(where, doc, "trees", list)
         )
-        return ForestState(trees=trees, seed=int(doc["seed"]), mtry=int(doc["mtry"]),
-                           min_node_size=int(doc["min_node_size"]))
+        return ForestState(trees=trees, seed=json_field(where, doc, "seed", int),
+                           mtry=json_field(where, doc, "mtry", int),
+                           min_node_size=json_field(where, doc, "min_node_size", int))
     if kind is LearnerKind.SVR:
         return SvrState(support=_dec(doc["support"]), dual_coef=_dec(doc["dual_coef"]),
-                        bias=float(doc["bias"]), sigma=float(doc["sigma"]),
-                        n_iter=int(doc["n_iter"]), kkt_gap=float(doc["kkt_gap"]))
+                        bias=float(json_field(where, doc, "bias", float)),
+                        sigma=float(json_field(where, doc, "sigma", float)),
+                        n_iter=json_field(where, doc, "n_iter", int),
+                        kkt_gap=float(json_field(where, doc, "kkt_gap", float)))
     raise IngestionError(f"cannot restore state for kind {kind}")
 
 
@@ -101,12 +105,13 @@ def load_model(path: str | Path) -> FittedModel:
                           row_ids=tuple(json_field(fp_where, fp_doc, "row_ids", list)))
     feature_count = json_field(path, doc, "feature_count", int)
     try:
-        spec = LearnerSpec.from_dict(json_field(path, doc, "spec", dict))
+        spec = LearnerSpec.from_dict(json_field(path, doc, "spec", dict), f"{path}: spec")
         std_doc = doc["standardization"]
         std = None if std_doc is None else Standardizer(mean=_dec(std_doc["mean"]),
                                                         scale=_dec(std_doc["scale"]))
-        state = _state_from_doc(spec.kind, json_field(path, doc, "state", dict))
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        state = _state_from_doc(spec.kind, json_field(path, doc, "state", dict),
+                                f"{path}: state")
+    except (KeyError, TypeError, ValueError) as exc:
         raise IngestionError(f"{path}: corrupt model archive, {exc!r}") from None
     return FittedModel(spec=spec, state=state, feature_count=feature_count,
                        train_fingerprint=fp, standardization=std)

@@ -16,6 +16,7 @@ from typing import Any
 
 import numpy as np
 
+from ..data import json_field
 from ..errors import FitError, ValidationError
 
 
@@ -26,11 +27,14 @@ class LearnerKind(Enum):
     SVR = "svr"
 
 
-_REQUIRED_KEYS = {
-    LearnerKind.RIDGE: ("lam",),
-    LearnerKind.RIDGE_CV: ("lambda_grid", "k"),
-    LearnerKind.FOREST: ("n_trees", "mtry", "min_node_size"),
-    LearnerKind.SVR: ("c", "epsilon", "sigma", "tol", "max_iter"),
+# The JSON type of each hyperparameter, per kind; ``lambda_grid`` is a
+# list of numbers.
+_HYPERPARAMS = {
+    LearnerKind.RIDGE: {"lam": float},
+    LearnerKind.RIDGE_CV: {"lambda_grid": list, "k": int},
+    LearnerKind.FOREST: {"n_trees": int, "mtry": int, "min_node_size": int},
+    LearnerKind.SVR: {"c": float, "epsilon": float, "sigma": float, "tol": float,
+                      "max_iter": int},
 }
 
 _LABELS = {
@@ -92,38 +96,45 @@ class LearnerSpec:
                 "seed": self.seed}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "LearnerSpec":
+    def from_dict(cls, doc: dict, where: str = "learner spec") -> "LearnerSpec":
         """Inverse of ``to_dict``: every hyperparameter of the kind is present."""
-        hp = doc["hyperparams"]
-        missing = [k for k in _REQUIRED_KEYS[LearnerKind(doc["kind"])] if k not in hp]
+        hp = json_field(where, doc, "hyperparams", dict)
+        spec = parse_learner_spec({**hp, "kind": doc.get("kind"), "seed": doc.get("seed", 0)},
+                                  where)
+        missing = [k for k in _HYPERPARAMS[spec.kind] if k not in hp]
         if missing:
-            raise ValidationError(f"{doc['kind']} spec missing hyperparams: {', '.join(missing)}")
-        return parse_learner_spec({**hp, "kind": doc["kind"], "seed": doc.get("seed", 0)})
+            raise ValidationError(f"{where}: {spec.kind.value} spec missing hyperparams: "
+                                  f"{', '.join(missing)}")
+        return spec
 
 
-def parse_learner_spec(doc: dict) -> LearnerSpec:
-    """Flat form: {"kind": ..., "seed": ..., <hyperparams>}; defaults fill the rest."""
+def parse_learner_spec(doc: dict, where: str = "learner spec") -> LearnerSpec:
+    """Flat form: {"kind": ..., "seed": ..., <hyperparams>}; defaults fill the rest.
+
+    Each value must have its hyperparameter's JSON type; errors name
+    ``where`` and the key.
+    """
     if not isinstance(doc, dict) or "kind" not in doc:
-        raise ValidationError("learner spec needs to be a JSON object with a 'kind' field")
+        raise ValidationError(f"{where}: needs to be a JSON object with a 'kind' field")
     try:
         kind = LearnerKind(doc["kind"])
     except (TypeError, ValueError):
         valid = ", ".join(k.value for k in LearnerKind)
-        raise ValidationError(f"unknown learner kind {doc['kind']!r} (valid: {valid})") from None
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValidationError(f"learner seed must be an integer, got {seed!r}")
-    kwargs = {k: v for k, v in doc.items() if k != "kind"}
+        raise ValidationError(
+            f"{where}: unknown learner kind {doc['kind']!r} (valid: {valid})") from None
+    types = _HYPERPARAMS[kind]
+    unknown = [k for k in doc if k not in types and k not in ("kind", "seed")]
+    if unknown:
+        raise ValidationError(f"{where}: unknown {kind.value} hyperparameter {unknown[0]!r}")
+    kwargs = {k: json_field(where, doc, k, t) for k, t in types.items() if k in doc}
+    grid = kwargs.get("lambda_grid", ())
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in grid):
+        raise ValidationError(f"{where}: 'lambda_grid' must be a list of numbers, got {grid!r}")
     ctor = {LearnerKind.RIDGE: LearnerSpec.ridge,
             LearnerKind.RIDGE_CV: LearnerSpec.ridge_cv,
             LearnerKind.FOREST: LearnerSpec.forest,
             LearnerKind.SVR: LearnerSpec.svr}[kind]
-    try:
-        if "lambda_grid" in kwargs:
-            kwargs["lambda_grid"] = tuple(kwargs["lambda_grid"])
-        return ctor(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad hyperparams for {kind.value}: {exc}") from None
+    return ctor(**kwargs, seed=json_field(where, doc, "seed", int, 0))
 
 
 def _freeze(value: Any) -> Any:

@@ -3,7 +3,17 @@
 Each tree is grown on a bootstrap sample; at every split a fresh random
 subset of candidate features is scanned for the best variance reduction.
 Per-tree randomness is derived from (seed, tree index), so the forest
-depends only on the data and the seed.
+depends only on the data and the seed. These rules fix every bit of a
+tree (``tests/test_forest_golden.py`` holds digests of its arrays):
+
+- the bootstrap is drawn first;
+- nodes are popped depth-first, left child first; each splittable node
+  (more rows than ``min_node_size``, unequal targets) makes one
+  ``rng.choice`` call for its candidate columns, in that pop order;
+- rows keep bootstrap order and the sort is stable, so ties keep it, and
+  the first best (position, column) in row-major order wins;
+- the threshold is the midpoint around the split, or the left value when
+  the midpoint rounds up to the right one.
 """
 
 from __future__ import annotations
@@ -37,83 +47,74 @@ class ForestState:
     min_node_size: int
 
     def diagnostics(self) -> dict:
-        return {"trees": len(self.trees),
-                "nodes": sum(t.feature.shape[0] for t in self.trees)}
+        return {"trees": len(self.trees), "nodes": sum(t.feature.shape[0] for t in self.trees),
+                "depth": max(_depth(t) for t in self.trees)}
 
 
-def _best_split(sub: np.ndarray, ynode: np.ndarray):
-    """Best (column, threshold, score) over the candidate submatrix, or None."""
+def _depth(tree: Tree) -> int:
+    """Edges on the longest root-to-leaf path, one level per pass."""
+    level, nodes = 0, np.zeros(1, dtype=np.int32)
+    while (nodes := nodes[tree.feature[nodes] >= 0]).size:
+        nodes, level = np.concatenate([tree.left[nodes], tree.right[nodes]]), level + 1
+    return level
+
+
+def _best_split(sub: np.ndarray, ynode: np.ndarray, nl: np.ndarray, cols: np.ndarray):
+    """Best (column, threshold) of ``sub``, or None; ``nl`` is 1, 2, ... as a column."""
     m = sub.shape[0]
-    order = np.argsort(sub, axis=0, kind="stable")
-    svals = np.take_along_axis(sub, order, axis=0)
-    sy = ynode[order]
-    cum = np.cumsum(sy, axis=0)
-    cum2 = np.cumsum(sy * sy, axis=0)
-    tot, tot2 = cum[-1], cum2[-1]
-    nl = np.arange(1, m, dtype=np.float64)[:, None]
-    nr = m - nl
-    left_sse = cum2[:-1] - cum[:-1] ** 2 / nl
-    right_sse = (tot2 - cum2[:-1]) - (tot - cum[:-1]) ** 2 / nr
-    score = left_sse + right_sse
-    valid = svals[:-1] < svals[1:]
-    if not valid.any():
+    order = sub.argsort(axis=0, kind="stable")
+    svals = sub[order, cols]
+    sy = ynode.take(order)
+    cum = sy.cumsum(axis=0)
+    cum2 = np.multiply(sy, sy, out=sy).cumsum(axis=0)
+    head, head2 = cum[:-1], cum2[:-1]
+    # the right-child sizes m - nl are nl's head reversed
+    score = ((head2 - head ** 2 / nl[:m - 1])
+             + ((cum2[-1] - head2) - (cum[-1] - head) ** 2 / nl[m - 2::-1]))
+    invalid = svals[:-1] >= svals[1:]
+    if invalid.all():
         return None
-    score = np.where(valid, score, np.inf)
-    flat = int(np.argmin(score))
-    pos, col = divmod(flat, score.shape[1])
-    thresh = 0.5 * (svals[pos, col] + svals[pos + 1, col])
-    # midpoints of adjacent floats can round up to the right value, which
-    # would send both sides left; fall back to the left value itself
-    if thresh >= svals[pos + 1, col]:
-        thresh = svals[pos, col]
-    return col, float(thresh), float(score[pos, col])
+    score[invalid] = np.inf
+    pos, col = divmod(int(score.argmin()), score.shape[1])
+    lo, hi = svals.item(pos, col), svals.item(pos + 1, col)
+    thresh = 0.5 * (lo + hi)
+    # an adjacent-float midpoint can round up to hi and send every row left
+    return col, (lo if thresh >= hi else thresh)
 
 
 def _grow_tree(X: np.ndarray, y: np.ndarray, mtry: int, min_node_size: int,
                rng: np.random.Generator) -> Tree:
     n, p = X.shape
+    k = min(mtry, p)
     boot = rng.integers(0, n, size=n)
     Xb, yb = X[boot], y[boot]
-
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
-
-    stack = [(new_node(), np.arange(n))]
+    nl, cols = np.arange(1, n, dtype=np.float64)[:, None], np.arange(k)
+    # one [feature, threshold, left, right, value] record per node
+    nodes = [[-1, 0.0, -1, -1, 0.0]]
+    stack = [(0, np.arange(n), yb)]
     while stack:
-        node, idx = stack.pop()
-        ynode = yb[idx]
-        value[node] = float(ynode.mean())
-        if len(idx) <= min_node_size or np.all(ynode == ynode[0]):
+        node, idx, ynode = stack.pop()
+        m = idx.shape[0]
+        nodes[node][4] = float(np.add.reduce(ynode)) / m
+        if m <= min_node_size or ynode.min() == ynode.max():
             continue
-        cand = rng.choice(p, size=min(mtry, p), replace=False)
-        split = _best_split(Xb[np.ix_(idx, cand)], ynode)
+        cand = rng.choice(p, size=k, replace=False)
+        sub = Xb.take(idx, 0).take(cand, 1)
+        split = _best_split(sub, ynode, nl, cols)
         if split is None:
             continue
-        col, thresh, _ = split
-        feat = int(cand[col])
-        go_left = Xb[idx, feat] <= thresh
-        feature[node] = feat
-        threshold[node] = thresh
-        li, ri = new_node(), new_node()
-        left[node], right[node] = li, ri
-        stack.append((ri, idx[~go_left]))
-        stack.append((li, idx[go_left]))
-    return Tree(feature=np.asarray(feature, dtype=np.int32),
-                threshold=np.asarray(threshold, dtype=np.float64),
-                left=np.asarray(left, dtype=np.int32),
-                right=np.asarray(right, dtype=np.int32),
-                value=np.asarray(value, dtype=np.float64))
+        col, thresh = split
+        go_left = sub[:, col] <= thresh
+        go_right = ~go_left
+        li = len(nodes)
+        nodes[node][:4] = int(cand[col]), thresh, li, li + 1
+        nodes += [-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]
+        stack.append((li + 1, idx[go_right], ynode[go_right]))
+        stack.append((li, idx[go_left], ynode[go_left]))
+    feature, threshold, left, right, value = zip(*nodes)
+    return Tree(feature=np.array(feature, dtype=np.int32), threshold=np.array(threshold),
+                left=np.array(left, dtype=np.int32), right=np.array(right, dtype=np.int32),
+                value=np.array(value))
 
 
 def _tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
@@ -151,7 +152,6 @@ def fit_forest(X: np.ndarray, y: np.ndarray, *, n_trees: int = 500, mtry: int = 
         raise FitError(f"min node size must be at least 1, got {min_node_size}")
     p = X.shape[1]
     eff_mtry = mtry if mtry > 0 else -(-p // 3)
-
     trees = tuple(_grow_tree(X, y, eff_mtry, min_node_size,
                              np.random.default_rng(derive_seed(seed, "tree", t)))
                   for t in range(n_trees))

@@ -2,13 +2,39 @@
 
 These deliberately avoid the library's solution paths: ridge is solved by
 plain gradient descent, the SVR dual by projected gradient with a tiny
-step size, and the extrinsic matrix model by model and row by row.
+step size, and the extrinsic matrix model by model and row by row. The
+scalar RBF kernel, the SVR dual objective and the inverse of target
+normalization are checks the library itself never calls.
 """
 
 import numpy as np
 
 from crossrep.errors import ValidationError
 from crossrep.learners import predict
+
+
+def rbf_kernel(x, z, sigma):
+    """k(x, z) = exp(-sigma * ||x - z||^2) for two vectors."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    z = np.asarray(z, dtype=np.float64).ravel()
+    if x.shape != z.shape:
+        raise ValidationError(f"kernel input length mismatch: {x.shape[0]} vs {z.shape[0]}")
+    if sigma <= 0:
+        raise ValidationError(f"kernel width must be positive, got {sigma}")
+    d = x - z
+    return float(np.exp(-sigma * (d * d).sum()))
+
+
+def dual_objective(K, y, epsilon, a):
+    """Objective (minimized) of the 2l-variable SVR dual at point ``a``."""
+    l = len(y)
+    beta = a[:l] - a[l:]
+    return float(0.5 * beta @ K @ beta + epsilon * a.sum() - y @ beta)
+
+
+def denormalize_targets(values, params):
+    """Inverse of ``data.normalize_targets`` for its ``NormalizationParams``."""
+    return np.asarray(values, dtype=np.float64) * (params.max - params.min) + params.min
 
 
 def ridge_gradient(X, y, b0, beta, lam):

@@ -13,15 +13,16 @@ from crossrep.engine import (TrainingScope, audit_no_leakage, build_extrinsic,
                              cross_predict, second_order_extrinsic, select_descriptors,
                              stage1_train, stage2_train)
 from crossrep.evaluation import improvement_pct, rmse, win_count
-from crossrep.learners import (LearnerSpec, dual_objective, fit_forest, fit_ridge,
-                               fit_svr, predict, rbf_gram)
+from crossrep.learners import (LearnerSpec, fit_forest, fit_ridge, fit_svr, predict,
+                               rbf_gram)
 from crossrep.learners.svr import _smo
 from crossrep.pipeline import (PipelineConfig, SplitProtocol, run_pipeline,
                                scores_tsv, write_result)
 from crossrep.seeding import derive_seed
 from crossrep.synth import Nonlinearity, SynthSpec, generate_collection
 
-from helpers import gradient_descent_ridge, oracle_extrinsic, projected_gradient_svr_dual
+from helpers import (dual_objective, gradient_descent_ridge, oracle_extrinsic,
+                     projected_gradient_svr_dual)
 
 
 def report(n, message):

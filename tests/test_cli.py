@@ -11,6 +11,13 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def _walk_depth(tree, node):
+    """Longest root-to-leaf path below ``node``, by recursion over the child links."""
+    if tree.feature[node] < 0:
+        return 0
+    return 1 + max(_walk_depth(tree, tree.left[node]), _walk_depth(tree, tree.right[node]))
+
+
 @pytest.fixture
 def synth_dir(tmp_path):
     out = tmp_path / "coll"
@@ -125,7 +132,7 @@ class TestBankAndCluster:
 
     @pytest.mark.parametrize("learner, fields", [
         ('{"kind": "ridge_cv", "lambda_grid": [0.5, 50.0], "k": 3}', ("lam",)),
-        ('{"kind": "forest", "n_trees": 3, "seed": 1}', ("trees", "nodes")),
+        ('{"kind": "forest", "n_trees": 3, "seed": 1}', ("trees", "nodes", "depth")),
         ('{"kind": "svr", "c": 2.0}', ("n_iter", "kkt_gap")),
     ])
     def test_inspect_bank_prints_solver_diagnostics(self, tmp_path, synth_dir, capsys,
@@ -147,6 +154,7 @@ class TestBankAndCluster:
             if "trees" in fields:
                 assert int(printed["trees"]) == 3
                 assert int(printed["nodes"]) == sum(t.feature.shape[0] for t in state.trees)
+                assert int(printed["depth"]) == max(_walk_depth(t, 0) for t in state.trees)
             if "n_iter" in fields:
                 assert int(printed["n_iter"]) == state.n_iter
                 assert abs(float(printed["kkt_gap"]) - state.kkt_gap) <= 1e-6 * state.kkt_gap
@@ -447,3 +455,44 @@ class TestJsonDocuments:
         archive.write_text(json.dumps(doc))
         capsys.readouterr()
         self.check(capsys, run_cli("inspect-bank", "--bank", str(bank)), archive, "n_iter")
+
+    @pytest.mark.parametrize("learner, key", [
+        ({"kind": "forest", "n_trees": 2.7, "mtry": "1"}, "n_trees"),
+        ({"kind": "forest", "mtry": "1"}, "mtry"),
+        ({"kind": "ridge", "lam": True}, "lam"),
+        ({"kind": "ridge_cv", "lambda_grid": [1.0, "10"]}, "lambda_grid"),
+        ({"kind": "svr", "max_iter": 1e5}, "max_iter"),
+        ({"kind": "svr", "c": "2"}, "c"),
+        ({"kind": "ridge", "mu": 1.0}, "mu"),
+    ], ids=["float-n_trees", "string-mtry", "bool-lam", "string-grid", "float-max_iter",
+            "string-c", "unknown-key"])
+    def test_mistyped_hyperparameter(self, tmp_path, synth_dir, run_config, capsys,
+                                     learner, key):
+        code = run_cli("train-bank", "--collection", str(synth_dir / "manifest.json"),
+                       "--learner", json.dumps(learner), "--out", str(tmp_path / "b"))
+        self.check(capsys, code, "--learner", key)
+        doc = json.loads(run_config.read_text())
+        doc["final"] = learner
+        run_config.write_text(json.dumps(doc))
+        code = run_cli("run", "--config", str(run_config), "--out", str(tmp_path / "x"))
+        self.check(capsys, code, run_config, key)
+
+    @pytest.mark.parametrize("learner, key, value", [
+        ('{"kind": "forest", "n_trees": 2}', "mtry", "1"),
+        ('{"kind": "forest", "n_trees": 2}', "seed", 2.5),
+        ('{"kind": "forest", "n_trees": 2}', "trees", {}),
+        ('{"kind": "ridge"}', "lam", True),
+        ('{"kind": "ridge"}', "intercept", "0.5"),
+        ('{"kind": "svr"}', "bias", True),
+        ('{"kind": "svr"}', "n_iter", 3.5),
+    ])
+    def test_mistyped_archive_state(self, tmp_path, synth_dir, capsys, learner, key, value):
+        bank = tmp_path / "typed_bank"
+        assert run_cli("train-bank", "--collection", str(synth_dir / "manifest.json"),
+                       "--learner", learner, "--out", str(bank)) == 0
+        archive = bank / "task001.model.json"
+        doc = json.loads(archive.read_text())
+        doc["state"][key] = value
+        archive.write_text(json.dumps(doc))
+        capsys.readouterr()
+        self.check(capsys, run_cli("inspect-bank", "--bank", str(bank)), archive, key)

@@ -6,7 +6,9 @@ malformed ``--learner`` JSON, and config, collection manifest and model
 archive documents with missing or wrongly typed fields, and runs the CLI
 on them in-process. Every
 run must exit 0, 2, 3 or 4 and print no traceback; an exception escaping
-``main`` fails the property with the input that raised it.
+``main`` fails the property with the input that raised it. A wrongly
+typed learner hyperparameter or archived state value must exit 3 and
+name the flag or file and the key.
 """
 
 import contextlib
@@ -147,6 +149,63 @@ def test_train_bank_on_malformed_learner_json(bank, learner):
     with tempfile.TemporaryDirectory() as tmp:
         check(*run("train-bank", "--collection", manifest, "--learner", learner,
                    "--out", Path(tmp) / "bank"))
+
+
+HYPERPARAM_TYPES = {
+    "ridge": {"lam": float},
+    "ridge_cv": {"lambda_grid": list, "k": int},
+    "forest": {"n_trees": int, "mtry": int, "min_node_size": int},
+    "svr": {"c": float, "epsilon": float, "sigma": float, "tol": float, "max_iter": int},
+}
+WRONG_VALUES = {
+    float: st.sampled_from([True, False, None, "1", "1.5", [], [1.0], {}]),
+    int: st.sampled_from([2.5, 2.0, 1e5, True, None, "1", [], [1], {}]),
+    list: st.sampled_from([1.0, True, None, "1.0", {}, [True], ["1.0"], [1.0, None]]),
+}
+
+
+@st.composite
+def mistyped_hyperparams(draw):
+    """(kind, key, value): one hyperparameter of a kind with a value of the wrong JSON type."""
+    kind = draw(st.sampled_from(sorted(HYPERPARAM_TYPES)))
+    key, kind_of_value = draw(st.sampled_from(sorted(HYPERPARAM_TYPES[kind].items(),
+                                                     key=lambda item: item[0])))
+    return kind, key, draw(WRONG_VALUES[kind_of_value])
+
+
+@given(mistyped_hyperparams(), st.integers(0, 3))
+@PROPERTY
+def test_train_bank_rejects_mistyped_hyperparameter(bank, case, seed):
+    _, manifest = bank
+    kind, key, value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = run("train-bank", "--collection", manifest, "--out", Path(tmp) / "bank",
+                        "--learner", json.dumps({"kind": kind, "seed": seed, key: value}))
+    assert code == 3, err
+    assert "--learner" in err and repr(key) in err
+    assert "Traceback" not in err
+
+
+@given(st.one_of(
+    WRONG_VALUES[float].map(lambda value: ("spec", "lam", value)),
+    st.tuples(st.just("state"), st.sampled_from(["lam", "intercept"]), WRONG_VALUES[float]),
+))
+@PROPERTY
+def test_inspect_bank_rejects_mistyped_archive_value(bank, edit):
+    """A ridge archive whose spec hyperparameter or state scalar has the wrong type."""
+    bank_dir, _ = bank
+    where, key, value = edit
+    with tempfile.TemporaryDirectory() as tmp:
+        copied = Path(tmp) / "bank"
+        shutil.copytree(bank_dir, copied)
+        archive = copied / "task001.model.json"
+        doc = json.loads(archive.read_text())
+        (doc["spec"]["hyperparams"] if where == "spec" else doc["state"])[key] = value
+        archive.write_text(json.dumps(doc), encoding="utf-8")
+        code, err = run("inspect-bank", "--bank", copied)
+    assert code == 3, err
+    assert str(archive) in err and repr(key) in err
+    assert "Traceback" not in err
 
 
 CONFIG_VALUES = st.sampled_from([

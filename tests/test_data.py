@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crossrep
-from crossrep.data import (CollectionMode, Task, assemble_collection,
-                           denormalize_targets, json_field, load_collection, load_task,
-                           make_fold_plan, make_holdout_plan, normalize_targets,
-                           read_json, write_collection)
+from crossrep.data import (CollectionMode, Task, assemble_collection, json_field,
+                           load_collection, load_task, make_fold_plan, make_holdout_plan,
+                           normalize_targets, read_json, write_collection)
 from crossrep.errors import IngestionError, ValidationError
+
+from helpers import denormalize_targets
 
 from conftest import make_task
 

@@ -129,3 +129,19 @@ def test_predict_rejects_nonfinite_input():
     bad[0, 1] = np.nan
     with pytest.raises(Exception, match="non-finite"):
         predict(model, bad)
+
+
+def _walk_depth(tree, node=0):
+    if tree.feature[node] < 0:
+        return 0
+    return 1 + max(_walk_depth(tree, tree.left[node]), _walk_depth(tree, tree.right[node]))
+
+
+def test_diagnostics_depth_is_longest_root_to_leaf_path():
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(60, 3))
+    y = rng.normal(size=60)
+    stump = fit_forest(X, y, n_trees=2, min_node_size=60, seed=0).state
+    assert stump.diagnostics()["depth"] == 0
+    state = fit_forest(X, y, n_trees=4, min_node_size=1, seed=0).state
+    assert state.diagnostics()["depth"] == max(_walk_depth(t) for t in state.trees) > 1

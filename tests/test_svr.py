@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from crossrep.errors import ConvergenceError, FitError, ValidationError
-from crossrep.learners import (dual_objective, fit_svr, predict, rbf_gram,
-                               rbf_kernel)
+from crossrep.learners import fit_svr, predict, rbf_gram
 from crossrep.learners.svr import _smo
 
-from helpers import projected_gradient_svr_dual
+from helpers import dual_objective, projected_gradient_svr_dual, rbf_kernel
 
 
 class TestRbfKernel:
