@@ -32,6 +32,18 @@ class TestRbfKernel:
             assert np.allclose(K, K.T)
             assert np.linalg.eigvalsh(K).min() > -1e-8
 
+    @pytest.mark.parametrize("a_rows, b_rows, p", [(1, 1, 1), (30, 65, 7), (168, 168, 12),
+                                                   (40, 130, 30), (9000, 3, 120)])
+    def test_gram_matches_column_loop_bitwise(self, a_rows, b_rows, p):
+        # The last shape makes A large enough that B is taken one row at a time.
+        rng = np.random.default_rng(a_rows + b_rows)
+        A, B = rng.normal(size=(a_rows, p)), rng.normal(size=(b_rows, p))
+        expected = np.empty((a_rows, b_rows))
+        for j in range(b_rows):
+            d = A - B[j]
+            expected[:, j] = np.exp(-0.3 * (d * d).sum(axis=1))
+        assert np.array_equal(rbf_gram(A, B, 0.3), expected)
+
 
 class TestSvrFit:
     def test_flat_function_within_tube(self):
