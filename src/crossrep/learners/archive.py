@@ -64,6 +64,8 @@ def _state_from_doc(kind: LearnerKind, doc: dict, where: str):
                  left=_dec(t["left"]), right=_dec(t["right"]), value=_dec(t["value"]))
             for t in json_field(where, doc, "trees", list)
         )
+        if not trees:
+            raise IngestionError(f"{where}: 'trees' must be a non-empty list")
         return ForestState(trees=trees, seed=json_field(where, doc, "seed", int),
                            mtry=json_field(where, doc, "mtry", int),
                            min_node_size=json_field(where, doc, "min_node_size", int))

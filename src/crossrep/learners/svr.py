@@ -24,10 +24,11 @@ def rbf_gram(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
     Each entry is one sum along the contiguous feature axis of A_i - B_j,
     so it does not depend on the other rows of A or B (bitwise row
     stability). B is taken up to 64 rows at a time, one 3-D difference
-    each, with fewer rows when A is large so a chunk stays near 2**20 values.
+    each; a chunk holds about 2**15 differences (256 KiB) at most, which
+    keeps it in cache and peak memory flat.
     """
     K = np.empty((A.shape[0], B.shape[0]), dtype=np.float64)
-    step = max(1, min(64, (1 << 20) // max(1, A.size)))
+    step = max(1, min(64, (1 << 15) // max(1, A.size)))
     for j in range(0, B.shape[0], step):
         d = A - B[j:j + step, None]
         d *= d

@@ -481,6 +481,7 @@ class TestJsonDocuments:
         ('{"kind": "forest", "n_trees": 2}', "mtry", "1"),
         ('{"kind": "forest", "n_trees": 2}', "seed", 2.5),
         ('{"kind": "forest", "n_trees": 2}', "trees", {}),
+        ('{"kind": "forest", "n_trees": 2}', "trees", []),
         ('{"kind": "ridge"}', "lam", True),
         ('{"kind": "ridge"}', "intercept", "0.5"),
         ('{"kind": "svr"}', "bias", True),
