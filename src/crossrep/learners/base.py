@@ -96,7 +96,7 @@ class LearnerSpec:
                 "seed": self.seed}
 
     @classmethod
-    def from_dict(cls, doc: dict, where: str = "learner spec") -> "LearnerSpec":
+    def from_dict(cls, doc: dict, where: str) -> "LearnerSpec":
         """Inverse of ``to_dict``: every hyperparameter of the kind is present."""
         hp = json_field(where, doc, "hyperparams", dict)
         spec = parse_learner_spec({**hp, "kind": doc.get("kind"), "seed": doc.get("seed", 0)},
@@ -108,7 +108,7 @@ class LearnerSpec:
         return spec
 
 
-def parse_learner_spec(doc: dict, where: str = "learner spec") -> LearnerSpec:
+def parse_learner_spec(doc: dict, where: str) -> LearnerSpec:
     """Flat form: {"kind": ..., "seed": ..., <hyperparams>}; defaults fill the rest.
 
     Each value must have its hyperparameter's JSON type; errors name

@@ -159,7 +159,7 @@ HYPERPARAM_TYPES = {
 }
 WRONG_VALUES = {
     float: st.sampled_from([True, False, None, "1", "1.5", [], [1.0], {}]),
-    int: st.sampled_from([2.5, 2.0, 1e5, True, None, "1", [], [1], {}]),
+    int: st.sampled_from([2.5, 2.0, True, None, "1", [], [1], {}]),
     list: st.sampled_from([1.0, True, None, "1.0", {}, [True], ["1.0"], [1.0, None]]),
 }
 
@@ -168,8 +168,7 @@ WRONG_VALUES = {
 def mistyped_hyperparams(draw):
     """(kind, key, value): one hyperparameter of a kind with a value of the wrong JSON type."""
     kind = draw(st.sampled_from(sorted(HYPERPARAM_TYPES)))
-    key, kind_of_value = draw(st.sampled_from(sorted(HYPERPARAM_TYPES[kind].items(),
-                                                     key=lambda item: item[0])))
+    key, kind_of_value = draw(st.sampled_from(list(HYPERPARAM_TYPES[kind].items())))
     return kind, key, draw(WRONG_VALUES[kind_of_value])
 
 
