@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's solution paths: ridge is solved by
 plain gradient descent, the SVR dual by projected gradient with a tiny
-step size, and the extrinsic matrix model by model and row by row. The
-scalar RBF kernel, the SVR dual objective and the inverse of target
-normalization are checks the library itself never calls.
+step size, the extrinsic matrix model by model and row by row, and forest
+predictions node by node. The scalar RBF kernel, the SVR dual objective
+and the inverse of target normalization are checks the library itself
+never calls.
 """
 
 import numpy as np
@@ -102,6 +103,27 @@ def projected_gradient_svr_dual(K, y, c, epsilon, n_iter=20_000):
     for _ in range(n_iter):
         a = project_box_hyperplane(a - step * grad(a), c, u)
     return a, objective(a)
+
+
+def walk_forest_predict(state, X):
+    """Forest predictions by walking each tree node by node, one row at a time.
+
+    A row goes left when its split feature is ``<=`` the threshold. Leaf
+    values are summed as Python floats in tree order from 0.0 and the sum
+    is divided by the tree count, which is the library's float contract.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty(X.shape[0], dtype=np.float64)
+    for i, row in enumerate(X.tolist()):
+        total = 0.0
+        for tree in state.trees:
+            node = 0
+            while tree.feature[node] >= 0:
+                go_left = row[tree.feature[node]] <= tree.threshold[node]
+                node = tree.left[node] if go_left else tree.right[node]
+            total += float(tree.value[node])
+        out[i] = total / len(state.trees)
+    return out
 
 
 def oracle_extrinsic(collection, bank, task_id):
