@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .clustering import (assignments_tsv, build_pool, cluster_examples,
+from .clustering import (ClusterResult, assignments_tsv, build_pool, cluster_examples,
                          cluster_tasks, cross_prediction_matrix,
                          pairwise_distances_tsv)
 from .data import (CollectionMode, SplitKind, json_field, load_collection, load_pool,
@@ -122,6 +122,10 @@ def cmd_train_bank(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _kmeans_line(items: str, res: ClusterResult) -> str:
+    return f"{items} k-means: converged={res.converged} n_iter={res.n_iter}"
+
+
 def cmd_cluster(args: argparse.Namespace) -> int:
     bank = load_bank(Path(args.bank))
     pool_path = Path(args.pool)
@@ -142,6 +146,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     if args.items in ("tasks", "both"):
         res = cluster_tasks(matrix, args.k, args.seed, standardize=args.standardize)
         (out_dir / "task_clusters.tsv").write_text(assignments_tsv(res), encoding="utf-8")
+        print(_kmeans_line("task", res))
         wrote.append("task_clusters.tsv")
         if args.distances:
             (out_dir / "task_distances.tsv").write_text(
@@ -150,6 +155,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     if args.items in ("examples", "both"):
         res = cluster_examples(matrix, args.k, args.seed, standardize=args.standardize)
         (out_dir / "example_clusters.tsv").write_text(assignments_tsv(res), encoding="utf-8")
+        print(_kmeans_line("example", res))
         wrote.append("example_clusters.tsv")
         if args.distances:
             (out_dir / "example_distances.tsv").write_text(

@@ -53,7 +53,42 @@ def _state_to_doc(model: FittedModel) -> dict:
     raise IngestionError(f"cannot archive state of type {type(s).__name__}")
 
 
-def _state_from_doc(kind: LearnerKind, doc: dict, where: str):
+def _check_tree(tree: Tree, feature_count: int, where: str) -> None:
+    """The layout rules of ``forest``, which its prediction relies on."""
+    arrays = {"feature": tree.feature, "threshold": tree.threshold, "left": tree.left,
+              "right": tree.right, "value": tree.value}
+    n = tree.feature.shape[0] if tree.feature.ndim == 1 else 0
+    for name, arr in arrays.items():
+        if arr.ndim != 1 or arr.shape[0] != n or n == 0:
+            raise IngestionError(f"{where}: {name!r} must be a non-empty 1-d array as long "
+                                 f"as 'feature', got shape {arr.shape}")
+        floats = name in ("threshold", "value")
+        if not np.issubdtype(arr.dtype, np.floating if floats else np.signedinteger):
+            raise IngestionError(f"{where}: {name!r} must hold "
+                                 f"{'floats' if floats else 'signed integers'}, "
+                                 f"got dtype {arr.dtype.str}")
+        if floats and not np.isfinite(arr).all():
+            raise IngestionError(f"{where}: {name!r} holds a non-finite value")
+    # 'left' + 1 wraps around only at the int64 maximum, where 'right' <= 'left'
+    feature, left, right = (a.astype(np.int64) for a in (tree.feature, tree.left, tree.right))
+    node = np.arange(n)
+    split = feature >= 0
+    rules = [
+        ("feature", ~split & (feature != -1), "must be -1 at a leaf"),
+        ("feature", split & (feature >= feature_count),
+         f"must be below the feature count {feature_count}"),
+        ("left", split & (left <= node), "must point past its node"),
+        ("right", split & ((right != left + 1) | (right <= left)), "must be 'left' + 1"),
+        ("right", split & (right >= n), f"must be below the node count {n}"),
+    ]
+    for name, bad, rule in rules:
+        if bad.any():
+            i = int(bad.argmax())
+            raise IngestionError(f"{where}: {name!r} of node {i} {rule}, "
+                                 f"got {arrays[name][i]}")
+
+
+def _state_from_doc(kind: LearnerKind, doc: dict, where: str, feature_count: int):
     if kind in (LearnerKind.RIDGE, LearnerKind.RIDGE_CV):
         return RidgeState(coef=_dec(doc["coef"]),
                           intercept=float(json_field(where, doc, "intercept", float)),
@@ -66,6 +101,8 @@ def _state_from_doc(kind: LearnerKind, doc: dict, where: str):
         )
         if not trees:
             raise IngestionError(f"{where}: 'trees' must be a non-empty list")
+        for i, tree in enumerate(trees):
+            _check_tree(tree, feature_count, f"{where}: tree {i}")
         return ForestState(trees=trees, seed=json_field(where, doc, "seed", int),
                            mtry=json_field(where, doc, "mtry", int),
                            min_node_size=json_field(where, doc, "min_node_size", int))
@@ -112,7 +149,7 @@ def load_model(path: str | Path) -> FittedModel:
         std = None if std_doc is None else Standardizer(mean=_dec(std_doc["mean"]),
                                                         scale=_dec(std_doc["scale"]))
         state = _state_from_doc(spec.kind, json_field(path, doc, "state", dict),
-                                f"{path}: state")
+                                f"{path}: state", feature_count)
     except (KeyError, TypeError, ValueError) as exc:
         raise IngestionError(f"{path}: corrupt model archive, {exc!r}") from None
     return FittedModel(spec=spec, state=state, feature_count=feature_count,

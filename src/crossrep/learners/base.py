@@ -10,6 +10,7 @@ transform engine's oracle equivalence tests rely on this.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
@@ -35,6 +36,21 @@ _HYPERPARAMS = {
     LearnerKind.FOREST: {"n_trees": int, "mtry": int, "min_node_size": int},
     LearnerKind.SVR: {"c": float, "epsilon": float, "sigma": float, "tol": float,
                       "max_iter": int},
+}
+
+# The bounds ``fit_*`` enforce, as (test, what the value must be). Parsing
+# checks them too, and that every float is finite; ``tol`` needs only that.
+_BOUNDS = {
+    "lam": (lambda v: v >= 0, "finite and nonnegative"),
+    "lambda_grid": (lambda v: len(v) > 0 and all(x >= 0 for x in v),
+                    "a non-empty list of finite nonnegative numbers"),
+    "k": (lambda v: v >= 2, "at least 2"),
+    "n_trees": (lambda v: v >= 1, "at least 1"),
+    "min_node_size": (lambda v: v >= 1, "at least 1"),
+    "c": (lambda v: v > 0, "finite and positive"),
+    "epsilon": (lambda v: v >= 0, "finite and nonnegative"),
+    "sigma": (lambda v: v > 0, "finite and positive"),
+    "tol": (lambda v: True, "finite"),
 }
 
 _LABELS = {
@@ -111,8 +127,8 @@ class LearnerSpec:
 def parse_learner_spec(doc: dict, where: str) -> LearnerSpec:
     """Flat form: {"kind": ..., "seed": ..., <hyperparams>}; defaults fill the rest.
 
-    Each value must have its hyperparameter's JSON type; errors name
-    ``where`` and the key.
+    Each value must have its hyperparameter's JSON type, be finite and lie
+    within the bounds its fit enforces; errors name ``where`` and the key.
     """
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValidationError(f"{where}: needs to be a JSON object with a 'kind' field")
@@ -130,6 +146,12 @@ def parse_learner_spec(doc: dict, where: str) -> LearnerSpec:
     grid = kwargs.get("lambda_grid", ())
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in grid):
         raise ValidationError(f"{where}: 'lambda_grid' must be a list of numbers, got {grid!r}")
+    for key, value in kwargs.items():
+        test, bound = _BOUNDS.get(key, (lambda v: True, ""))
+        numbers = value if isinstance(value, list) else [value]
+        if not (all(math.isfinite(v) for v in numbers if isinstance(v, float))
+                and test(value)):
+            raise ValidationError(f"{where}: {key!r} must be {bound}, got {value!r}")
     ctor = {LearnerKind.RIDGE: LearnerSpec.ridge,
             LearnerKind.RIDGE_CV: LearnerSpec.ridge_cv,
             LearnerKind.FOREST: LearnerSpec.forest,

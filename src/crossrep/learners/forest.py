@@ -14,11 +14,24 @@ tree (``tests/test_forest_golden.py`` holds digests of its arrays):
   the first best (position, column) in row-major order wins;
 - the threshold is the midpoint around the split, or the left value when
   the midpoint rounds up to the right one.
+
+Every tree also keeps the layout rules that ``archive`` checks on load:
+a leaf has feature -1; a split node has a feature in range, its left child
+after it and its right child at left + 1. Prediction relies on them. It
+packs all trees once into flat arrays (``ForestState.packed``) in which a
+leaf points to itself, then moves every (tree, row) pair one level per
+step for exactly the forest's depth, in chunks of about
+``PREDICT_CHUNK_PAIRS`` pairs. A row goes right when ``x > threshold``,
+which for finite values is the same comparison as ``not x <= threshold``.
+Leaf values are summed over trees in tree order into zeros and divided by
+the tree count, so a prediction's bits do not depend on the other rows,
+the chunking or the input's memory layout (digests in the same test file).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +39,9 @@ from ..errors import FitError
 from ..seeding import derive_seed
 from .base import (EMPTY_FINGERPRINT, FittedModel, LearnerSpec,
                    TrainFingerprint, check_fit_input)
+
+# (tree, row) pairs per prediction chunk: keeps the traversal's buffers small
+PREDICT_CHUNK_PAIRS = 8192
 
 
 @dataclass(frozen=True)
@@ -40,23 +56,61 @@ class Tree:
 
 
 @dataclass(frozen=True)
+class PackedForest:
+    """All trees of a forest in flat arrays, leaves looping to themselves.
+
+    Split node i sends a row to ``nxt[i] + (x[feat[i]] > thr[i])``, its
+    left child or the right child next to it; a leaf has ``feat`` 0,
+    ``thr`` +inf and ``nxt`` itself, so it never moves. Every row reaches
+    its leaf in every tree after ``depth`` steps, the forest's longest
+    root-to-leaf path. ``roots`` holds each tree's node offset.
+    """
+
+    feat: np.ndarray
+    thr: np.ndarray
+    nxt: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    depth: int
+
+    @classmethod
+    def pack(cls, trees: tuple[Tree, ...]) -> "PackedForest":
+        sizes = [t.feature.shape[0] for t in trees]
+        roots = np.zeros(len(trees), dtype=np.intp)
+        np.cumsum(sizes[:-1], out=roots[1:])
+        feature = np.concatenate([t.feature for t in trees])
+        leaf = feature < 0
+        left = np.concatenate([t.left for t in trees]).astype(np.intp)
+        left += np.repeat(roots, sizes)
+        nxt = np.where(leaf, np.arange(feature.shape[0]), left)
+        # one level per pass; a node mask stays as small as the forest
+        depth, level = 0, np.zeros(feature.shape[0], dtype=bool)
+        level[roots] = True
+        while (children := nxt[level & ~leaf]).size:
+            level[:] = False
+            level[children] = level[children + 1] = True
+            depth += 1
+        return cls(feat=np.where(leaf, 0, feature).astype(np.intp),
+                   thr=np.where(leaf, np.inf, np.concatenate([t.threshold for t in trees])),
+                   nxt=nxt, value=np.concatenate([t.value for t in trees]), roots=roots,
+                   depth=depth)
+
+
+@dataclass(frozen=True)
 class ForestState:
     trees: tuple[Tree, ...]
     seed: int
     mtry: int
     min_node_size: int
 
+    @cached_property
+    def packed(self) -> PackedForest:
+        """Built on first use; never archived."""
+        return PackedForest.pack(self.trees)
+
     def diagnostics(self) -> dict:
         return {"trees": len(self.trees), "nodes": sum(t.feature.shape[0] for t in self.trees),
-                "depth": max(_depth(t) for t in self.trees)}
-
-
-def _depth(tree: Tree) -> int:
-    """Edges on the longest root-to-leaf path, one level per pass."""
-    level, nodes = 0, np.zeros(1, dtype=np.int32)
-    while (nodes := nodes[tree.feature[nodes] >= 0]).size:
-        nodes, level = np.concatenate([tree.left[nodes], tree.right[nodes]]), level + 1
-    return level
+                "depth": self.packed.depth}
 
 
 def _best_split(sub: np.ndarray, ynode: np.ndarray, nl: np.ndarray, cols: np.ndarray):
@@ -117,27 +171,27 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, mtry: int, min_node_size: int,
                 value=np.array(value))
 
 
-def _tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
-    # Level-synchronous traversal: every row advances one level per pass.
-    pos = np.zeros(X.shape[0], dtype=np.int32)
-    while True:
-        feat = tree.feature[pos]
-        active = np.flatnonzero(feat >= 0)
-        if active.size == 0:
-            break
-        node = pos[active]
-        go_left = X[active, feat[active]] <= tree.threshold[node]
-        pos[active] = np.where(go_left, tree.left[node], tree.right[node])
-    return tree.value[pos]
-
-
 def predict_state(state: ForestState, X: np.ndarray) -> np.ndarray:
-    # Sequential accumulation over trees keeps each row's float result
-    # independent of the batch size.
-    out = np.zeros(X.shape[0], dtype=np.float64)
-    for tree in state.trees:
-        out += _tree_predict(tree, X)
-    return out / len(state.trees)
+    forest = state.packed
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    n, p = X.shape
+    trees = forest.roots.shape[0]
+    out = np.zeros(n, dtype=np.float64)
+    step = max(1, PREDICT_CHUNK_PAIRS // trees)
+    for start in range(0, n, step):
+        rows = X[start:start + step]
+        m, Xf = rows.shape[0], rows.ravel()
+        # (tree, row) pairs, tree-major: pair t * m + i is row i in tree t
+        pos = np.repeat(forest.roots, m)
+        base = np.tile(np.arange(m) * p, trees)
+        for _ in range(forest.depth):
+            go_right = Xf.take(base + forest.feat.take(pos)) > forest.thr.take(pos)
+            pos = forest.nxt.take(pos)
+            pos += go_right
+        chunk = out[start:start + m]
+        for leaf_values in forest.value.take(pos).reshape(trees, m):
+            chunk += leaf_values
+    return out / trees
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, *, n_trees: int = 500, mtry: int = 0,

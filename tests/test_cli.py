@@ -1,10 +1,16 @@
+import contextlib
 import hashlib
 import json
+import signal
 
+import numpy as np
 import pytest
 
 from crossrep.cli import main
+from crossrep.clustering import cluster_examples, cluster_tasks, cross_prediction_matrix
+from crossrep.data import load_task
 from crossrep.engine import load_bank
+from crossrep.learners.archive import _dec, _enc
 
 
 def run_cli(*argv):
@@ -159,17 +165,24 @@ class TestBankAndCluster:
                 assert int(printed["n_iter"]) == state.n_iter
                 assert abs(float(printed["kkt_gap"]) - state.kkt_gap) <= 1e-6 * state.kkt_gap
 
-    def test_cluster_writes_reports(self, tmp_path, bank_dir, synth_dir):
+    def test_cluster_writes_reports(self, tmp_path, bank_dir, synth_dir, capsys):
         out = tmp_path / "clusters"
-        code = run_cli("cluster", "--bank", str(bank_dir),
-                       "--pool", str(synth_dir / "task000.csv"), "--target", "y",
-                       "--k", "2", "--seed", "3", "--items", "both",
+        pool = synth_dir / "task000.csv"
+        code = run_cli("cluster", "--bank", str(bank_dir), "--pool", str(pool),
+                       "--target", "y", "--k", "2", "--seed", "3", "--items", "both",
                        "--distances", "--out", str(out))
         assert code == 0
         task_lines = (out / "task_clusters.tsv").read_text().splitlines()
         assert len(task_lines) == 5  # header + 4 tasks
         assert (out / "example_clusters.tsv").is_file()
         assert (out / "task_distances.tsv").is_file()
+        # the printed k-means diagnostics are those of the clusterings written
+        matrix = cross_prediction_matrix(load_bank(bank_dir), load_task(pool, "y").features)
+        lines = capsys.readouterr().out.splitlines()
+        for items, res in (("task", cluster_tasks(matrix, 2, 3)),
+                           ("example", cluster_examples(matrix, 2, 3))):
+            assert (f"{items} k-means: converged={res.converged} n_iter={res.n_iter}"
+                    in lines)
 
     def test_cluster_seed_respected(self, tmp_path, bank_dir, synth_dir):
         outs = []
@@ -254,6 +267,91 @@ class TestBankAndCluster:
                        "--pool", str(synth_dir / "task000.csv"), "--target", "y",
                        "--k", "2", "--out", str(tmp_path / "x"))
         assert code == 3
+
+
+def _at_root(value):
+    """Set element 0, the root's; a callable value gets the node count."""
+    def change(arr):
+        arr[0] = value(arr.shape[0]) if callable(value) else value
+        return arr
+    return change
+
+
+def _at_first_leaf(value):
+    def change(arr):
+        arr[np.flatnonzero(arr < 0)[0]] = value
+        return arr
+    return change
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Fail instead of hanging: a cyclic tree used to loop forever."""
+    def expire(signum, frame):
+        raise TimeoutError(f"command ran longer than {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestForestArchiveStructure:
+    """A forest archive breaking a tree layout rule exits 3, naming archive, tree and array."""
+
+    # name -> ({tree array: change of its decoded value}, array the error names)
+    CASES = {
+        "root-points-to-itself": ({"left": _at_root(0), "right": _at_root(1)}, "left"),
+        "child-out-of-range": ({"left": _at_root(lambda n: n + 4),
+                                "right": _at_root(lambda n: n + 5)}, "right"),
+        "right-not-left-plus-one": ({"right": _at_root(lambda n: n - 1)}, "right"),
+        "feature-out-of-range": ({"feature": _at_root(6)}, "feature"),
+        "leaf-feature-not-minus-one": ({"feature": _at_first_leaf(-2)}, "feature"),
+        "float-left": ({"left": lambda a: a.astype(np.float64)}, "left"),
+        "unsigned-right": ({"right": lambda a: a.astype(np.uint32)}, "right"),
+        "nan-threshold": ({"threshold": _at_root(np.nan)}, "threshold"),
+        "infinite-value": ({"value": _at_root(np.inf)}, "value"),
+        "two-d-feature": ({"feature": lambda a: a.reshape(-1, 1)}, "feature"),
+        "short-value": ({"value": lambda a: a[:-1]}, "value"),
+        "empty-tree": (dict.fromkeys(("feature", "threshold", "left", "right", "value"),
+                                     lambda a: a[:0]), "feature"),
+    }
+
+    @pytest.fixture
+    def forest_bank(self, tmp_path, synth_dir):
+        bank = tmp_path / "forest_bank"
+        assert run_cli("train-bank", "--collection", str(synth_dir / "manifest.json"),
+                       "--learner", '{"kind": "forest", "n_trees": 2, "seed": 1}',
+                       "--out", str(bank)) == 0
+        return bank
+
+    @pytest.mark.parametrize("case, command", [
+        *((case, "inspect-bank") for case in CASES),
+        ("root-points-to-itself", "cluster"), ("child-out-of-range", "cluster"),
+    ])
+    def test_bad_tree_is_validation_error(self, case, command, tmp_path, forest_bank,
+                                          synth_dir, capsys):
+        changes, array = self.CASES[case]
+        archive = forest_bank / "task001.model.json"
+        doc = json.loads(archive.read_text())
+        tree = doc["state"]["trees"][1]
+        assert _dec(tree["feature"])[0] >= 0, "the root must be a split node"
+        for name, change in changes.items():
+            tree[name] = _enc(change(_dec(tree[name])))
+        archive.write_text(json.dumps(doc))
+        argv = ["--bank", str(forest_bank)]
+        if command == "cluster":
+            argv += ["--pool", str(synth_dir / "manifest.json"), "--k", "2",
+                     "--out", str(tmp_path / "x")]
+        capsys.readouterr()
+        with _time_limit(10):
+            code = run_cli(command, *argv)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert str(archive) in err and "tree 1" in err and repr(array) in err
+        assert "Traceback" not in err
 
 
 class TestCompare:
@@ -473,6 +571,24 @@ class TestJsonDocuments:
         self.check(capsys, code, "--learner", key)
         doc = json.loads(run_config.read_text())
         doc["final"] = learner
+        run_config.write_text(json.dumps(doc))
+        code = run_cli("run", "--config", str(run_config), "--out", str(tmp_path / "x"))
+        self.check(capsys, code, run_config, key)
+
+    @pytest.mark.parametrize("learner, key", [
+        ({"kind": "forest", "n_trees": 0}, "n_trees"),
+        ({"kind": "ridge", "lam": -1.0}, "lam"),
+        ({"kind": "svr", "c": -1.0}, "c"),
+        ({"kind": "ridge_cv", "lambda_grid": []}, "lambda_grid"),
+    ], ids=["zero-trees", "negative-lam", "negative-c", "empty-grid"])
+    def test_out_of_range_hyperparameter(self, tmp_path, synth_dir, run_config, capsys,
+                                         learner, key):
+        """Rejected when the spec is parsed, not when the first task is fitted."""
+        code = run_cli("train-bank", "--collection", str(synth_dir / "manifest.json"),
+                       "--learner", json.dumps(learner), "--out", str(tmp_path / "b"))
+        self.check(capsys, code, "--learner", key)
+        doc = json.loads(run_config.read_text())
+        doc["transformer"] = learner
         run_config.write_text(json.dumps(doc))
         code = run_cli("run", "--config", str(run_config), "--out", str(tmp_path / "x"))
         self.check(capsys, code, run_config, key)

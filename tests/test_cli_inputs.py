@@ -7,8 +7,8 @@ archive documents with missing or wrongly typed fields, and runs the CLI
 on them in-process. Every
 run must exit 0, 2, 3 or 4 and print no traceback; an exception escaping
 ``main`` fails the property with the input that raised it. A wrongly
-typed learner hyperparameter or archived state value must exit 3 and
-name the flag or file and the key.
+typed or out-of-range learner hyperparameter, or a wrongly typed archived
+state value, must exit 3 and name the flag or file and the key.
 """
 
 import contextlib
@@ -164,17 +164,35 @@ WRONG_VALUES = {
 }
 
 
+NAN, INF = float("nan"), float("inf")
+# Values of the right JSON type outside the bounds the fits enforce; JSON
+# text spells the non-finite floats NaN and Infinity.
+OUT_OF_RANGE = {
+    "lam": st.sampled_from([-1.0, -1, -5e-324, NAN, INF]),
+    "lambda_grid": st.sampled_from([[], [1.0, -0.5], [-1], [NAN], [0.1, INF]]),
+    "k": st.sampled_from([1, 0, -3]),
+    "n_trees": st.sampled_from([0, -1]),
+    "min_node_size": st.sampled_from([0, -2]),
+    "c": st.sampled_from([0, 0.0, -1.0, NAN, INF]),
+    "epsilon": st.sampled_from([-0.1, -1, NAN, INF]),
+    "sigma": st.sampled_from([0, -2.0, NAN, INF]),
+    "tol": st.sampled_from([NAN, INF, -INF]),
+}
+
+
 @st.composite
-def mistyped_hyperparams(draw):
-    """(kind, key, value): one hyperparameter of a kind with a value of the wrong JSON type."""
+def bad_hyperparams(draw):
+    """(kind, key, value): one hyperparameter of a kind with a wrongly typed or
+    out-of-range value."""
     kind = draw(st.sampled_from(sorted(HYPERPARAM_TYPES)))
     key, kind_of_value = draw(st.sampled_from(list(HYPERPARAM_TYPES[kind].items())))
-    return kind, key, draw(WRONG_VALUES[kind_of_value])
+    wrong = [WRONG_VALUES[kind_of_value]] + ([OUT_OF_RANGE[key]] if key in OUT_OF_RANGE else [])
+    return kind, key, draw(st.one_of(wrong))
 
 
-@given(mistyped_hyperparams(), st.integers(0, 3))
+@given(bad_hyperparams(), st.integers(0, 3))
 @PROPERTY
-def test_train_bank_rejects_mistyped_hyperparameter(bank, case, seed):
+def test_train_bank_rejects_bad_hyperparameter(bank, case, seed):
     _, manifest = bank
     kind, key, value = case
     with tempfile.TemporaryDirectory() as tmp:
