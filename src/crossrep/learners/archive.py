@@ -53,39 +53,46 @@ def _state_to_doc(model: FittedModel) -> dict:
     raise IngestionError(f"cannot archive state of type {type(s).__name__}")
 
 
-def _check_tree(tree: Tree, feature_count: int, where: str) -> None:
+def _check_trees(trees: tuple[Tree, ...], feature_count: int, where: str) -> None:
     """The layout rules of ``forest``, which its prediction relies on."""
-    arrays = {"feature": tree.feature, "threshold": tree.threshold, "left": tree.left,
-              "right": tree.right, "value": tree.value}
-    n = tree.feature.shape[0] if tree.feature.ndim == 1 else 0
-    for name, arr in arrays.items():
-        if arr.ndim != 1 or arr.shape[0] != n or n == 0:
-            raise IngestionError(f"{where}: {name!r} must be a non-empty 1-d array as long "
-                                 f"as 'feature', got shape {arr.shape}")
-        floats = name in ("threshold", "value")
-        if not np.issubdtype(arr.dtype, np.floating if floats else np.signedinteger):
-            raise IngestionError(f"{where}: {name!r} must hold "
-                                 f"{'floats' if floats else 'signed integers'}, "
-                                 f"got dtype {arr.dtype.str}")
-        if floats and not np.isfinite(arr).all():
-            raise IngestionError(f"{where}: {name!r} holds a non-finite value")
-    # 'left' + 1 wraps around only at the int64 maximum, where 'right' <= 'left'
-    feature, left, right = (a.astype(np.int64) for a in (tree.feature, tree.left, tree.right))
-    node = np.arange(n)
+    names = ("feature", "threshold", "left", "right", "value")
+    for t, tree in enumerate(trees):
+        n = tree.feature.shape[0] if tree.feature.ndim == 1 else 0
+        for name in names:
+            arr = getattr(tree, name)
+            if arr.ndim != 1 or arr.shape[0] != n or n == 0:
+                raise IngestionError(f"{where}: tree {t}: {name!r} must be a non-empty 1-d "
+                                     f"array as long as 'feature', got shape {arr.shape}")
+            floats = name in ("threshold", "value")
+            if not np.issubdtype(arr.dtype, np.floating if floats else np.signedinteger):
+                raise IngestionError(f"{where}: tree {t}: {name!r} must hold "
+                                     f"{'floats' if floats else 'signed integers'}, "
+                                     f"got dtype {arr.dtype.str}")
+    # The node rules run once over all trees; int64 arithmetic on the child
+    # links wraps only at its maximum, where 'right' <= 'left' catches it.
+    sizes = [t.feature.shape[0] for t in trees]
+    starts = np.cumsum([0] + sizes[:-1])
+    flat = {name: np.concatenate([getattr(t, name) for t in trees]) for name in names}
+    feature, left, right = (flat[name].astype(np.int64) for name in ("feature", "left", "right"))
+    node = np.arange(feature.shape[0]) - np.repeat(starts, sizes)
+    size = np.repeat(sizes, sizes)
     split = feature >= 0
     rules = [
+        ("threshold", ~np.isfinite(flat["threshold"]), "must be finite"),
+        ("value", ~np.isfinite(flat["value"]), "must be finite"),
         ("feature", ~split & (feature != -1), "must be -1 at a leaf"),
         ("feature", split & (feature >= feature_count),
          f"must be below the feature count {feature_count}"),
         ("left", split & (left <= node), "must point past its node"),
         ("right", split & ((right != left + 1) | (right <= left)), "must be 'left' + 1"),
-        ("right", split & (right >= n), f"must be below the node count {n}"),
+        ("right", split & (right >= size), "must be below the tree's node count"),
     ]
     for name, bad, rule in rules:
         if bad.any():
             i = int(bad.argmax())
-            raise IngestionError(f"{where}: {name!r} of node {i} {rule}, "
-                                 f"got {arrays[name][i]}")
+            t = int(np.searchsorted(starts, i, side="right")) - 1
+            raise IngestionError(f"{where}: tree {t}: {name!r} of node {node[i]} {rule}, "
+                                 f"got {flat[name][i]}")
 
 
 def _state_from_doc(kind: LearnerKind, doc: dict, where: str, feature_count: int):
@@ -101,8 +108,7 @@ def _state_from_doc(kind: LearnerKind, doc: dict, where: str, feature_count: int
         )
         if not trees:
             raise IngestionError(f"{where}: 'trees' must be a non-empty list")
-        for i, tree in enumerate(trees):
-            _check_tree(tree, feature_count, f"{where}: tree {i}")
+        _check_trees(trees, feature_count, where)
         return ForestState(trees=trees, seed=json_field(where, doc, "seed", int),
                            mtry=json_field(where, doc, "mtry", int),
                            min_node_size=json_field(where, doc, "min_node_size", int))

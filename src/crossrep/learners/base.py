@@ -39,7 +39,8 @@ _HYPERPARAMS = {
 }
 
 # The bounds ``fit_*`` enforce, as (test, what the value must be). Parsing
-# checks them too, and that every float is finite; ``tol`` needs only that.
+# checks them too, and that every float is finite; ``tol`` needs only that,
+# and the integers ``mtry`` and ``max_iter`` have no bound.
 _BOUNDS = {
     "lam": (lambda v: v >= 0, "finite and nonnegative"),
     "lambda_grid": (lambda v: len(v) > 0 and all(x >= 0 for x in v),
@@ -146,11 +147,11 @@ def parse_learner_spec(doc: dict, where: str) -> LearnerSpec:
     grid = kwargs.get("lambda_grid", ())
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in grid):
         raise ValidationError(f"{where}: 'lambda_grid' must be a list of numbers, got {grid!r}")
-    for key, value in kwargs.items():
-        test, bound = _BOUNDS.get(key, (lambda v: True, ""))
+    for key, (test, bound) in _BOUNDS.items():
+        value = kwargs.get(key)
         numbers = value if isinstance(value, list) else [value]
-        if not (all(math.isfinite(v) for v in numbers if isinstance(v, float))
-                and test(value)):
+        if key in kwargs and not (test(value) and all(
+                math.isfinite(v) for v in numbers if isinstance(v, float))):
             raise ValidationError(f"{where}: {key!r} must be {bound}, got {value!r}")
     ctor = {LearnerKind.RIDGE: LearnerSpec.ridge,
             LearnerKind.RIDGE_CV: LearnerSpec.ridge_cv,

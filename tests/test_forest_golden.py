@@ -120,10 +120,15 @@ def test_forest_golden_fit(name):
     assert (_digest(state), sum(t.feature.shape[0] for t in state.trees)) == (digest, nodes)
 
 
+def _splits(state):
+    """Feature and threshold of every split node, tree by tree."""
+    return (np.concatenate([t.feature[t.feature >= 0] for t in state.trees]),
+            np.concatenate([t.threshold[t.feature >= 0] for t in state.trees]))
+
+
 def _threshold_queries(state, X):
     """Training rows, then rows with one split feature at, below and above its threshold."""
-    feats = np.concatenate([t.feature[t.feature >= 0] for t in state.trees])
-    thrs = np.concatenate([t.threshold[t.feature >= 0] for t in state.trees])
+    feats, thrs = _splits(state)
     rows = np.arange(feats.shape[0])
     blocks = [X]
     for values in (thrs, np.nextafter(thrs, -np.inf), np.nextafter(thrs, np.inf)):
@@ -138,7 +143,7 @@ def _one_feature_thresholds():
     # so the query at a threshold reaches that node's comparison.
     X, y = _continuous(10, 120, 1)
     state = fit_forest(X, y, n_trees=5, min_node_size=1, seed=10).state
-    thrs = np.concatenate([t.threshold[t.feature >= 0] for t in state.trees])
+    _, thrs = _splits(state)
     queries = np.concatenate([thrs, np.nextafter(thrs, -np.inf), np.nextafter(thrs, np.inf)])
     return state, queries[:, None]
 
