@@ -4,7 +4,11 @@ Each case runs ``run_pipeline`` on a tiny synthetic config and hashes the
 bytes of the written ``scores.tsv`` and ``comparison.tsv``. The cases cover
 what the benchmark reference digests do not: shared mode at order 2, the
 descriptor cap at order 2, augmentation, and non-strict runs that lose a
-task at stage 1 or at evaluation. A changed digest is a change of
+task at stage 1 or at evaluation. The ``holdout_*`` cases fit stage 1 on
+the training side only, so the intrinsic baseline's single fold trains on
+the rows of the task's stage-1 model: with the same seedless learner at
+both stages that model is reused, and with different hyperparameters or a
+seeded learner the fold is refitted. A changed digest is a change of
 behaviour and must be named in CHANGES.md.
 """
 
@@ -14,6 +18,7 @@ import numpy as np
 import pytest
 
 from crossrep.data import CollectionMode, SplitKind, Task, assemble_collection
+from crossrep.engine import TrainingScope
 from crossrep.learners import LearnerSpec
 from crossrep.pipeline import (COMPARISON_NAME, SCORES_NAME, PipelineConfig,
                                SplitProtocol, run_pipeline, write_result)
@@ -23,6 +28,7 @@ RIDGE = LearnerSpec.ridge(5.0)
 RIDGE_CV10 = LearnerSpec.ridge_cv((1.0, 10.0), k=10)
 FOREST = LearnerSpec.forest(n_trees=3, seed=4)
 SVR = LearnerSpec.svr(c=2.0, epsilon=0.05, sigma=0.3)
+SVR_C1 = LearnerSpec.svr(c=1.0, epsilon=0.05, sigma=0.3)
 KFOLD3 = SplitProtocol(SplitKind.KFOLD, k=3)
 HOLDOUT = SplitProtocol(SplitKind.HOLDOUT, test_fraction=0.3)
 
@@ -73,6 +79,32 @@ CASES = {
              transformer_spec=RIDGE, final_spec=RIDGE_CV10, split=KFOLD3, order=2),
         (("tiny", "evaluate"),),
         "4ae27ec43077a2bfa3d9c6ee8e71bebc438f4c203d5682b9c958dc1b56d61de6"),
+    "holdout_shared_svr": (
+        dict(collection=_collection(5, 30, 4, seed=11, shared=True),
+             transformer_spec=SVR, final_spec=SVR, split=HOLDOUT),
+        (),
+        "ab0b9822f3a1e21c76669b9bebd717721a72732427712b1751c556acba245f0b"),
+    "holdout_shared_svr_other_c": (
+        dict(collection=_collection(5, 30, 4, seed=11, shared=True),
+             transformer_spec=SVR, final_spec=SVR_C1, split=HOLDOUT),
+        (),
+        "173f4c816895de339fa91159f78a8d30916b2c30a76c95d66d1277167a97e8b8"),
+    "holdout_shared_forest": (
+        dict(collection=_collection(4, 24, 4, seed=15, shared=True),
+             transformer_spec=FOREST, final_spec=FOREST, split=HOLDOUT),
+        (),
+        "4e429ddbaf9488c9118e2ffb6803ec941d53c98d30e7f4d8f43e2118ac6a2171"),
+    "holdout_shared_order2_svr": (
+        dict(collection=_collection(4, 24, 4, seed=17, shared=True),
+             transformer_spec=SVR, final_spec=SVR, split=HOLDOUT, order=2),
+        (),
+        "277da13913318fd0c9c0e97a257806b640dc4fcb1002a2f5e559c7d924e68822"),
+    "holdout_independent_ridge": (
+        dict(collection=_collection(5, 26, 4, seed=19),
+             transformer_spec=RIDGE, final_spec=RIDGE, split=HOLDOUT,
+             stage1_scope=TrainingScope.TRAIN_SPLIT_ONLY),
+        (),
+        "af58e1387c1981f89f4497795739d1c11acff64ce09e379959745fc1d2f9d3e3"),
 }
 
 
