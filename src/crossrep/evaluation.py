@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .data import SplitPlan
 from .errors import FitError, ValidationError
-from .learners import LearnerSpec, TrainFingerprint, fit_learner, predict
+from .learners import FittedModel, LearnerSpec, TrainFingerprint, fit_learner, predict
 from .seeding import derive_seed
 
 TIE_TOLERANCE = 1e-12
@@ -94,8 +94,16 @@ class CvResult:
 def cross_validate(features: np.ndarray, targets: np.ndarray, spec: LearnerSpec,
                    plan: SplitPlan, *, task_id: str = "",
                    representation: Representation | None = None,
-                   row_ids: tuple[str, ...] | None = None) -> CvResult:
-    """Fit on each split's train side, score RMSE on its test side."""
+                   row_ids: tuple[str, ...] | None = None,
+                   fitted: Mapping[int, FittedModel] | None = None) -> CvResult:
+    """Fit on each split's train side, score RMSE on its test side.
+
+    ``fitted`` maps split numbers to models already fitted on that split's
+    train side, each used in place of the split's fit. Such a model must be
+    the fit it replaces: its train fingerprint must be the split's, and its
+    spec must fit the same model as ``spec`` (``LearnerSpec.same_fit``);
+    otherwise this raises ValidationError.
+    """
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if plan.n != features.shape[0]:
@@ -105,14 +113,27 @@ def cross_validate(features: np.ndarray, targets: np.ndarray, spec: LearnerSpec,
     rep = representation if representation is not None else Representation.original()
     ids = row_ids if row_ids is not None else tuple(str(i) for i in range(plan.n))
 
+    fitted = fitted or {}
+    if not set(fitted) <= set(range(plan.n_splits)):
+        raise ValidationError(f"task {task_id!r}: fitted models for splits "
+                              f"{sorted(fitted)}, the plan has {plan.n_splits}")
+
     scores = []
     for f in range(plan.n_splits):
         train, test = plan.split(f)
         fp = TrainFingerprint(task_id=task_id, row_ids=tuple(ids[i] for i in train))
-        seed = derive_seed(spec.seed, "cv", task_id, f)
+        model = fitted.get(f)
+        if model is not None and model.train_fingerprint != fp:
+            raise ValidationError(f"fold {f} of task {task_id!r}: the fitted model was "
+                                  "trained on other rows than the fold's train side")
+        if model is not None and not model.spec.same_fit(spec):
+            raise ValidationError(f"fold {f} of task {task_id!r}: the fitted model's "
+                                  f"{model.spec.kind.value} spec does not fit the same "
+                                  f"model as the {spec.kind.value} spec scored")
         try:
-            model = fit_learner(spec, features[train], targets[train],
-                                fingerprint=fp, seed=seed)
+            if model is None:
+                model = fit_learner(spec, features[train], targets[train], fingerprint=fp,
+                                    seed=derive_seed(spec.seed, "cv", task_id, f))
             pred = predict(model, features[test])
         except FitError as exc:
             raise FitError(f"fold {f} of task {task_id!r}: {exc}") from exc

@@ -35,6 +35,22 @@ def _dec(doc: dict) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.dtype(doc["dtype"])).reshape(doc["shape"]).copy()
 
 
+def _dec_floats(doc: dict, key: str, shape: tuple, where: str) -> np.ndarray:
+    """Array ``key`` of ``doc``: finite floats of ``shape``, where None is any length.
+
+    Prediction broadcasts these arrays against the input, so a wrong length
+    would predict silently instead of failing.
+    """
+    arr = _dec(doc[key])
+    if arr.ndim != len(shape) or any(s is not None and s != a
+                                     for s, a in zip(shape, arr.shape)):
+        want = ", ".join("n" if s is None else str(s) for s in shape)
+        raise IngestionError(f"{where}: {key!r} must have shape ({want}), got {arr.shape}")
+    if not (np.issubdtype(arr.dtype, np.floating) and np.isfinite(arr).all()):
+        raise IngestionError(f"{where}: {key!r} must hold finite floats")
+    return arr
+
+
 def _state_to_doc(model: FittedModel) -> dict:
     s = model.state
     if isinstance(s, RidgeState):
@@ -97,7 +113,7 @@ def _check_trees(trees: tuple[Tree, ...], feature_count: int, where: str) -> Non
 
 def _state_from_doc(kind: LearnerKind, doc: dict, where: str, feature_count: int):
     if kind in (LearnerKind.RIDGE, LearnerKind.RIDGE_CV):
-        return RidgeState(coef=_dec(doc["coef"]),
+        return RidgeState(coef=_dec_floats(doc, "coef", (feature_count,), where),
                           intercept=float(json_field(where, doc, "intercept", float)),
                           lam=float(json_field(where, doc, "lam", float)))
     if kind is LearnerKind.FOREST:
@@ -113,7 +129,9 @@ def _state_from_doc(kind: LearnerKind, doc: dict, where: str, feature_count: int
                            mtry=json_field(where, doc, "mtry", int),
                            min_node_size=json_field(where, doc, "min_node_size", int))
     if kind is LearnerKind.SVR:
-        return SvrState(support=_dec(doc["support"]), dual_coef=_dec(doc["dual_coef"]),
+        support = _dec_floats(doc, "support", (None, feature_count), where)
+        return SvrState(support=support,
+                        dual_coef=_dec_floats(doc, "dual_coef", support.shape[:1], where),
                         bias=float(json_field(where, doc, "bias", float)),
                         sigma=float(json_field(where, doc, "sigma", float)),
                         n_iter=json_field(where, doc, "n_iter", int),
@@ -152,8 +170,10 @@ def load_model(path: str | Path) -> FittedModel:
     try:
         spec = LearnerSpec.from_dict(json_field(path, doc, "spec", dict), f"{path}: spec")
         std_doc = doc["standardization"]
-        std = None if std_doc is None else Standardizer(mean=_dec(std_doc["mean"]),
-                                                        scale=_dec(std_doc["scale"]))
+        std_where = f"{path}: standardization"
+        std = None if std_doc is None else Standardizer(
+            mean=_dec_floats(std_doc, "mean", (feature_count,), std_where),
+            scale=_dec_floats(std_doc, "scale", (feature_count,), std_where))
         state = _state_from_doc(spec.kind, json_field(path, doc, "state", dict),
                                 f"{path}: state", feature_count)
     except (KeyError, TypeError, ValueError) as exc:

@@ -38,9 +38,13 @@ _HYPERPARAMS = {
                       "max_iter": int},
 }
 
+# The kinds whose fit reads the seed: a forest draws its bootstrap samples
+# and candidate columns from it, ridge_cv its internal folds. A ridge or SVR
+# fit is a function of the hyperparameters and the rows alone.
+SEEDED_KINDS = frozenset({LearnerKind.FOREST, LearnerKind.RIDGE_CV})
+
 # The bounds ``fit_*`` enforce, as (test, what the value must be). Parsing
-# checks them too, and that every float is finite; ``tol`` needs only that,
-# and the integers ``mtry`` and ``max_iter`` have no bound.
+# checks them too, and that every float is finite; ``tol`` needs only that.
 _BOUNDS = {
     "lam": (lambda v: v >= 0, "finite and nonnegative"),
     "lambda_grid": (lambda v: len(v) > 0 and all(x >= 0 for x in v),
@@ -52,6 +56,8 @@ _BOUNDS = {
     "epsilon": (lambda v: v >= 0, "finite and nonnegative"),
     "sigma": (lambda v: v > 0, "finite and positive"),
     "tol": (lambda v: True, "finite"),
+    "mtry": (lambda v: v >= 0, "at least 0 (0 selects ceil(p / 3))"),
+    "max_iter": (lambda v: v >= 0, "at least 0"),
 }
 
 _LABELS = {
@@ -107,6 +113,15 @@ class LearnerSpec:
         """Canonical hashable identity used for grouping results."""
         items = tuple(sorted((k, _freeze(v)) for k, v in self.hyperparams.items()))
         return (self.kind.value, items, self.seed)
+
+    def same_fit(self, other: "LearnerSpec") -> bool:
+        """Whether ``other`` fits the same model as this spec on the same rows.
+
+        True when both have the same kind and hyperparameters and the kind
+        does not read the seed, whatever either seed is.
+        """
+        return (self.kind not in SEEDED_KINDS
+                and self.key()[:2] == other.key()[:2])
 
     def to_dict(self) -> dict:
         return {"kind": self.kind.value, "hyperparams": _jsonable(self.hyperparams),

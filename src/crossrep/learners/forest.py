@@ -204,6 +204,8 @@ def fit_forest(X: np.ndarray, y: np.ndarray, *, n_trees: int = 500, mtry: int = 
         raise FitError(f"tree count must be at least 1, got {n_trees}")
     if min_node_size < 1:
         raise FitError(f"min node size must be at least 1, got {min_node_size}")
+    if mtry < 0:
+        raise FitError(f"mtry must be at least 0 (0 selects ceil(p / 3)), got {mtry}")
     p = X.shape[1]
     eff_mtry = mtry if mtry > 0 else -(-p // 3)
     trees = tuple(_grow_tree(X, y, eff_mtry, min_node_size,

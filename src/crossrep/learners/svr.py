@@ -198,6 +198,8 @@ def fit_svr(X: np.ndarray, y: np.ndarray, *, c: float = 1.0, epsilon: float = 0.
         raise FitError(f"epsilon must be nonnegative, got {epsilon}")
     if sigma <= 0:
         raise FitError(f"kernel width must be positive, got {sigma}")
+    if max_iter < 0:
+        raise FitError(f"iteration cap must be at least 0, got {max_iter}")
     scaler = Standardizer.fit(X) if standardize else None
     Z = scaler.transform(X) if scaler is not None else X
     K = rbf_gram(Z, Z, sigma)

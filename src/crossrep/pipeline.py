@@ -141,6 +141,7 @@ class ExperimentResult:
     bank_fingerprints: dict[str, str]
     audit_violations: tuple[str, ...]
     normalization: dict[str, NormalizationParams]
+    reused_stage1: int
     version: str = __version__
 
     @property
@@ -223,6 +224,12 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
     # every block.
     evaluated: dict[str, tuple[Task, SplitPlan, np.ndarray, tuple[str, ...]]] = {}
     results: list[CvResult] = []
+    # Under a train-split-only stage 1 the intrinsic baseline's one fold
+    # trains on the rows of the task's stage-1 model. When both stages fit
+    # the same seedless model, the refit would repeat that model bit for
+    # bit, so the baseline scores the stage-1 model itself.
+    reuse_stage1 = (config.resolved_scope is TrainingScope.TRAIN_SPLIT_ONLY
+                    and config.final_spec.same_fit(config.transformer_spec))
 
     for task in collection.tasks:
         plan = plans[task.task_id]
@@ -237,12 +244,14 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
             feats = ext.values
             if config.augment:
                 feats = np.hstack([task.features, ext.values])
-            feature_sets = [(Representation.original(), task.features),
-                            (Representation.transformed(config.transformer_spec, 1), feats)]
+            stage1 = {0: bank.models[task.task_id]} if reuse_stage1 else None
+            feature_sets = [(Representation.original(), task.features, stage1),
+                            (Representation.transformed(config.transformer_spec, 1), feats,
+                             None)]
             task_results = [cross_validate(f, task.targets, config.final_spec, plan,
                                            task_id=task.task_id, representation=rep,
-                                           row_ids=task.example_ids)
-                            for rep, f in feature_sets]
+                                           row_ids=task.example_ids, fitted=fitted)
+                            for rep, f, fitted in feature_sets]
         except CrossrepError as exc:
             if config.strict:
                 raise
@@ -262,6 +271,7 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
                           set()).add(r.task_id)
     common = set.intersection(*groups.values()) if groups else set()
     results = [r for r in results if r.task_id in common]
+    reused = len(common) if reuse_stage1 else 0
     fingerprints = {tid: bank.models[tid].train_fingerprint.digest for tid in bank.task_ids}
     return ExperimentResult(
         collection_id=collection.feature_space_id,
@@ -271,6 +281,7 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
         bank_fingerprints=fingerprints,
         audit_violations=audit_violations,
         normalization=norm_params,
+        reused_stage1=reused,
     )
 
 
@@ -377,6 +388,7 @@ def render_report(result: ExperimentResult) -> str:
         render_comparison(result.table).rstrip("\n"),
         "",
         f"tasks scored: {len({r.task_id for r in result.results})}",
+        f"intrinsic baseline scored with the stage-1 model: {result.reused_stage1} tasks",
         f"failures: {len(result.failures)}",
     ]
     for f in result.failures:

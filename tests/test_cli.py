@@ -354,6 +354,49 @@ class TestForestArchiveStructure:
         assert "Traceback" not in err
 
 
+class TestModelArchiveArrays:
+    """A ridge or SVR state array, or the standardization, that does not fit the
+    feature count exits 3, naming the archive and the array; ``predict`` would
+    otherwise broadcast it and write wrong tables."""
+
+    # name -> (learner, path to the array in the archive, change of its value)
+    CASES = {
+        "short-coef": ("ridge", ("state", "coef"), lambda a: a[:1]),
+        "nan-coef": ("ridge", ("state", "coef"), lambda a: np.where(a == a[0], np.nan, a)),
+        "int-coef": ("ridge", ("state", "coef"), lambda a: a.astype(np.int64)),
+        "short-mean": ("ridge", ("standardization", "mean"), lambda a: a[:1]),
+        "long-scale": ("svr", ("standardization", "scale"), lambda a: np.tile(a, 2)),
+        "narrow-support": ("svr", ("state", "support"), lambda a: a[:, :1]),
+        "flat-support": ("svr", ("state", "support"), lambda a: a.ravel()),
+        "short-dual_coef": ("svr", ("state", "dual_coef"), lambda a: a[:-1]),
+    }
+
+    @pytest.mark.parametrize("case, command", [
+        *((case, "inspect-bank") for case in CASES),
+        ("short-coef", "cluster"), ("narrow-support", "cluster"),
+    ])
+    def test_misshapen_array_is_validation_error(self, case, command, tmp_path, synth_dir,
+                                                 capsys):
+        learner, (section, key), change = self.CASES[case]
+        bank = tmp_path / "bank"
+        assert run_cli("train-bank", "--collection", str(synth_dir / "manifest.json"),
+                       "--learner", json.dumps({"kind": learner}), "--out", str(bank)) == 0
+        archive = bank / "task001.model.json"
+        doc = json.loads(archive.read_text())
+        doc[section][key] = _enc(change(_dec(doc[section][key])))
+        archive.write_text(json.dumps(doc))
+        argv = ["--bank", str(bank)]
+        if command == "cluster":
+            argv += ["--pool", str(synth_dir / "manifest.json"), "--k", "2",
+                     "--out", str(tmp_path / "x")]
+        capsys.readouterr()
+        code = run_cli(command, *argv)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert str(archive) in err and repr(key) in err
+        assert "Traceback" not in err
+
+
 class TestCompare:
     def test_merges_two_result_files(self, tmp_path, synth_dir, run_config, capsys):
         out1 = tmp_path / "r1"
@@ -580,7 +623,10 @@ class TestJsonDocuments:
         ({"kind": "ridge", "lam": -1.0}, "lam"),
         ({"kind": "svr", "c": -1.0}, "c"),
         ({"kind": "ridge_cv", "lambda_grid": []}, "lambda_grid"),
-    ], ids=["zero-trees", "negative-lam", "negative-c", "empty-grid"])
+        ({"kind": "forest", "n_trees": 2, "mtry": -3}, "mtry"),
+        ({"kind": "svr", "max_iter": -1}, "max_iter"),
+    ], ids=["zero-trees", "negative-lam", "negative-c", "empty-grid", "negative-mtry",
+            "negative-max_iter"])
     def test_out_of_range_hyperparameter(self, tmp_path, synth_dir, run_config, capsys,
                                          learner, key):
         """Rejected when the spec is parsed, not when the first task is fitted."""

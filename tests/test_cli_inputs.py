@@ -177,6 +177,8 @@ OUT_OF_RANGE = {
     "epsilon": st.sampled_from([-0.1, -1, NAN, INF]),
     "sigma": st.sampled_from([0, -2.0, NAN, INF]),
     "tol": st.sampled_from([NAN, INF, -INF]),
+    "mtry": st.sampled_from([-1, -3]),
+    "max_iter": st.sampled_from([-1, -200_000]),
 }
 
 

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossrep.data import make_fold_plan
+from crossrep.data import make_fold_plan, make_holdout_plan
 from crossrep.errors import ValidationError
 from crossrep.evaluation import (CvResult, Representation,
                                  compare_representations, comparison_tsv,
                                  cross_validate, improvement_pct, render_comparison,
                                  rmse, win_count)
-from crossrep.learners import LearnerSpec
+from crossrep.learners import LearnerSpec, TrainFingerprint, fit_learner
 
 
 finite_vectors = st.integers(1, 40).flatmap(
@@ -217,6 +217,59 @@ class TestCompareRepresentations:
         tsv = comparison_tsv(compare_representations(self._results()))
         assert tsv.startswith("final\trepresentation")
         assert "RF\t" in tsv
+
+
+class TestCrossValidateFittedModels:
+    """A fold model passed in must be the fit it replaces, or the call fails."""
+
+    N = 30
+    SVR = LearnerSpec.svr(c=2.0, epsilon=0.05, sigma=0.3)
+
+    @pytest.fixture
+    def data(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(self.N, 3))
+        y = X[:, 0] - X[:, 1] + 0.1 * rng.normal(size=self.N)
+        ids = tuple(f"r{i}" for i in range(self.N))
+        return X, y, ids, make_holdout_plan(self.N, 0.3, seed=6)
+
+    def fold_model(self, data, spec, rows=None, task_id="t"):
+        X, y, ids, plan = data
+        train = plan.split(0)[0] if rows is None else rows
+        fp = TrainFingerprint(task_id=task_id, row_ids=tuple(ids[i] for i in train))
+        return fit_learner(spec, X[train], y[train], fingerprint=fp, seed=99)
+
+    def score(self, data, spec, fitted=None):
+        X, y, ids, plan = data
+        return cross_validate(X, y, spec, plan, task_id="t", row_ids=ids, fitted=fitted)
+
+    @pytest.mark.parametrize("spec", [SVR, LearnerSpec.ridge(2.0)], ids=["svr", "ridge"])
+    def test_scores_like_the_refit(self, data, spec):
+        refit = self.score(data, spec)
+        other_seed = LearnerSpec(spec.kind, spec.hyperparams, seed=5)
+        fitted = self.fold_model(data, other_seed)
+        assert self.score(data, spec, {0: fitted}).per_fold_rmse == refit.per_fold_rmse
+
+    def test_other_rows_rejected(self, data):
+        train = data[3].split(0)[0]
+        for model in (self.fold_model(data, self.SVR, rows=train[1:]),
+                      self.fold_model(data, self.SVR, task_id="u")):
+            with pytest.raises(ValidationError, match="other rows"):
+                self.score(data, self.SVR, {0: model})
+
+    @pytest.mark.parametrize("spec, fitted_spec", [
+        (SVR, LearnerSpec.svr(c=1.0, epsilon=0.05, sigma=0.3)),
+        (SVR, LearnerSpec.ridge(2.0)),
+        (LearnerSpec.forest(n_trees=2, seed=3), LearnerSpec.forest(n_trees=2, seed=3)),
+        (LearnerSpec.ridge_cv((1.0, 10.0), k=3), LearnerSpec.ridge_cv((1.0, 10.0), k=3)),
+    ], ids=["other-c", "other-kind", "seeded-forest", "seeded-ridge_cv"])
+    def test_other_fit_rejected(self, data, spec, fitted_spec):
+        with pytest.raises(ValidationError, match="does not fit the same model"):
+            self.score(data, spec, {0: self.fold_model(data, fitted_spec)})
+
+    def test_split_outside_the_plan_rejected(self, data):
+        with pytest.raises(ValidationError, match="fitted models for splits"):
+            self.score(data, self.SVR, {1: self.fold_model(data, self.SVR)})
 
 
 class TestCrossValidateInputForms:

@@ -66,6 +66,11 @@ def test_zero_trees_rejected():
         fit_forest(np.ones((4, 2)), np.ones(4), n_trees=0, seed=0)
 
 
+def test_negative_mtry_rejected():
+    with pytest.raises(FitError, match="mtry"):
+        fit_forest(np.ones((4, 2)), np.ones(4), n_trees=1, mtry=-3, seed=0)
+
+
 def test_predict_column_mismatch():
     model = fit_forest(np.ones((4, 2)), np.arange(4.0), n_trees=2, seed=0)
     with pytest.raises(Exception, match="columns"):

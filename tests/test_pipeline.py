@@ -3,14 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from crossrep import engine
+from crossrep import engine, evaluation
 from crossrep.data import (CollectionMode, SplitKind, Task, assemble_collection)
 from crossrep.engine import TrainingScope
 from crossrep.errors import ConfigError, FitError
 from crossrep.learners import LearnerSpec
-from crossrep.pipeline import (PipelineConfig, SplitProtocol, run_pipeline,
+from crossrep.pipeline import (PipelineConfig, SplitProtocol, render_report, run_pipeline,
                                scores_tsv, write_result)
 from crossrep.synth import Nonlinearity, SynthSpec, generate_collection
+from test_golden import CASES as GOLDEN_CASES
 
 FOREST = LearnerSpec.forest(n_trees=8, seed=1)
 FINAL = LearnerSpec.forest(n_trees=8, seed=2)
@@ -164,6 +165,43 @@ class TestSharedExamplesProtocol:
                              stage1_scope=TrainingScope.FULL_TASK)
         result = run_pipeline(cfg)
         assert len(result.results) == 8
+
+
+class TestStage1Reuse:
+    """A train-split-only run with one seedless learner at both stages scores
+    each task's intrinsic baseline with its stage-1 model instead of a refit."""
+
+    # golden case -> whether its intrinsic baseline reuses the stage-1 models
+    REUSES = {
+        "holdout_shared_svr": True,
+        "holdout_shared_order2_svr": True,
+        "holdout_independent_ridge": True,
+        "shared_order2_ridge": True,
+        "holdout_shared_svr_other_c": False,
+        "holdout_shared_forest": False,
+        "cap_order2_forest": False,
+    }
+
+    @pytest.mark.parametrize("name", sorted(REUSES))
+    def test_one_fit_fewer_per_task_on_the_reuse_path(self, name, monkeypatch):
+        calls = []
+        for module in (engine, evaluation):
+            def counted(*args, _fit=module.fit_learner, **kwargs):
+                calls.append(args)
+                return _fit(*args, **kwargs)
+            monkeypatch.setattr(module, "fit_learner", counted)
+        cfg = PipelineConfig(seed=13, **GOLDEN_CASES[name][0])
+        result = run_pipeline(cfg)
+
+        t = cfg.collection.n_tasks
+        folds = cfg.split.k if cfg.split.kind is SplitKind.KFOLD else 1
+        # stage 1 (and stage 2 at order 2), then every fold of every representation
+        refits = t * cfg.order + t * folds * (1 + cfg.order)
+        reused = t if self.REUSES[name] else 0
+        assert len(calls) == refits - reused
+        assert result.reused_stage1 == reused
+        assert (f"intrinsic baseline scored with the stage-1 model: {reused} tasks"
+                in render_report(result))
 
 
 class TestResultFiles:

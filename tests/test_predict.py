@@ -1,9 +1,17 @@
-"""``predict`` depends on the values of its input, not on its memory layout."""
+"""Contracts every learner kind keeps.
+
+``predict`` depends on the values of its input, not on its memory layout,
+and a fit reads its seed exactly when its kind is declared seeded.
+"""
+
+import json
 
 import numpy as np
 import pytest
 
-from crossrep.learners import fit_forest, fit_ridge, fit_ridge_cv, fit_svr, predict
+from crossrep.learners import (LearnerKind, LearnerSpec, fit_forest, fit_learner, fit_ridge,
+                               fit_ridge_cv, fit_svr, predict, save_model)
+from crossrep.learners.base import SEEDED_KINDS
 
 FITTERS = {
     "ridge": lambda X, y: fit_ridge(X, y, 10.0),
@@ -25,3 +33,31 @@ def test_layout_does_not_change_predictions(kind):
     assert np.array_equal(predict(model, strided), expected)
     taken = np.hstack([X, X])[:, np.arange(40)]  # fancy column indexing
     assert np.array_equal(predict(model, taken), expected)
+
+
+SPECS = {
+    LearnerKind.RIDGE: LearnerSpec.ridge(3.0),
+    LearnerKind.RIDGE_CV: LearnerSpec.ridge_cv((0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0), k=4),
+    LearnerKind.FOREST: LearnerSpec.forest(n_trees=2),
+    LearnerKind.SVR: LearnerSpec.svr(c=2.0, epsilon=0.05, sigma=0.3),
+}
+
+
+@pytest.mark.parametrize("kind", list(LearnerKind), ids=lambda k: k.value)
+def test_fit_reads_seed_exactly_when_kind_is_seeded(kind, tmp_path):
+    """The intrinsic baseline reuses stage-1 models of seedless kinds only.
+
+    Two seeds give bitwise-equal archives (the forest's recorded seed left
+    out) for a seedless kind; a seeded kind must give different fits here.
+    """
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(24, 5))
+    y = X[:, 0] + rng.normal(size=24)
+    docs = []
+    for seed in (0, 1):
+        path = tmp_path / f"seed{seed}.json"
+        save_model(fit_learner(SPECS[kind], X, y, seed=seed), path)
+        doc = json.loads(path.read_text())
+        doc["state"].pop("seed", None)
+        docs.append(doc)
+    assert (docs[0] == docs[1]) == (kind not in SEEDED_KINDS)

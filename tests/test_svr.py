@@ -123,6 +123,8 @@ class TestSvrFit:
             fit_svr(X, y, epsilon=-0.1)
         with pytest.raises(FitError):
             fit_svr(X, y, sigma=0.0)
+        with pytest.raises(FitError, match="iteration cap"):
+            fit_svr(X, y, max_iter=-1)
 
     def test_predict_purity(self):
         rng = np.random.default_rng(6)
