@@ -123,13 +123,14 @@ def cross_validate(features: np.ndarray, targets: np.ndarray, spec: LearnerSpec,
         train, test = plan.split(f)
         fp = TrainFingerprint(task_id=task_id, row_ids=tuple(ids[i] for i in train))
         model = fitted.get(f)
-        if model is not None and model.train_fingerprint != fp:
-            raise ValidationError(f"fold {f} of task {task_id!r}: the fitted model was "
-                                  "trained on other rows than the fold's train side")
-        if model is not None and not model.spec.same_fit(spec):
-            raise ValidationError(f"fold {f} of task {task_id!r}: the fitted model's "
-                                  f"{model.spec.kind.value} spec does not fit the same "
-                                  f"model as the {spec.kind.value} spec scored")
+        if model is not None:
+            if model.train_fingerprint != fp:
+                raise ValidationError(f"fold {f} of task {task_id!r}: the fitted model was "
+                                      "trained on other rows than the fold's train side")
+            if not model.spec.same_fit(spec):
+                raise ValidationError(f"fold {f} of task {task_id!r}: the fitted model's "
+                                      f"{model.spec.kind.value} spec does not fit the same "
+                                      f"model as the {spec.kind.value} spec scored")
         try:
             if model is None:
                 model = fit_learner(spec, features[train], targets[train], fingerprint=fp,

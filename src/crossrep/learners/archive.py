@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,15 @@ def _dec_floats(doc: dict, key: str, shape: tuple, where: str) -> np.ndarray:
     if not (np.issubdtype(arr.dtype, np.floating) and np.isfinite(arr).all()):
         raise IngestionError(f"{where}: {key!r} must hold finite floats")
     return arr
+
+
+def _predict_scalar(doc: dict, key: str, where: str, positive: bool = False) -> float:
+    """Float ``key`` of ``doc``, which prediction reads: finite, and positive if asked."""
+    value = float(json_field(where, doc, key, float))
+    if not math.isfinite(value) or (positive and value <= 0):
+        raise IngestionError(f"{where}: {key!r} must be finite"
+                             f"{' and positive' if positive else ''}, got {value!r}")
+    return value
 
 
 def _state_to_doc(model: FittedModel) -> dict:
@@ -114,7 +124,7 @@ def _check_trees(trees: tuple[Tree, ...], feature_count: int, where: str) -> Non
 def _state_from_doc(kind: LearnerKind, doc: dict, where: str, feature_count: int):
     if kind in (LearnerKind.RIDGE, LearnerKind.RIDGE_CV):
         return RidgeState(coef=_dec_floats(doc, "coef", (feature_count,), where),
-                          intercept=float(json_field(where, doc, "intercept", float)),
+                          intercept=_predict_scalar(doc, "intercept", where),
                           lam=float(json_field(where, doc, "lam", float)))
     if kind is LearnerKind.FOREST:
         trees = tuple(
@@ -132,8 +142,8 @@ def _state_from_doc(kind: LearnerKind, doc: dict, where: str, feature_count: int
         support = _dec_floats(doc, "support", (None, feature_count), where)
         return SvrState(support=support,
                         dual_coef=_dec_floats(doc, "dual_coef", support.shape[:1], where),
-                        bias=float(json_field(where, doc, "bias", float)),
-                        sigma=float(json_field(where, doc, "sigma", float)),
+                        bias=_predict_scalar(doc, "bias", where),
+                        sigma=_predict_scalar(doc, "sigma", where, positive=True),
                         n_iter=json_field(where, doc, "n_iter", int),
                         kkt_gap=float(json_field(where, doc, "kkt_gap", float)))
     raise IngestionError(f"cannot restore state for kind {kind}")

@@ -354,36 +354,45 @@ class TestForestArchiveStructure:
         assert "Traceback" not in err
 
 
-class TestModelArchiveArrays:
-    """A ridge or SVR state array, or the standardization, that does not fit the
-    feature count exits 3, naming the archive and the array; ``predict`` would
-    otherwise broadcast it and write wrong tables."""
+def _array(change):
+    """Apply ``change`` to the decoded value of an archived array."""
+    return lambda doc: _enc(change(_dec(doc)))
 
-    # name -> (learner, path to the array in the archive, change of its value)
+
+class TestModelArchiveValues:
+    """A ridge or SVR state array, or the standardization, that does not fit the
+    feature count, or a state scalar prediction reads that is out of range,
+    exits 3, naming the archive and the key; ``predict`` would otherwise
+    broadcast the array or use the value and write wrong tables."""
+
+    # name -> (learner, path to the value in the archive, change of the value)
     CASES = {
-        "short-coef": ("ridge", ("state", "coef"), lambda a: a[:1]),
-        "nan-coef": ("ridge", ("state", "coef"), lambda a: np.where(a == a[0], np.nan, a)),
-        "int-coef": ("ridge", ("state", "coef"), lambda a: a.astype(np.int64)),
-        "short-mean": ("ridge", ("standardization", "mean"), lambda a: a[:1]),
-        "long-scale": ("svr", ("standardization", "scale"), lambda a: np.tile(a, 2)),
-        "narrow-support": ("svr", ("state", "support"), lambda a: a[:, :1]),
-        "flat-support": ("svr", ("state", "support"), lambda a: a.ravel()),
-        "short-dual_coef": ("svr", ("state", "dual_coef"), lambda a: a[:-1]),
+        "short-coef": ("ridge", ("state", "coef"), _array(lambda a: a[:1])),
+        "nan-coef": ("ridge", ("state", "coef"),
+                     _array(lambda a: np.where(a == a[0], np.nan, a))),
+        "int-coef": ("ridge", ("state", "coef"), _array(lambda a: a.astype(np.int64))),
+        "short-mean": ("ridge", ("standardization", "mean"), _array(lambda a: a[:1])),
+        "long-scale": ("svr", ("standardization", "scale"), _array(lambda a: np.tile(a, 2))),
+        "narrow-support": ("svr", ("state", "support"), _array(lambda a: a[:, :1])),
+        "flat-support": ("svr", ("state", "support"), _array(lambda a: a.ravel())),
+        "short-dual_coef": ("svr", ("state", "dual_coef"), _array(lambda a: a[:-1])),
+        "infinite-intercept": ("ridge", ("state", "intercept"), lambda v: float("inf")),
+        "nan-bias": ("svr", ("state", "bias"), lambda v: float("nan")),
+        "negative-sigma": ("svr", ("state", "sigma"), lambda v: -5.0),
     }
 
     @pytest.mark.parametrize("case, command", [
         *((case, "inspect-bank") for case in CASES),
-        ("short-coef", "cluster"), ("narrow-support", "cluster"),
+        ("short-coef", "cluster"), ("narrow-support", "cluster"), ("negative-sigma", "cluster"),
     ])
-    def test_misshapen_array_is_validation_error(self, case, command, tmp_path, synth_dir,
-                                                 capsys):
+    def test_bad_value_is_validation_error(self, case, command, tmp_path, synth_dir, capsys):
         learner, (section, key), change = self.CASES[case]
         bank = tmp_path / "bank"
         assert run_cli("train-bank", "--collection", str(synth_dir / "manifest.json"),
                        "--learner", json.dumps({"kind": learner}), "--out", str(bank)) == 0
         archive = bank / "task001.model.json"
         doc = json.loads(archive.read_text())
-        doc[section][key] = _enc(change(_dec(doc[section][key])))
+        doc[section][key] = change(doc[section][key])
         archive.write_text(json.dumps(doc))
         argv = ["--bank", str(bank)]
         if command == "cluster":
