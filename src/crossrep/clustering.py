@@ -93,12 +93,10 @@ def cross_prediction_matrix(bank: ModelBank, pool: np.ndarray,
     pool = np.asarray(pool, dtype=np.float64)
     if pool.ndim != 2:
         raise ValidationError("pool must be a 2-d matrix")
-    expected = {m.feature_count for m in bank.models.values()}
-    if expected - {pool.shape[1]}:
-        raise ValidationError(
-            f"pool has {pool.shape[1]} feature columns, bank models expect "
-            f"{', '.join(map(str, sorted(expected)))}"
-        )
+    first = next(iter(bank.models.values()), None)
+    if first is not None and pool.shape[1] != first.feature_count:
+        raise ValidationError(f"pool has {pool.shape[1]} feature columns, bank models "
+                              f"expect {first.feature_count}")
     ids = example_ids if example_ids is not None else tuple(
         f"pool{i:05d}" for i in range(pool.shape[0]))
     return CrossPredictionMatrix(values=cross_predict(bank, pool), example_ids=ids,

@@ -142,6 +142,13 @@ class TaskCollection:
                         f"shared-examples collection requires identical example ids in "
                         f"identical order; task {t.task_id!r} differs from {ref.task_id!r}"
                     )
+                if not np.array_equal(t.features, ref.features):
+                    i, j = np.argwhere(t.features != ref.features)[0]
+                    raise ValidationError(
+                        f"shared-examples collection requires identical feature values; "
+                        f"task {t.task_id!r} differs from {ref.task_id!r} at example "
+                        f"{t.example_ids[i]!r}, column {t.feature_names[j]!r}"
+                    )
 
     @property
     def task_ids(self) -> tuple[str, ...]:

@@ -104,7 +104,9 @@ class ExtrinsicMatrix:
         return self.values.shape[1]
 
 
-def _training_rows(task: Task, scope: TrainingScope, plan: SplitPlan | None) -> np.ndarray:
+def training_rows(task: Task, scope: TrainingScope, plan: SplitPlan | None) -> np.ndarray:
+    """The rows of ``task`` a model under ``scope`` trains on: all of them, or
+    the training side of its holdout ``plan``."""
     if scope is TrainingScope.FULL_TASK:
         return np.arange(task.n_examples)
     if plan is None:
@@ -148,7 +150,7 @@ def stage1_train(collection: TaskCollection, spec: LearnerSpec, scope: TrainingS
 
     models: dict[str, FittedModel] = {}
     for task in collection.tasks:
-        rows = _training_rows(task, scope, plans.get(task.task_id))
+        rows = training_rows(task, scope, plans.get(task.task_id))
         fp = TrainFingerprint(task_id=task.task_id,
                               row_ids=tuple(task.example_ids[i] for i in rows))
         seed = derive_seed(spec.seed, "stage1", task.task_id)
@@ -333,5 +335,10 @@ def load_bank(bank_dir: str | Path) -> ModelBank:
         raise IngestionError(f"{index_path}: 'task_order' must list task ids whose "
                              f"'models' entry is an archive file name")
     models = {task_id: load_model(bank_dir / files[task_id]) for task_id in order}
+    for task_id in order[1:]:
+        count, first = models[task_id].feature_count, models[order[0]].feature_count
+        if count != first:
+            raise IngestionError(f"{bank_dir / files[task_id]}: 'feature_count' is {count}, "
+                                 f"but {bank_dir / files[order[0]]} has {first}")
     return ModelBank(models=models, learner_spec=spec, collection_id=collection_id,
                      training_scope=scope)

@@ -28,37 +28,47 @@ class LearnerKind(Enum):
     SVR = "svr"
 
 
-# The JSON type of each hyperparameter, per kind; ``lambda_grid`` is a
-# list of numbers.
-_HYPERPARAMS = {
-    LearnerKind.RIDGE: {"lam": float},
-    LearnerKind.RIDGE_CV: {"lambda_grid": list, "k": int},
-    LearnerKind.FOREST: {"n_trees": int, "mtry": int, "min_node_size": int},
-    LearnerKind.SVR: {"c": float, "epsilon": float, "sigma": float, "tol": float,
-                      "max_iter": int},
-}
-
 # The kinds whose fit reads the seed: a forest draws its bootstrap samples
 # and candidate columns from it, ridge_cv its internal folds. A ridge or SVR
 # fit is a function of the hyperparameters and the rows alone.
 SEEDED_KINDS = frozenset({LearnerKind.FOREST, LearnerKind.RIDGE_CV})
 
-# The bounds ``fit_*`` enforce, as (test, what the value must be). Parsing
-# checks them too, and that every float is finite; ``tol`` needs only that.
-_BOUNDS = {
-    "lam": (lambda v: v >= 0, "finite and nonnegative"),
-    "lambda_grid": (lambda v: len(v) > 0 and all(x >= 0 for x in v),
-                    "a non-empty list of finite nonnegative numbers"),
-    "k": (lambda v: v >= 2, "at least 2"),
-    "n_trees": (lambda v: v >= 1, "at least 1"),
-    "min_node_size": (lambda v: v >= 1, "at least 1"),
-    "c": (lambda v: v > 0, "finite and positive"),
-    "epsilon": (lambda v: v >= 0, "finite and nonnegative"),
-    "sigma": (lambda v: v > 0, "finite and positive"),
-    "tol": (lambda v: True, "finite"),
-    "mtry": (lambda v: v >= 0, "at least 0 (0 selects ceil(p / 3))"),
-    "max_iter": (lambda v: v >= 0, "at least 0"),
+# Each kind's hyperparameters as key -> (JSON type, bound test, what the
+# bound asks), in the order parsing and ``fit_*`` check them; the first key
+# out of bounds names the error. ``lambda_grid`` is a list of numbers. A
+# chained comparison with inf is false for inf and nan, so it also asks for
+# a finite value.
+_HYPERPARAMS = {
+    LearnerKind.RIDGE: {
+        "lam": (float, lambda v: 0 <= v < math.inf, "finite and nonnegative"),
+    },
+    LearnerKind.RIDGE_CV: {
+        "lambda_grid": (list, lambda v: len(v) > 0 and all(0 <= x < math.inf for x in v),
+                        "a non-empty list of finite nonnegative numbers"),
+        "k": (int, lambda v: v >= 2, "at least 2"),
+    },
+    LearnerKind.FOREST: {
+        "n_trees": (int, lambda v: v >= 1, "at least 1"),
+        "min_node_size": (int, lambda v: v >= 1, "at least 1"),
+        "mtry": (int, lambda v: v >= 0, "at least 0 (0 selects ceil(p / 3))"),
+    },
+    LearnerKind.SVR: {
+        "c": (float, lambda v: 0 < v < math.inf, "finite and positive"),
+        "epsilon": (float, lambda v: 0 <= v < math.inf, "finite and nonnegative"),
+        "sigma": (float, lambda v: 0 < v < math.inf, "finite and positive"),
+        "tol": (float, lambda v: -math.inf < v < math.inf, "finite"),
+        "max_iter": (int, lambda v: v >= 0, "at least 0"),
+    },
 }
+
+
+def check_hyperparams(kind: LearnerKind, values: dict, error: type = FitError,
+                      where: str = "") -> None:
+    """Raise ``error`` for the first of ``values`` outside its table bound."""
+    for key, (_, test, bound) in _HYPERPARAMS[kind].items():
+        if key in values and not test(values[key]):
+            raise error(f"{where}{key!r} must be {bound}, got {values[key]!r}")
+
 
 _LABELS = {
     LearnerKind.RIDGE: "Ridge",
@@ -143,8 +153,8 @@ class LearnerSpec:
 def parse_learner_spec(doc: dict, where: str) -> LearnerSpec:
     """Flat form: {"kind": ..., "seed": ..., <hyperparams>}; defaults fill the rest.
 
-    Each value must have its hyperparameter's JSON type, be finite and lie
-    within the bounds its fit enforces; errors name ``where`` and the key.
+    Each value must have its hyperparameter's JSON type and pass the bound
+    its fit checks; errors name ``where`` and the key.
     """
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValidationError(f"{where}: needs to be a JSON object with a 'kind' field")
@@ -154,20 +164,15 @@ def parse_learner_spec(doc: dict, where: str) -> LearnerSpec:
         valid = ", ".join(k.value for k in LearnerKind)
         raise ValidationError(
             f"{where}: unknown learner kind {doc['kind']!r} (valid: {valid})") from None
-    types = _HYPERPARAMS[kind]
-    unknown = [k for k in doc if k not in types and k not in ("kind", "seed")]
+    table = _HYPERPARAMS[kind]
+    unknown = [k for k in doc if k not in table and k not in ("kind", "seed")]
     if unknown:
         raise ValidationError(f"{where}: unknown {kind.value} hyperparameter {unknown[0]!r}")
-    kwargs = {k: json_field(where, doc, k, t) for k, t in types.items() if k in doc}
+    kwargs = {k: json_field(where, doc, k, t) for k, (t, _, _) in table.items() if k in doc}
     grid = kwargs.get("lambda_grid", ())
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in grid):
         raise ValidationError(f"{where}: 'lambda_grid' must be a list of numbers, got {grid!r}")
-    for key, (test, bound) in _BOUNDS.items():
-        value = kwargs.get(key)
-        numbers = value if isinstance(value, list) else [value]
-        if key in kwargs and not (test(value) and all(
-                math.isfinite(v) for v in numbers if isinstance(v, float))):
-            raise ValidationError(f"{where}: {key!r} must be {bound}, got {value!r}")
+    check_hyperparams(kind, kwargs, ValidationError, f"{where}: ")
     ctor = {LearnerKind.RIDGE: LearnerSpec.ridge,
             LearnerKind.RIDGE_CV: LearnerSpec.ridge_cv,
             LearnerKind.FOREST: LearnerSpec.forest,
@@ -277,23 +282,15 @@ def predict(model: FittedModel, X: np.ndarray) -> np.ndarray:
 def fit_learner(spec: LearnerSpec, X: np.ndarray, y: np.ndarray,
                 fingerprint: TrainFingerprint = EMPTY_FINGERPRINT,
                 seed: int | None = None) -> FittedModel:
-    """Fit any learner kind from its spec; ``seed`` overrides spec.seed."""
-    hp = spec.hyperparams
-    use_seed = spec.seed if seed is None else seed
-    if spec.kind is LearnerKind.RIDGE:
-        return ridge.fit_ridge(X, y, hp["lam"], fingerprint=fingerprint, spec=spec)
-    if spec.kind is LearnerKind.RIDGE_CV:
-        return ridge.fit_ridge_cv(X, y, hp["lambda_grid"], hp["k"], use_seed,
-                                  fingerprint=fingerprint, spec=spec)
-    if spec.kind is LearnerKind.FOREST:
-        return forest.fit_forest(X, y, n_trees=hp["n_trees"], mtry=hp["mtry"],
-                                 min_node_size=hp["min_node_size"], seed=use_seed,
-                                 fingerprint=fingerprint, spec=spec)
-    if spec.kind is LearnerKind.SVR:
-        return svr.fit_svr(X, y, c=hp["c"], epsilon=hp["epsilon"], sigma=hp["sigma"],
-                           tol=hp["tol"], max_iter=hp["max_iter"],
-                           fingerprint=fingerprint, spec=spec)
-    raise FitError(f"unknown learner kind {spec.kind}")
+    """Fit any learner kind from its spec; ``seed`` overrides spec.seed.
+
+    Only the kinds in SEEDED_KINDS are given a seed. The fit functions are
+    looked up per call, so a rebound module attribute is the one called.
+    """
+    fit = {LearnerKind.RIDGE: ridge.fit_ridge, LearnerKind.RIDGE_CV: ridge.fit_ridge_cv,
+           LearnerKind.FOREST: forest.fit_forest, LearnerKind.SVR: svr.fit_svr}[spec.kind]
+    seeded = {"seed": spec.seed if seed is None else seed} if spec.kind in SEEDED_KINDS else {}
+    return fit(X, y, **spec.hyperparams, **seeded, fingerprint=fingerprint, spec=spec)
 
 
 def check_fit_input(X: np.ndarray, y: np.ndarray, min_rows: int = 1) -> tuple[np.ndarray, np.ndarray]:

@@ -35,10 +35,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import FitError
 from ..seeding import derive_seed
-from .base import (EMPTY_FINGERPRINT, FittedModel, LearnerSpec,
-                   TrainFingerprint, check_fit_input)
+from .base import (EMPTY_FINGERPRINT, FittedModel, LearnerKind, LearnerSpec,
+                   TrainFingerprint, check_fit_input, check_hyperparams)
 
 # (tree, row) pairs per prediction chunk: keeps the traversal's buffers small
 PREDICT_CHUNK_PAIRS = 8192
@@ -200,12 +199,8 @@ def fit_forest(X: np.ndarray, y: np.ndarray, *, n_trees: int = 500, mtry: int = 
                spec: LearnerSpec | None = None) -> FittedModel:
     """Fit a bagged forest; mtry = 0 means ceil(p / 3)."""
     X, y = check_fit_input(X, y, min_rows=1)
-    if n_trees < 1:
-        raise FitError(f"tree count must be at least 1, got {n_trees}")
-    if min_node_size < 1:
-        raise FitError(f"min node size must be at least 1, got {min_node_size}")
-    if mtry < 0:
-        raise FitError(f"mtry must be at least 0 (0 selects ceil(p / 3)), got {mtry}")
+    check_hyperparams(LearnerKind.FOREST,
+                      {"n_trees": n_trees, "min_node_size": min_node_size, "mtry": mtry})
     p = X.shape[1]
     eff_mtry = mtry if mtry > 0 else -(-p // 3)
     trees = tuple(_grow_tree(X, y, eff_mtry, min_node_size,

@@ -14,8 +14,8 @@ import numpy as np
 
 from ..data import make_fold_plan
 from ..errors import FitError, ValidationError
-from .base import (EMPTY_FINGERPRINT, FittedModel, LearnerSpec, Standardizer,
-                   TrainFingerprint, check_fit_input)
+from .base import (EMPTY_FINGERPRINT, FittedModel, LearnerKind, LearnerSpec, Standardizer,
+                   TrainFingerprint, check_fit_input, check_hyperparams, predict)
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,7 @@ def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float, *, standardize: bool = T
               spec: LearnerSpec | None = None) -> FittedModel:
     """Minimize ||y - b0 - X beta||^2 + lam * ||beta||^2."""
     X, y = check_fit_input(X, y, min_rows=2)
-    if lam < 0:
-        raise FitError(f"penalty weight must be nonnegative, got {lam}")
+    check_hyperparams(LearnerKind.RIDGE, {"lam": lam})
     scaler = Standardizer.fit(X) if standardize else None
     Z = scaler.transform(X) if scaler is not None else X
     xm = Z.mean(axis=0)
@@ -75,8 +74,7 @@ def _cv_rmse(X: np.ndarray, y: np.ndarray, lam: float, plan, standardize: bool) 
         if len(train) < 2 or len(test) == 0:
             raise FitError(f"degenerate internal fold {f}: {len(train)} train rows")
         model = fit_ridge(X[train], y[train], lam, standardize=standardize)
-        Z = model.standardization.transform(X[test]) if model.standardization else X[test]
-        pred = predict_state(model.state, Z)
+        pred = predict(model, X[test])
         errors.append(math.sqrt(float(np.mean((pred - y[test]) ** 2))))
     return float(np.mean(errors))
 
@@ -90,9 +88,8 @@ def fit_ridge_cv(X: np.ndarray, y: np.ndarray, lambda_grid, k: int, seed: int, *
     Ties in CV RMSE resolve to the larger penalty.
     """
     X, y = check_fit_input(X, y, min_rows=2)
+    check_hyperparams(LearnerKind.RIDGE_CV, {"lambda_grid": lambda_grid, "k": k})
     grid = tuple(float(l) for l in lambda_grid)
-    if not grid:
-        raise FitError("lambda grid must be non-empty")
     try:
         plan = make_fold_plan(X.shape[0], k, seed)
     except ValidationError as exc:

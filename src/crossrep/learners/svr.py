@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConvergenceError, FitError
-from .base import (EMPTY_FINGERPRINT, FittedModel, LearnerSpec, Standardizer,
-                   TrainFingerprint, check_fit_input)
+from ..errors import ConvergenceError
+from .base import (EMPTY_FINGERPRINT, FittedModel, LearnerKind, LearnerSpec, Standardizer,
+                   TrainFingerprint, check_fit_input, check_hyperparams)
 
 
 def rbf_gram(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
@@ -192,14 +192,8 @@ def fit_svr(X: np.ndarray, y: np.ndarray, *, c: float = 1.0, epsilon: float = 0.
             fingerprint: TrainFingerprint = EMPTY_FINGERPRINT,
             spec: LearnerSpec | None = None) -> FittedModel:
     X, y = check_fit_input(X, y, min_rows=2)
-    if c <= 0:
-        raise FitError(f"C must be positive, got {c}")
-    if epsilon < 0:
-        raise FitError(f"epsilon must be nonnegative, got {epsilon}")
-    if sigma <= 0:
-        raise FitError(f"kernel width must be positive, got {sigma}")
-    if max_iter < 0:
-        raise FitError(f"iteration cap must be at least 0, got {max_iter}")
+    check_hyperparams(LearnerKind.SVR, {"c": c, "epsilon": epsilon, "sigma": sigma,
+                                        "tol": tol, "max_iter": max_iter})
     scaler = Standardizer.fit(X) if standardize else None
     Z = scaler.transform(X) if scaler is not None else X
     K = rbf_gram(Z, Z, sigma)

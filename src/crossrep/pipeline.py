@@ -23,7 +23,7 @@ from .data import (CollectionMode, NormalizationParams, SplitKind, SplitPlan, Ta
                    make_holdout_plan, normalize_targets, parse_value, read_table)
 from .engine import (ExtrinsicMatrix, ModelBank, TrainingScope, audit_no_leakage,
                      build_extrinsic, cross_predict, second_order_extrinsic,
-                     select_descriptors, stage1_train, stage2_train)
+                     select_descriptors, stage1_train, stage2_train, training_rows)
 from .errors import ConfigError, CrossrepError, FitError, IngestionError, ValidationError
 from .evaluation import (ComparisonTable, CvResult, Representation,
                          compare_representations, comparison_tsv, cross_validate,
@@ -292,13 +292,10 @@ def _run_second_order(bank: ModelBank,
                       config: PipelineConfig) -> list[CvResult]:
     # Tasks that failed first-order evaluation drop out of the order-2
     # column set; their stage-1 models may still feed surviving views.
-    shared_holdout = (config.resolved_scope is TrainingScope.TRAIN_SPLIT_ONLY)
     stage2_models = {}
     stage2_sources = {}
     for task_id, (task, plan, block, sources) in evaluated.items():
-        rows = np.arange(task.n_examples)
-        if shared_holdout:
-            rows, _ = plan.split(0)
+        rows = training_rows(task, config.resolved_scope, plan)
         fp = TrainFingerprint(task_id=task_id,
                               row_ids=tuple(task.example_ids[i] for i in rows))
         train_view = ExtrinsicMatrix(values=block[np.ix_(rows, bank.columns(sources))],

@@ -268,6 +268,31 @@ class TestBankAndCluster:
                        "--k", "2", "--out", str(tmp_path / "x"))
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["inspect-bank", "cluster"])
+    def test_archives_with_different_feature_counts(self, command, tmp_path, bank_dir,
+                                                    synth_dir, capsys):
+        """A bank whose archives disagree on the feature count exits 3 on load,
+        naming the odd archive and the first archive's count."""
+        narrow = tmp_path / "narrow"
+        assert run_cli("synth", "--tasks", "4", "--examples", "24", "--features", "1",
+                       "--seed", "1", "--out", str(narrow)) == 0
+        assert run_cli("train-bank", "--collection", str(narrow / "manifest.json"),
+                       "--learner", '{"kind": "ridge", "lam": 10}',
+                       "--out", str(tmp_path / "narrow_bank")) == 0
+        archive = bank_dir / "task001.model.json"
+        archive.write_bytes((tmp_path / "narrow_bank" / "task001.model.json").read_bytes())
+        argv = ["--bank", str(bank_dir)]
+        if command == "cluster":
+            argv += ["--pool", str(synth_dir / "manifest.json"), "--k", "2",
+                     "--out", str(tmp_path / "x")]
+        capsys.readouterr()
+        code = run_cli(command, *argv)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert (f"{archive}: 'feature_count' is 1, but {bank_dir / 'task000.model.json'} "
+                f"has 6") in err
+        assert "Traceback" not in err
+
 
 def _at_root(value):
     """Set element 0, the root's; a callable value gets the node count."""
@@ -500,6 +525,42 @@ def test_cluster_pool_from_manifest(tmp_path, synth_dir):
     assert code == 0
     lines = (out / "example_clusters.tsv").read_text().splitlines()
     assert len(lines) == 31  # header + capped pool rows
+
+
+@pytest.mark.parametrize("command", ["train-bank", "cluster", "run"])
+def test_shared_collection_with_different_feature_values(command, tmp_path, capsys):
+    """A shared-examples collection whose tasks disagree on a feature value exits 3,
+    naming the task, the example id and the column."""
+    coll = tmp_path / "shared"
+    assert run_cli("synth", "--tasks", "3", "--examples", "12", "--features", "3",
+                   "--mode", "shared", "--seed", "4", "--out", str(coll)) == 0
+    manifest = str(coll / "manifest.json")
+    bank = tmp_path / "bank"
+    assert run_cli("train-bank", "--collection", manifest, "--learner", '{"kind": "ridge"}',
+                   "--out", str(bank)) == 0
+    task = coll / "task002.csv"
+    header, first, *rest = task.read_text().splitlines()
+    cells = first.split(",")
+    column = header.split(",").index("x0")
+    cells[column] = repr(float(cells[column]) + 1.0)
+    task.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"collection": manifest, "transformer": {"kind": "ridge"},
+                               "final": {"kind": "ridge"},
+                               "split": {"kind": "holdout", "test_fraction": 0.3},
+                               "seed": 0}))
+    argv = {"train-bank": ["--collection", manifest, "--learner", '{"kind": "ridge"}',
+                           "--out", str(tmp_path / "b2")],
+            "cluster": ["--bank", str(bank), "--pool", manifest, "--k", "2",
+                        "--out", str(tmp_path / "c")],
+            "run": ["--config", str(cfg), "--out", str(tmp_path / "r")]}[command]
+    capsys.readouterr()
+    code = run_cli(command, *argv)
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert (f"task 'task002' differs from 'task000' at example {first.split(',')[0]!r}, "
+            f"column 'x0'") in err
+    assert "Traceback" not in err
 
 
 def test_invalid_stage1_scope_is_config_error(tmp_path, run_config, capsys):

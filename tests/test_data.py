@@ -121,6 +121,17 @@ class TestAssembleCollection:
         with pytest.raises(ValidationError, match="identical example ids"):
             assemble_collection([a, reordered], CollectionMode.SHARED_EXAMPLES)
 
+    def test_shared_mode_requires_same_feature_values(self):
+        a = make_task("a", n=4, mode_shared_ids=True)
+        b = make_task("b", n=4, mode_shared_ids=True)
+        X = b.features.copy()
+        X[2, 1] += 1.0
+        changed = Task("b", X, b.targets, b.feature_names, b.example_ids)
+        assemble_collection([a, b], CollectionMode.SHARED_EXAMPLES)
+        with pytest.raises(ValidationError, match="task 'b' differs from 'a' at example "
+                                                  "'ex2', column 'f1'"):
+            assemble_collection([a, changed], CollectionMode.SHARED_EXAMPLES)
+
     def test_fewer_than_two_tasks(self):
         with pytest.raises(ValidationError, match="at least 2"):
             assemble_collection([make_task("a")], CollectionMode.INDEPENDENT_EXAMPLES)

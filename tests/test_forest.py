@@ -62,7 +62,7 @@ def test_zero_rows_rejected():
 
 
 def test_zero_trees_rejected():
-    with pytest.raises(FitError, match="tree count"):
+    with pytest.raises(FitError, match="'n_trees' must be at least 1"):
         fit_forest(np.ones((4, 2)), np.ones(4), n_trees=0, seed=0)
 
 

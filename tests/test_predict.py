@@ -1,17 +1,20 @@
 """Contracts every learner kind keeps.
 
 ``predict`` depends on the values of its input, not on its memory layout,
-and a fit reads its seed exactly when its kind is declared seeded.
+a fit reads its seed exactly when its kind is declared seeded, and parsing
+and fitting reject the same hyperparameter values with the same message.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from crossrep.errors import FitError, ValidationError
 from crossrep.learners import (LearnerKind, LearnerSpec, fit_forest, fit_learner, fit_ridge,
-                               fit_ridge_cv, fit_svr, predict, save_model)
-from crossrep.learners.base import SEEDED_KINDS
+                               fit_ridge_cv, fit_svr, parse_learner_spec, predict, save_model)
+from crossrep.learners.base import _HYPERPARAMS, SEEDED_KINDS
 
 FITTERS = {
     "ridge": lambda X, y: fit_ridge(X, y, 10.0),
@@ -61,3 +64,44 @@ def test_fit_reads_seed_exactly_when_kind_is_seeded(kind, tmp_path):
         doc["state"].pop("seed", None)
         docs.append(doc)
     assert (docs[0] == docs[1]) == (kind not in SEEDED_KINDS)
+
+
+# Per hyperparameter, values just outside its bound. Every float-valued key
+# also gets the non-finite values.
+OUTSIDE = {
+    "lam": (-1e-12,),
+    "lambda_grid": ([], [1.0, -1e-12], [1.0, math.inf], [math.nan]),
+    "k": (1,),
+    "n_trees": (0,),
+    "min_node_size": (0,),
+    "mtry": (-1,),
+    "c": (0.0,),
+    "epsilon": (-1e-12,),
+    "sigma": (0.0,),
+    "tol": (),
+    "max_iter": (-1,),
+}
+NONFINITE = (math.inf, -math.inf, math.nan)
+DEFAULTS = {kind: parse_learner_spec({"kind": kind.value}, "defaults").hyperparams
+            for kind in LearnerKind}
+FITS = {LearnerKind.RIDGE: fit_ridge, LearnerKind.RIDGE_CV: fit_ridge_cv,
+        LearnerKind.FOREST: fit_forest, LearnerKind.SVR: fit_svr}
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    (kind, key, value)
+    for kind in LearnerKind for key in _HYPERPARAMS[kind]
+    for value in OUTSIDE[key] + (NONFINITE if isinstance(DEFAULTS[kind][key], float) else ())
+], ids=lambda v: str(getattr(v, "value", v)))
+def test_parse_and_fit_reject_out_of_bounds_alike(kind, key, value):
+    """One table bounds every hyperparameter, for parsing and for ``fit_*``."""
+    with pytest.raises(ValidationError) as parsed:
+        parse_learner_spec({"kind": kind.value, key: value}, "spec")
+    assert str(parsed.value).startswith(f"spec: {key!r} must be ")
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(12, 2))
+    y = X[:, 0] + rng.normal(size=12)
+    seed = {"seed": 0} if kind in SEEDED_KINDS else {}
+    with pytest.raises(FitError) as fitted:
+        FITS[kind](X, y, **{**DEFAULTS[kind], key: value}, **seed)
+    assert str(parsed.value) == f"spec: {fitted.value}"

@@ -123,7 +123,7 @@ class TestSvrFit:
             fit_svr(X, y, epsilon=-0.1)
         with pytest.raises(FitError):
             fit_svr(X, y, sigma=0.0)
-        with pytest.raises(FitError, match="iteration cap"):
+        with pytest.raises(FitError, match="'max_iter' must be at least 0"):
             fit_svr(X, y, max_iter=-1)
 
     def test_predict_purity(self):
