@@ -56,8 +56,8 @@ def load_config(path: Path, seed_override: int | None, strict_flag: bool) -> Pip
     if split_kind == "kfold":
         split_args = {"k": json_field(split_where, split_doc, "k", int, 0)}
     elif split_kind == "holdout":
-        fraction = json_field(split_where, split_doc, "test_fraction", float, 0.0)
-        split_args = {"test_fraction": float(fraction)}
+        split_args = {"test_fraction": json_field(split_where, split_doc, "test_fraction",
+                                                  float, 0.0)}
     else:
         raise IngestionError(f"{path}: split.kind must be 'kfold' or 'holdout'")
     collection = load_collection(path.parent / collection_ref)

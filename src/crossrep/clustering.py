@@ -115,8 +115,6 @@ def kmeans(X: np.ndarray, k: int, seed: int, max_iter: int = KMEANS_MAX_ITER,
     n = X.shape[0]
     if not 1 <= k <= n:
         raise ValidationError(f"k must be in [1, {n}], got {k}")
-    if n == 0:
-        raise ValidationError("cannot cluster an empty matrix")
 
     rng = np.random.default_rng(seed)
     # Prefer geometrically distinct rows as initial centroids so duplicate

@@ -342,12 +342,22 @@ _JSON_KINDS = {int: "an integer", float: "a number", bool: "true or false",
 _REQUIRED = object()
 
 
+def json_float(where: str | Path, key: str, value: int | float) -> float:
+    """A JSON number as a float; an integer too large for a float is an error."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise IngestionError(f"{where}: {key!r} must be a number within float range, "
+                             f"got an integer of {value.bit_length()} bits") from None
+
+
 def json_field(where: str | Path, doc: dict, key: str, kind: type, default=_REQUIRED):
     """``doc[key]`` if it is a JSON ``kind``: an integer is a number, a boolean is not.
 
-    A null or absent key gives ``default``; without a default the key is
-    required. Errors are IngestionErrors prefixed with ``where``, the file
-    and, for a nested object, the key that holds it.
+    A number is returned as a float (see ``json_float``). A null or absent
+    key gives ``default``; without a default the key is required. Errors are
+    IngestionErrors prefixed with ``where``, the file and, for a nested
+    object, the key that holds it.
     """
     value = doc.get(key)
     if value is None and default is not _REQUIRED:
@@ -360,7 +370,7 @@ def json_field(where: str | Path, doc: dict, key: str, kind: type, default=_REQU
         ok = isinstance(value, kind)
     if not ok:
         raise IngestionError(f"{where}: {key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
-    return value
+    return json_float(where, key, value) if kind is float else value
 
 
 def parse_value(path: Path, line: int, column: str, cell: str) -> float:

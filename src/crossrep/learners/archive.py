@@ -54,7 +54,7 @@ def _dec_floats(doc: dict, key: str, shape: tuple, where: str) -> np.ndarray:
 
 def _predict_scalar(doc: dict, key: str, where: str, positive: bool = False) -> float:
     """Float ``key`` of ``doc``, which prediction reads: finite, and positive if asked."""
-    value = float(json_field(where, doc, key, float))
+    value = json_field(where, doc, key, float)
     if not math.isfinite(value) or (positive and value <= 0):
         raise IngestionError(f"{where}: {key!r} must be finite"
                              f"{' and positive' if positive else ''}, got {value!r}")
@@ -125,7 +125,7 @@ def _state_from_doc(kind: LearnerKind, doc: dict, where: str, feature_count: int
     if kind in (LearnerKind.RIDGE, LearnerKind.RIDGE_CV):
         return RidgeState(coef=_dec_floats(doc, "coef", (feature_count,), where),
                           intercept=_predict_scalar(doc, "intercept", where),
-                          lam=float(json_field(where, doc, "lam", float)))
+                          lam=json_field(where, doc, "lam", float))
     if kind is LearnerKind.FOREST:
         trees = tuple(
             Tree(feature=_dec(t["feature"]), threshold=_dec(t["threshold"]),
@@ -145,7 +145,7 @@ def _state_from_doc(kind: LearnerKind, doc: dict, where: str, feature_count: int
                         bias=_predict_scalar(doc, "bias", where),
                         sigma=_predict_scalar(doc, "sigma", where, positive=True),
                         n_iter=json_field(where, doc, "n_iter", int),
-                        kkt_gap=float(json_field(where, doc, "kkt_gap", float)))
+                        kkt_gap=json_field(where, doc, "kkt_gap", float))
     raise IngestionError(f"cannot restore state for kind {kind}")
 
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any
 
 import numpy as np
 
-from ..data import json_field
+from ..data import json_field, json_float
 from ..errors import FitError, ValidationError
 
 
@@ -172,6 +172,8 @@ def parse_learner_spec(doc: dict, where: str) -> LearnerSpec:
     grid = kwargs.get("lambda_grid", ())
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in grid):
         raise ValidationError(f"{where}: 'lambda_grid' must be a list of numbers, got {grid!r}")
+    if grid:
+        kwargs["lambda_grid"] = [json_float(where, "lambda_grid", v) for v in grid]
     check_hyperparams(kind, kwargs, ValidationError, f"{where}: ")
     ctor = {LearnerKind.RIDGE: LearnerSpec.ridge,
             LearnerKind.RIDGE_CV: LearnerSpec.ridge_cv,
@@ -284,13 +286,16 @@ def fit_learner(spec: LearnerSpec, X: np.ndarray, y: np.ndarray,
                 seed: int | None = None) -> FittedModel:
     """Fit any learner kind from its spec; ``seed`` overrides spec.seed.
 
-    Only the kinds in SEEDED_KINDS are given a seed. The fit functions are
-    looked up per call, so a rebound module attribute is the one called.
+    Only the kinds in SEEDED_KINDS are given a seed. The fitted model
+    carries ``spec`` and ``fingerprint``, whatever seed was used. The fit
+    functions are looked up per call, so a rebound module attribute is the
+    one called.
     """
     fit = {LearnerKind.RIDGE: ridge.fit_ridge, LearnerKind.RIDGE_CV: ridge.fit_ridge_cv,
            LearnerKind.FOREST: forest.fit_forest, LearnerKind.SVR: svr.fit_svr}[spec.kind]
     seeded = {"seed": spec.seed if seed is None else seed} if spec.kind in SEEDED_KINDS else {}
-    return fit(X, y, **spec.hyperparams, **seeded, fingerprint=fingerprint, spec=spec)
+    model = fit(X, y, **spec.hyperparams, **seeded)
+    return replace(model, spec=spec, train_fingerprint=fingerprint)
 
 
 def check_fit_input(X: np.ndarray, y: np.ndarray, min_rows: int = 1) -> tuple[np.ndarray, np.ndarray]:

@@ -36,8 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from ..seeding import derive_seed
-from .base import (EMPTY_FINGERPRINT, FittedModel, LearnerKind, LearnerSpec,
-                   TrainFingerprint, check_fit_input, check_hyperparams)
+from .base import FittedModel, LearnerKind, LearnerSpec, check_fit_input, check_hyperparams
 
 # (tree, row) pairs per prediction chunk: keeps the traversal's buffers small
 PREDICT_CHUNK_PAIRS = 8192
@@ -194,9 +193,7 @@ def predict_state(state: ForestState, X: np.ndarray) -> np.ndarray:
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, *, n_trees: int = 500, mtry: int = 0,
-               min_node_size: int = 5, seed: int = 0,
-               fingerprint: TrainFingerprint = EMPTY_FINGERPRINT,
-               spec: LearnerSpec | None = None) -> FittedModel:
+               min_node_size: int = 5, seed: int = 0) -> FittedModel:
     """Fit a bagged forest; mtry = 0 means ceil(p / 3)."""
     X, y = check_fit_input(X, y, min_rows=1)
     check_hyperparams(LearnerKind.FOREST,
@@ -206,9 +203,6 @@ def fit_forest(X: np.ndarray, y: np.ndarray, *, n_trees: int = 500, mtry: int = 
     trees = tuple(_grow_tree(X, y, eff_mtry, min_node_size,
                              np.random.default_rng(derive_seed(seed, "tree", t)))
                   for t in range(n_trees))
-    if spec is None:
-        spec = LearnerSpec.forest(n_trees=n_trees, mtry=mtry,
-                                  min_node_size=min_node_size, seed=seed)
+    spec = LearnerSpec.forest(n_trees=n_trees, mtry=mtry, min_node_size=min_node_size, seed=seed)
     state = ForestState(trees=trees, seed=seed, mtry=eff_mtry, min_node_size=min_node_size)
-    return FittedModel(spec=spec, state=state, feature_count=p,
-                       train_fingerprint=fingerprint, standardization=None)
+    return FittedModel(spec=spec, state=state, feature_count=p)

@@ -1,21 +1,21 @@
 """Linear regression with an L2 penalty on the coefficients.
 
-The intercept is never penalized. Features are standardized internally by
-default so the penalty weight is scale-meaningful; predictions are always
+The intercept is never penalized. Features are always standardized
+internally so the penalty weight is scale-meaningful; predictions are
 returned on the original scale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..data import make_fold_plan
 from ..errors import FitError, ValidationError
-from .base import (EMPTY_FINGERPRINT, FittedModel, LearnerKind, LearnerSpec, Standardizer,
-                   TrainFingerprint, check_fit_input, check_hyperparams, predict)
+from .base import (FittedModel, LearnerKind, LearnerSpec, Standardizer, check_fit_input,
+                   check_hyperparams, predict)
 
 
 @dataclass(frozen=True)
@@ -48,41 +48,34 @@ def _solve_centered(Zc: np.ndarray, yc: np.ndarray, lam: float) -> np.ndarray:
     return coef
 
 
-def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float, *, standardize: bool = True,
-              fingerprint: TrainFingerprint = EMPTY_FINGERPRINT,
-              spec: LearnerSpec | None = None) -> FittedModel:
-    """Minimize ||y - b0 - X beta||^2 + lam * ||beta||^2."""
+def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> FittedModel:
+    """Minimize ||y - b0 - Z beta||^2 + lam * ||beta||^2, Z the standardized X."""
     X, y = check_fit_input(X, y, min_rows=2)
     check_hyperparams(LearnerKind.RIDGE, {"lam": lam})
-    scaler = Standardizer.fit(X) if standardize else None
-    Z = scaler.transform(X) if scaler is not None else X
+    scaler = Standardizer.fit(X)
+    Z = scaler.transform(X)
     xm = Z.mean(axis=0)
     ym = y.mean()
     coef = _solve_centered(Z - xm, y - ym, float(lam))
     intercept = float(ym - xm @ coef)
-    if spec is None:
-        spec = LearnerSpec.ridge(lam=float(lam))
     state = RidgeState(coef=coef, intercept=intercept, lam=float(lam))
-    return FittedModel(spec=spec, state=state, feature_count=X.shape[1],
-                       train_fingerprint=fingerprint, standardization=scaler)
+    return FittedModel(spec=LearnerSpec.ridge(lam=lam), state=state,
+                       feature_count=X.shape[1], standardization=scaler)
 
 
-def _cv_rmse(X: np.ndarray, y: np.ndarray, lam: float, plan, standardize: bool) -> float:
+def _cv_rmse(X: np.ndarray, y: np.ndarray, lam: float, plan) -> float:
     errors = []
     for f in range(plan.n_splits):
         train, test = plan.split(f)
         if len(train) < 2 or len(test) == 0:
             raise FitError(f"degenerate internal fold {f}: {len(train)} train rows")
-        model = fit_ridge(X[train], y[train], lam, standardize=standardize)
+        model = fit_ridge(X[train], y[train], lam)
         pred = predict(model, X[test])
         errors.append(math.sqrt(float(np.mean((pred - y[test]) ** 2))))
     return float(np.mean(errors))
 
 
-def fit_ridge_cv(X: np.ndarray, y: np.ndarray, lambda_grid, k: int, seed: int, *,
-                 standardize: bool = True,
-                 fingerprint: TrainFingerprint = EMPTY_FINGERPRINT,
-                 spec: LearnerSpec | None = None) -> FittedModel:
+def fit_ridge_cv(X: np.ndarray, y: np.ndarray, lambda_grid, k: int, seed: int) -> FittedModel:
     """Pick the grid penalty with minimal internal-CV RMSE, then refit on all rows.
 
     Ties in CV RMSE resolve to the larger penalty.
@@ -94,9 +87,7 @@ def fit_ridge_cv(X: np.ndarray, y: np.ndarray, lambda_grid, k: int, seed: int, *
         plan = make_fold_plan(X.shape[0], k, seed)
     except ValidationError as exc:
         raise FitError(f"internal cross-validation impossible: {exc}") from exc
-    scored = [(_cv_rmse(X, y, lam, plan, standardize), -lam) for lam in grid]
+    scored = [(_cv_rmse(X, y, lam, plan), -lam) for lam in grid]
     best_lam = -min(scored)[1]
-    if spec is None:
-        spec = LearnerSpec.ridge_cv(lambda_grid=grid, k=k, seed=seed)
-    return fit_ridge(X, y, best_lam, standardize=standardize,
-                     fingerprint=fingerprint, spec=spec)
+    return replace(fit_ridge(X, y, best_lam),
+                   spec=LearnerSpec.ridge_cv(lambda_grid=grid, k=k, seed=seed))

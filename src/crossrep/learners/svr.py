@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConvergenceError
-from .base import (EMPTY_FINGERPRINT, FittedModel, LearnerKind, LearnerSpec, Standardizer,
-                   TrainFingerprint, check_fit_input, check_hyperparams)
+from .base import (FittedModel, LearnerKind, LearnerSpec, Standardizer, check_fit_input,
+                   check_hyperparams)
 
 
 def rbf_gram(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
@@ -187,23 +187,20 @@ def _smo(K: np.ndarray, y: np.ndarray, c: float, epsilon: float, tol: float,
 
 
 def fit_svr(X: np.ndarray, y: np.ndarray, *, c: float = 1.0, epsilon: float = 0.1,
-            sigma: float = 0.2, tol: float = 1e-3, max_iter: int = 200_000,
-            standardize: bool = True,
-            fingerprint: TrainFingerprint = EMPTY_FINGERPRINT,
-            spec: LearnerSpec | None = None) -> FittedModel:
+            sigma: float = 0.2, tol: float = 1e-3, max_iter: int = 200_000) -> FittedModel:
+    """Solve the dual on the standardized X; the support rows are kept standardized."""
     X, y = check_fit_input(X, y, min_rows=2)
     check_hyperparams(LearnerKind.SVR, {"c": c, "epsilon": epsilon, "sigma": sigma,
                                         "tol": tol, "max_iter": max_iter})
-    scaler = Standardizer.fit(X) if standardize else None
-    Z = scaler.transform(X) if scaler is not None else X
+    scaler = Standardizer.fit(X)
+    Z = scaler.transform(X)
     K = rbf_gram(Z, Z, sigma)
     a, bias, n_iter, gap = _smo(K, y, float(c), float(epsilon), float(tol), int(max_iter))
     l = len(y)
     beta = a[:l] - a[l:]
     sv = beta != 0.0
-    if spec is None:
-        spec = LearnerSpec.svr(c=c, epsilon=epsilon, sigma=sigma, tol=tol, max_iter=max_iter)
+    spec = LearnerSpec.svr(c=c, epsilon=epsilon, sigma=sigma, tol=tol, max_iter=max_iter)
     state = SvrState(support=Z[sv].copy(), dual_coef=beta[sv].copy(), bias=bias,
                      sigma=float(sigma), n_iter=n_iter, kkt_gap=gap)
     return FittedModel(spec=spec, state=state, feature_count=X.shape[1],
-                       train_fingerprint=fingerprint, standardization=scaler)
+                       standardization=scaler)

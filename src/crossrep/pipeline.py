@@ -14,6 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -169,26 +170,6 @@ def _normalize_collection(collection: TaskCollection
                                collection.feature_space_id), params
 
 
-def _train_bank_with_isolation(collection: TaskCollection, config: PipelineConfig,
-                               plans: dict[str, SplitPlan]
-                               ) -> tuple[ModelBank, TaskCollection, list[TaskFailure]]:
-    """Fit the stage-1 bank; non-strict mode records failing tasks and drops them."""
-    failures: list[TaskFailure] = []
-
-    def record(task_id: str, exc: FitError) -> None:
-        failures.append(TaskFailure(task_id, "stage1", str(exc)))
-
-    bank = stage1_train(collection, config.transformer_spec, config.resolved_scope,
-                        split_plans=plans, on_failure=None if config.strict else record)
-    if failures:
-        survivors = [t for t in collection.tasks if t.task_id in bank.models]
-        if len(survivors) < 2:
-            raise FitError("fewer than 2 tasks survived stage-1 training; cannot continue")
-        collection = assemble_collection(survivors, collection.mode,
-                                         collection.feature_space_id)
-    return bank, collection, failures
-
-
 def _block_key(features: np.ndarray) -> tuple:
     """Content key of a feature block; equal keys mean equal rows."""
     return features.shape, hashlib.sha256(np.ascontiguousarray(features)).digest()
@@ -202,7 +183,22 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
         collection, norm_params = _normalize_collection(collection)
 
     plans = _make_plans(collection, config.split, config.seed)
-    bank, collection, failures = _train_bank_with_isolation(collection, config, plans)
+    failures: list[TaskFailure] = []
+
+    def record(stage: str, task_id: str, exc: CrossrepError) -> None:
+        """Strict runs raise a task's error; the others record it and go on."""
+        if config.strict:
+            raise exc
+        failures.append(TaskFailure(task_id, stage, str(exc)))
+
+    bank = stage1_train(collection, config.transformer_spec, config.resolved_scope,
+                        split_plans=plans, on_failure=lambda t, exc: record("stage1", t, exc))
+    if failures:
+        survivors = [t for t in collection.tasks if t.task_id in bank.models]
+        if len(survivors) < 2:
+            raise FitError("fewer than 2 tasks survived stage-1 training; cannot continue")
+        collection = assemble_collection(survivors, collection.mode,
+                                         collection.feature_space_id)
 
     audit_violations: tuple[str, ...] = ()
     if (collection.mode is CollectionMode.SHARED_EXAMPLES
@@ -253,15 +249,13 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
                                            row_ids=task.example_ids, fitted=fitted)
                             for rep, f, fitted in feature_sets]
         except CrossrepError as exc:
-            if config.strict:
-                raise
-            failures.append(TaskFailure(task.task_id, "evaluate", str(exc)))
+            record("evaluate", task.task_id, exc)
             continue
         evaluated[task.task_id] = (task, plan, blocks[key], ext.source_model_ids)
         results.extend(task_results)
 
     if config.order == 2:
-        results.extend(_run_second_order(bank, evaluated, failures, config))
+        results.extend(_run_second_order(bank, evaluated, record, config))
 
     # Keep only tasks scored under every representation so the comparison
     # table always sees identical task sets; recorded failures explain gaps.
@@ -288,7 +282,7 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
 def _run_second_order(bank: ModelBank,
                       evaluated: dict[str, tuple[Task, SplitPlan, np.ndarray,
                                                  tuple[str, ...]]],
-                      failures: list[TaskFailure],
+                      record: Callable[[str, str, CrossrepError], None],
                       config: PipelineConfig) -> list[CvResult]:
     # Tasks that failed first-order evaluation drop out of the order-2
     # column set; their stage-1 models may still feed surviving views.
@@ -305,9 +299,7 @@ def _run_second_order(bank: ModelBank,
                 train_view, task.targets[rows], config.final_spec, fingerprint=fp,
                 seed=derive_seed(config.seed, "stage2", task_id))
         except CrossrepError as exc:
-            if config.strict:
-                raise
-            failures.append(TaskFailure(task_id, "stage2", str(exc)))
+            record("stage2", task_id, exc)
             continue
         stage2_sources[task_id] = sources
     surviving = tuple(t for t in bank.task_ids if t in stage2_models)
@@ -325,9 +317,7 @@ def _run_second_order(bank: ModelBank,
                                       task_id=task_id, representation=rep,
                                       row_ids=task.example_ids))
         except CrossrepError as exc:
-            if config.strict:
-                raise
-            failures.append(TaskFailure(task_id, "order2", str(exc)))
+            record("order2", task_id, exc)
     return out
 
 
@@ -340,18 +330,15 @@ MANIFEST_NAME = "run_manifest.json"
 def scores_tsv(result: ExperimentResult) -> str:
     lines = ["task_id\tfinal\trepresentation\torder\tn_folds\tmean_rmse"
              "\tper_fold_rmse\tplan_digest"]
-    rep_order = {r.representation.key(): (0 if r.representation.kind == "original" else
-                                          r.representation.order)
-                 for r in result.results}
     def sort_key(r: CvResult):
-        return (r.task_id, r.final_learner.label, rep_order[r.representation.key()],
+        return (r.task_id, r.final_learner.label, r.representation.order,
                 r.representation.label)
     for r in sorted(result.results, key=sort_key):
         lines.append("\t".join([
             r.task_id,
             r.final_learner.label,
             r.representation.label,
-            str(rep_order[r.representation.key()]),
+            str(r.representation.order),
             str(len(r.per_fold_rmse)),
             repr(r.mean_rmse),
             ";".join(repr(v) for v in r.per_fold_rmse),

@@ -13,8 +13,8 @@ from crossrep.engine import (TrainingScope, audit_no_leakage, build_extrinsic,
                              cross_predict, second_order_extrinsic, select_descriptors,
                              stage1_train, stage2_train)
 from crossrep.evaluation import improvement_pct, rmse, win_count
-from crossrep.learners import (LearnerSpec, fit_forest, fit_ridge, fit_svr, predict,
-                               rbf_gram)
+from crossrep.learners import (LearnerSpec, Standardizer, fit_forest, fit_ridge, fit_svr,
+                               predict, rbf_gram)
 from crossrep.learners.svr import _smo
 from crossrep.pipeline import (PipelineConfig, SplitProtocol, run_pipeline,
                                scores_tsv, write_result)
@@ -95,8 +95,9 @@ def test_criterion_3_learner_correctness():
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(5, 3))
         y = rng.normal(size=5)
-        model = fit_ridge(X, y, 10.0, standardize=False)
-        b0, beta = gradient_descent_ridge(X, y, 10.0)
+        model = fit_ridge(X, y, 10.0)
+        # the fit solves on the standardized design
+        b0, beta = gradient_descent_ridge(Standardizer.fit(X).transform(X), y, 10.0)
         assert abs(model.state.intercept - b0) < 1e-6
         assert np.max(np.abs(model.state.coef - beta)) < 1e-6
 
@@ -105,7 +106,8 @@ def test_criterion_3_learner_correctness():
     X = rng.normal(size=(8, 3))
     y = rng.normal(size=8)
     lam = 10.0
-    model = fit_ridge(X, y, lam, standardize=False)
+    model = fit_ridge(X, y, lam)
+    X = Standardizer.fit(X).transform(X)  # the design the fit solves
     theta = np.concatenate([[model.state.intercept], model.state.coef])
 
     def objective(t):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from crossrep.errors import IngestionError
-from crossrep.learners import (TrainFingerprint, fit_forest, fit_ridge, fit_ridge_cv,
-                               fit_svr, load_model, predict, save_model)
+from crossrep.learners import (LearnerSpec, TrainFingerprint, fit_forest, fit_learner,
+                               fit_ridge, fit_ridge_cv, fit_svr, load_model, predict,
+                               save_model)
 
 
 def roundtrip(model, tmp_path, name):
@@ -24,7 +25,7 @@ def data():
 def test_ridge_roundtrip_bitwise(tmp_path, data):
     X, y, Xt = data
     fp = TrainFingerprint("taskA", tuple(f"r{i}" for i in range(25)))
-    model = fit_ridge(X, y, 10.0, fingerprint=fp)
+    model = fit_learner(LearnerSpec.ridge(10.0), X, y, fingerprint=fp)
     loaded = roundtrip(model, tmp_path, "ridge")
     assert np.array_equal(predict(model, Xt), predict(loaded, Xt))
     assert loaded.train_fingerprint == fp

@@ -729,3 +729,31 @@ class TestJsonDocuments:
         archive.write_text(json.dumps(doc))
         capsys.readouterr()
         self.check(capsys, run_cli("inspect-bank", "--bank", str(bank)), archive, key)
+
+    # A JSON integer no float can hold, given for a number key.
+    BIG = 10 ** 400
+
+    @pytest.mark.parametrize("learner, key", [
+        ({"kind": "svr", "c": BIG}, "c"),
+        ({"kind": "ridge_cv", "lambda_grid": [1.0, BIG]}, "lambda_grid"),
+    ], ids=["svr-c", "ridge_cv-grid"])
+    def test_too_large_integer_in_learner(self, tmp_path, synth_dir, capsys, learner, key):
+        code = run_cli("train-bank", "--collection", str(synth_dir / "manifest.json"),
+                       "--learner", json.dumps(learner), "--out", str(tmp_path / "b"))
+        self.check(capsys, code, "--learner", key)
+
+    def test_too_large_integer_in_config(self, tmp_path, run_config, capsys):
+        doc = json.loads(run_config.read_text())
+        doc["split"] = {"kind": "holdout", "test_fraction": self.BIG}
+        run_config.write_text(json.dumps(doc))
+        code = run_cli("run", "--config", str(run_config), "--out", str(tmp_path / "x"))
+        self.check(capsys, code, run_config, "test_fraction")
+
+    def test_too_large_integer_in_archive(self, tmp_path, bank_dir, capsys):
+        archive = bank_dir / "task001.model.json"
+        doc = json.loads(archive.read_text())
+        doc["state"]["intercept"] = self.BIG
+        archive.write_text(json.dumps(doc))
+        capsys.readouterr()
+        self.check(capsys, run_cli("inspect-bank", "--bank", str(bank_dir)), archive,
+                   "intercept")

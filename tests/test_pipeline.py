@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from crossrep import engine, evaluation
+from crossrep import engine, evaluation, pipeline
 from crossrep.data import (CollectionMode, SplitKind, Task, assemble_collection)
 from crossrep.engine import TrainingScope
 from crossrep.errors import ConfigError, FitError
@@ -108,6 +108,45 @@ class TestRunPipeline:
         assert [(f.task_id, f.stage) for f in result.failures] == [
             ("tiny0", "stage1"), ("tiny1", "stage1")]
         assert {r.task_id for r in result.results} == {t.task_id for t in tasks}
+
+    @staticmethod
+    def _fail_one_task(monkeypatch, name, task_id):
+        """Make ``pipeline.<name>`` raise a FitError for ``task_id`` only."""
+        real = getattr(pipeline, name)
+
+        def failing(*args, **kwargs):
+            # stage2_train receives the task's view, second_order_extrinsic its id
+            target = args[0] if isinstance(args[0], str) else args[0].target_task_id
+            if target == task_id:
+                raise FitError(f"injected {name} failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, failing)
+
+    def test_nonstrict_stage2_failure_recorded_and_every_task_scored(self, monkeypatch):
+        col = toy_collection()
+        self._fail_one_task(monkeypatch, "stage2_train", col.task_ids[1])
+        result = run_pipeline(config(col, transformer_spec=RIDGE, final_spec=RIDGE, order=2))
+        assert [(f.task_id, f.stage, f.message) for f in result.failures] == [
+            (col.task_ids[1], "stage2", "injected stage2_train failure")]
+        assert {r.task_id for r in result.results} == set(col.task_ids)
+        assert len(result.results) == 3 * 4
+
+    def test_nonstrict_order2_failure_recorded_and_task_dropped(self, monkeypatch):
+        col = toy_collection()
+        self._fail_one_task(monkeypatch, "second_order_extrinsic", col.task_ids[2])
+        result = run_pipeline(config(col, transformer_spec=RIDGE, final_spec=RIDGE, order=2))
+        assert [(f.task_id, f.stage, f.message) for f in result.failures] == [
+            (col.task_ids[2], "order2", "injected second_order_extrinsic failure")]
+        assert {r.task_id for r in result.results} == set(col.task_ids) - {col.task_ids[2]}
+
+    @pytest.mark.parametrize("name", ["stage2_train", "second_order_extrinsic"])
+    def test_strict_order2_failure_raises(self, monkeypatch, name):
+        col = toy_collection()
+        self._fail_one_task(monkeypatch, name, col.task_ids[0])
+        with pytest.raises(FitError, match=f"injected {name} failure"):
+            run_pipeline(config(col, transformer_spec=RIDGE, final_spec=RIDGE, order=2,
+                                strict=True))
 
     def test_descriptor_cap_respected(self):
         col = toy_collection(n_tasks=5)

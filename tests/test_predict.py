@@ -1,10 +1,12 @@
 """Contracts every learner kind keeps.
 
 ``predict`` depends on the values of its input, not on its memory layout,
-a fit reads its seed exactly when its kind is declared seeded, and parsing
-and fitting reject the same hyperparameter values with the same message.
+a fit reads its seed exactly when its kind is declared seeded, parsing
+and fitting reject the same hyperparameter values with the same message,
+and a spec constructor and its kind's fit give a shared keyword one default.
 """
 
+import inspect
 import json
 import math
 
@@ -105,3 +107,18 @@ def test_parse_and_fit_reject_out_of_bounds_alike(kind, key, value):
     with pytest.raises(FitError) as fitted:
         FITS[kind](X, y, **{**DEFAULTS[kind], key: value}, **seed)
     assert str(parsed.value) == f"spec: {fitted.value}"
+
+
+@pytest.mark.parametrize("kind", list(LearnerKind), ids=lambda k: k.value)
+def test_spec_and_fit_defaults_agree(kind):
+    """A default written in both a ``LearnerSpec`` constructor and its ``fit_*``
+    is the same value, so a direct fit records the spec that ``fit_learner``
+    would have been given."""
+    def defaults(fn):
+        return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+                if p.default is not inspect.Parameter.empty}
+
+    spec_defaults = defaults(getattr(LearnerSpec, kind.value))
+    fit_defaults = defaults(FITS[kind])
+    shared = spec_defaults.keys() & fit_defaults.keys()
+    assert {k: spec_defaults[k] for k in shared} == {k: fit_defaults[k] for k in shared}

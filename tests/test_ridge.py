@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from crossrep.errors import FitError
-from crossrep.learners import LearnerSpec, fit_learner, fit_ridge, fit_ridge_cv, predict
+from crossrep.learners import (LearnerSpec, Standardizer, fit_learner, fit_ridge, fit_ridge_cv,
+                               predict)
 from crossrep.data import make_fold_plan
 from crossrep.evaluation import rmse
 
@@ -10,7 +11,7 @@ from helpers import gradient_descent_ridge, ridge_gradient
 
 
 def test_identity_interpolation():
-    model = fit_ridge(np.eye(3), np.array([1.0, 2.0, 3.0]), 0.0, standardize=False)
+    model = fit_ridge(np.eye(3), np.array([1.0, 2.0, 3.0]), 0.0)
     pred = predict(model, np.eye(3))
     assert np.allclose(pred, [1.0, 2.0, 3.0], atol=1e-9)
 
@@ -31,8 +32,9 @@ def test_matches_gradient_descent_oracle(seed):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(5, 3))
     y = rng.normal(size=5)
-    model = fit_ridge(X, y, 10.0, standardize=False)
-    b0, beta = gradient_descent_ridge(X, y, 10.0)
+    model = fit_ridge(X, y, 10.0)
+    # the fit solves on the standardized design
+    b0, beta = gradient_descent_ridge(Standardizer.fit(X).transform(X), y, 10.0)
     assert abs(model.state.intercept - b0) < 1e-6
     assert np.max(np.abs(model.state.coef - beta)) < 1e-6
 
@@ -43,7 +45,8 @@ def test_gradient_zero_at_solution_by_finite_differences(seed):
     X = rng.normal(size=(12, 4))
     y = rng.normal(size=12)
     lam = 7.5
-    model = fit_ridge(X, y, lam, standardize=False)
+    model = fit_ridge(X, y, lam)
+    X = Standardizer.fit(X).transform(X)  # the design the fit solves
     theta = np.concatenate([[model.state.intercept], model.state.coef])
 
     def objective(t):

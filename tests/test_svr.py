@@ -60,8 +60,7 @@ class TestSvrFit:
         X = rng.normal(size=(6, 1))
         y = np.sin(X[:, 0]) + 0.1 * rng.normal(size=6)
         c, eps, sigma = 2.0, 0.05, 0.5
-        model = fit_svr(X, y, c=c, epsilon=eps, sigma=sigma, tol=1e-8,
-                        max_iter=500_000, standardize=False)
+        model = fit_svr(X, y, c=c, epsilon=eps, sigma=sigma, tol=1e-8, max_iter=500_000)
         K = rbf_gram(X, X, sigma)
         a, _, _, _ = _smo(K, y, c, eps, 1e-8, 500_000)
         engine_obj = dual_objective(K, y, eps, a)
@@ -80,8 +79,7 @@ class TestSvrFit:
         X = rng.normal(size=(15, 2))
         y = X[:, 0] ** 2 - X[:, 1] + 0.05 * rng.normal(size=15)
         c, eps, sigma = 3.0, 0.05, 0.4
-        model = fit_svr(X, y, c=c, epsilon=eps, sigma=sigma, tol=1e-4,
-                        standardize=False)
+        model = fit_svr(X, y, c=c, epsilon=eps, sigma=sigma, tol=1e-4)
         K = rbf_gram(X, X, sigma)
         a, bias, _, gap = _smo(K, y, c, eps, 1e-4, 500_000)
         assert gap < 1e-4
@@ -103,8 +101,7 @@ class TestSvrFit:
         rng = np.random.default_rng(4)
         X = np.linspace(-2, 2, 60).reshape(-1, 1)
         y = np.sin(2 * X[:, 0])
-        model = fit_svr(X, y, c=50.0, epsilon=0.02, sigma=2.0, tol=1e-5,
-                        standardize=False)
+        model = fit_svr(X, y, c=50.0, epsilon=0.02, sigma=2.0, tol=1e-5)
         pred = predict(model, X)
         assert np.sqrt(np.mean((pred - y) ** 2)) < 0.05
 

@@ -59,11 +59,6 @@ CASES = {
         lambda: _random(2, 30, 4), dict(c=10.0, epsilon=0.05, sigma=0.1, tol=1e-6),
         "5376c3e95733e5ddf99b3faea00fa73e3214e9f9c2113a8b3df70c2fe3b984dc",
         5432, "0x1.0bfbb44c00000p-20"),
-    "raw_c1_25x2": (
-        lambda: _random(3, 25, 2),
-        dict(c=1.0, epsilon=0.2, sigma=1.0, tol=1e-5, standardize=False),
-        "5b5ce2b306fac2ee7ec4c63fd0d7e18e95bf2895b578602382c184382e37fb3f",
-        108, "0x1.336717bf20000p-17"),
     "ties_c1_36x2": (
         lambda: _ties(4, 36, 2), dict(c=1.0, epsilon=0.0, sigma=0.5, tol=1e-5),
         "314127b597d62771edfbe59fa493ec44adbb3f9426cb1387d25aa71a769d01f3",
