@@ -139,28 +139,26 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         ids = pool_task.example_ids
     else:
         pool, ids = load_pool(pool_path)
-    matrix = cross_prediction_matrix(bank, pool, example_ids=ids)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    wrote = []
-    if args.items in ("tasks", "both"):
-        res = cluster_tasks(matrix, args.k, args.seed, standardize=args.standardize)
-        (out_dir / "task_clusters.tsv").write_text(assignments_tsv(res), encoding="utf-8")
-        print(_kmeans_line("task", res))
-        wrote.append("task_clusters.tsv")
-        if args.distances:
-            (out_dir / "task_distances.tsv").write_text(
-                pairwise_distances_tsv(matrix.values.T, matrix.task_ids), encoding="utf-8")
-            wrote.append("task_distances.tsv")
-    if args.items in ("examples", "both"):
-        res = cluster_examples(matrix, args.k, args.seed, standardize=args.standardize)
-        (out_dir / "example_clusters.tsv").write_text(assignments_tsv(res), encoding="utf-8")
-        print(_kmeans_line("example", res))
-        wrote.append("example_clusters.tsv")
-        if args.distances:
-            (out_dir / "example_distances.tsv").write_text(
-                pairwise_distances_tsv(matrix.values, matrix.example_ids), encoding="utf-8")
-            wrote.append("example_distances.tsv")
+    try:
+        matrix = cross_prediction_matrix(bank, pool, example_ids=ids)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        wrote = []
+        views = (("task", cluster_tasks, matrix.values.T, matrix.task_ids),
+                 ("example", cluster_examples, matrix.values, matrix.example_ids))
+        for item, cluster, values, item_ids in views:
+            if args.items not in (f"{item}s", "both"):
+                continue
+            res = cluster(matrix, args.k, args.seed, standardize=args.standardize)
+            (out_dir / f"{item}_clusters.tsv").write_text(assignments_tsv(res), encoding="utf-8")
+            print(_kmeans_line(item, res))
+            wrote.append(f"{item}_clusters.tsv")
+            if args.distances:
+                (out_dir / f"{item}_distances.tsv").write_text(
+                    pairwise_distances_tsv(values, item_ids), encoding="utf-8")
+                wrote.append(f"{item}_distances.tsv")
+    except ValidationError as exc:
+        raise ValidationError(f"{pool_path}: {exc}") from None
     print(f"wrote {', '.join(wrote)} to {out_dir}")
     return EXIT_OK
 

@@ -9,6 +9,7 @@ predict; clustering its rows groups examples by how they are predicted.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from dataclasses import dataclass
 
@@ -176,6 +177,19 @@ def kmeans(X: np.ndarray, k: int, seed: int, max_iter: int = KMEANS_MAX_ITER,
                          inertia_history=tuple(history))
 
 
+@contextlib.contextmanager
+def _overflow_is_an_error():
+    """Raise a ValidationError where float arithmetic overflows, as a squared
+    distance between items far apart does, instead of warning and going on
+    with inf."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValidationError(f"items too far apart: {exc}") from None
+
+
+@_overflow_is_an_error()
 def _cluster_items(items: np.ndarray, item_ids: tuple[str, ...], k: int, seed: int,
                    standardize: bool) -> ClusterResult:
     if standardize:
@@ -212,6 +226,7 @@ def assignments_tsv(result: ClusterResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_overflow_is_an_error()
 def pairwise_distances_tsv(X: np.ndarray, ids: tuple[str, ...]) -> str:
     """Euclidean distance matrix dump for external visualization."""
     X = np.asarray(X, dtype=np.float64)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -66,10 +66,6 @@ class Representation:
         suffix = "" if self.order == 1 else f" (order {self.order})"
         return f"TL - {self.transformer.label}{suffix}"
 
-    def key(self) -> tuple:
-        t = None if self.transformer is None else self.transformer.key()
-        return (self.kind, t, self.order)
-
 
 @dataclass(frozen=True)
 class CvResult:
@@ -80,6 +76,7 @@ class CvResult:
     representation: Representation
     final_learner: LearnerSpec
     plan_digest: str = ""
+    reused_folds: int = 0  # folds scored with a given model instead of a refit
     mean_rmse: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -95,14 +92,15 @@ def cross_validate(features: np.ndarray, targets: np.ndarray, spec: LearnerSpec,
                    plan: SplitPlan, *, task_id: str = "",
                    representation: Representation | None = None,
                    row_ids: tuple[str, ...] | None = None,
-                   fitted: Mapping[int, FittedModel] | None = None) -> CvResult:
+                   fitted: Iterable[FittedModel] = ()) -> CvResult:
     """Fit on each split's train side, score RMSE on its test side.
 
-    ``fitted`` maps split numbers to models already fitted on that split's
-    train side, each used in place of the split's fit. Such a model must be
-    the fit it replaces: its train fingerprint must be the split's, and its
-    spec must fit the same model as ``spec`` (``LearnerSpec.same_fit``);
-    otherwise this raises ValidationError.
+    A split is scored with the first model of ``fitted`` that is its own
+    fit, when there is one: a model trained on exactly the split's train
+    rows (its train fingerprint is the split's) by a spec that fits the
+    same model as ``spec`` (``LearnerSpec.same_fit``). Other splits are
+    fitted here. The caller vouches that ``fitted`` models were trained on
+    rows of ``features`` and ``targets``.
     """
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -112,25 +110,16 @@ def cross_validate(features: np.ndarray, targets: np.ndarray, spec: LearnerSpec,
         )
     rep = representation if representation is not None else Representation.original()
     ids = row_ids if row_ids is not None else tuple(str(i) for i in range(plan.n))
-
-    fitted = fitted or {}
-    if not set(fitted) <= set(range(plan.n_splits)):
-        raise ValidationError(f"task {task_id!r}: fitted models for splits "
-                              f"{sorted(fitted)}, the plan has {plan.n_splits}")
+    fitted = tuple(fitted)
 
     scores = []
+    reused = 0
     for f in range(plan.n_splits):
         train, test = plan.split(f)
         fp = TrainFingerprint(task_id=task_id, row_ids=tuple(ids[i] for i in train))
-        model = fitted.get(f)
-        if model is not None:
-            if model.train_fingerprint != fp:
-                raise ValidationError(f"fold {f} of task {task_id!r}: the fitted model was "
-                                      "trained on other rows than the fold's train side")
-            if not model.spec.same_fit(spec):
-                raise ValidationError(f"fold {f} of task {task_id!r}: the fitted model's "
-                                      f"{model.spec.kind.value} spec does not fit the same "
-                                      f"model as the {spec.kind.value} spec scored")
+        model = next((m for m in fitted
+                      if m.train_fingerprint == fp and m.spec.same_fit(spec)), None)
+        reused += model is not None
         try:
             if model is None:
                 model = fit_learner(spec, features[train], targets[train], fingerprint=fp,
@@ -140,7 +129,7 @@ def cross_validate(features: np.ndarray, targets: np.ndarray, spec: LearnerSpec,
             raise FitError(f"fold {f} of task {task_id!r}: {exc}") from exc
         scores.append(rmse(pred, targets[test]))
     return CvResult(task_id=task_id, per_fold_rmse=tuple(scores), representation=rep,
-                    final_learner=spec, plan_digest=plan.digest)
+                    final_learner=spec, plan_digest=plan.digest, reused_folds=reused)
 
 
 def win_count(baseline: dict[str, float], challenger: dict[str, float]) -> tuple[int, int, int]:

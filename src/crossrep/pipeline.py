@@ -94,11 +94,14 @@ class PipelineConfig:
                 "train-split-only stage-1 scope requires a holdout split protocol"
             )
         for task in self.collection.tasks:
-            if self.split.kind is SplitKind.KFOLD and self.split.k > task.n_examples:
-                raise ConfigError(
-                    f"task {task.task_id!r} has {task.n_examples} examples, "
-                    f"fewer than k = {self.split.k}"
-                )
+            rows = task.n_examples
+            if self.split.kind is SplitKind.KFOLD:
+                if self.split.k > rows:
+                    raise ConfigError(f"task {task.task_id!r} has {rows} examples, "
+                                      f"fewer than k = {self.split.k}")
+            elif not 0 < round(rows * self.split.test_fraction) < rows:
+                raise ConfigError(f"task {task.task_id!r} has {rows} examples: test_fraction "
+                                  f"{self.split.test_fraction} leaves an empty train or test side")
 
     @property
     def resolved_scope(self) -> TrainingScope:
@@ -220,12 +223,6 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
     # every block.
     evaluated: dict[str, tuple[Task, SplitPlan, np.ndarray, tuple[str, ...]]] = {}
     results: list[CvResult] = []
-    # Under a train-split-only stage 1 the intrinsic baseline's one fold
-    # trains on the rows of the task's stage-1 model. When both stages fit
-    # the same seedless model, the refit would repeat that model bit for
-    # bit, so the baseline scores the stage-1 model itself.
-    reuse_stage1 = (config.resolved_scope is TrainingScope.TRAIN_SPLIT_ONLY
-                    and config.final_spec.same_fit(config.transformer_spec))
 
     for task in collection.tasks:
         plan = plans[task.task_id]
@@ -240,10 +237,9 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
             feats = ext.values
             if config.augment:
                 feats = np.hstack([task.features, ext.values])
-            stage1 = {0: bank.models[task.task_id]} if reuse_stage1 else None
+            stage1 = (bank.models[task.task_id],)  # scores a fold when it is that fold's fit
             feature_sets = [(Representation.original(), task.features, stage1),
-                            (Representation.transformed(config.transformer_spec, 1), feats,
-                             None)]
+                            (Representation.transformed(config.transformer_spec, 1), feats, ())]
             task_results = [cross_validate(f, task.targets, config.final_spec, plan,
                                            task_id=task.task_id, representation=rep,
                                            row_ids=task.example_ids, fitted=fitted)
@@ -259,13 +255,12 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
 
     # Keep only tasks scored under every representation so the comparison
     # table always sees identical task sets; recorded failures explain gaps.
-    groups: dict[tuple, set[str]] = {}
+    groups: dict[tuple[str, str], set[str]] = {}
     for r in results:
-        groups.setdefault((r.final_learner.key(), r.representation.key()),
+        groups.setdefault((r.final_learner.label, r.representation.label),
                           set()).add(r.task_id)
     common = set.intersection(*groups.values()) if groups else set()
     results = [r for r in results if r.task_id in common]
-    reused = len(common) if reuse_stage1 else 0
     fingerprints = {tid: bank.models[tid].train_fingerprint.digest for tid in bank.task_ids}
     return ExperimentResult(
         collection_id=collection.feature_space_id,
@@ -275,7 +270,7 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
         bank_fingerprints=fingerprints,
         audit_violations=audit_violations,
         normalization=norm_params,
-        reused_stage1=reused,
+        reused_stage1=sum(r.reused_folds for r in results),
     )
 
 

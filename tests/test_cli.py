@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import json
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert str(bad) in err and field in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fraction", [0.01, 0.99])
+    def test_holdout_with_an_empty_side_names_file_and_task(self, tmp_path, run_config,
+                                                            capsys, fraction):
+        doc = json.loads(run_config.read_text())
+        doc["split"] = {"kind": "holdout", "test_fraction": fraction}
+        bad = tmp_path / "holdout.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("run", "--config", str(bad), "--out", str(tmp_path / "x")) == 3
+        assert (f"error: {bad}: task 'task000' has 24 examples: test_fraction {fraction} "
+                "leaves an empty train or test side") in capsys.readouterr().err
 
     def test_unknown_learner_kind(self, tmp_path, run_config):
         doc = json.loads(run_config.read_text())
@@ -261,6 +273,21 @@ class TestBankAndCluster:
         for name in ("task_clusters.tsv", "example_clusters.tsv"):
             h.update((out / name).read_bytes())
         assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("extra", [["--distances"], ["--standardize"],
+                                       ["--items", "examples", "--distances"]])
+    def test_overflowing_distances_name_the_pool(self, tmp_path, bank_dir, capsys, extra):
+        """Predictions about 1e200 apart have squared distances past the float range."""
+        pool = tmp_path / "pool.csv"
+        pool.write_text("id,x0,x1,x2,x3,x4,x5\na,1e200,1,0,0,0,0\n"
+                        "b,-1e200,2,0,0,0,0\nc,0,3,0,0,0,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("cluster", "--bank", str(bank_dir), "--pool", str(pool),
+                           "--k", "2", *extra, "--out", str(tmp_path / "c"))
+        assert code == 3
+        assert (f"error: {pool}: items too far apart: overflow encountered in square"
+                in capsys.readouterr().err)
 
     def test_missing_bank(self, tmp_path, synth_dir):
         code = run_cli("cluster", "--bank", str(tmp_path / "nope"),

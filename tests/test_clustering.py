@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,6 +184,14 @@ class TestReports:
         assert lines[0].split("\t") == ["item_id", "a", "b", "c", "d"]
         first = lines[1].split("\t")
         assert float(first[1]) == 0.0
+
+    def test_distance_dump_of_items_too_far_apart(self):
+        X = np.array([[1e200, 1.0], [-1e200, 2.0], [0.0, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="items too far apart"):
+                pairwise_distances_tsv(X, ("a", "b", "c"))
+            assert "2e+150" in pairwise_distances_tsv(X / 1e50, ("a", "b", "c"))
 
 
 class TestBuildPool:

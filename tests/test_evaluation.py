@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossrep import evaluation
 from crossrep.data import make_fold_plan, make_holdout_plan
 from crossrep.errors import ValidationError
 from crossrep.evaluation import (CvResult, Representation,
@@ -220,7 +221,7 @@ class TestCompareRepresentations:
 
 
 class TestCrossValidateFittedModels:
-    """A fold model passed in must be the fit it replaces, or the call fails."""
+    """A given model scores the fold it is the own fit of; any other is ignored."""
 
     N = 30
     SVR = LearnerSpec.svr(c=2.0, epsilon=0.05, sigma=0.3)
@@ -239,23 +240,52 @@ class TestCrossValidateFittedModels:
         fp = TrainFingerprint(task_id=task_id, row_ids=tuple(ids[i] for i in train))
         return fit_learner(spec, X[train], y[train], fingerprint=fp, seed=99)
 
-    def score(self, data, spec, fitted=None):
+    def score(self, data, spec, fitted=()):
         X, y, ids, plan = data
         return cross_validate(X, y, spec, plan, task_id="t", row_ids=ids, fitted=fitted)
 
+    def fits(self, monkeypatch):
+        calls = []
+        def counted(*args, _fit=evaluation.fit_learner, **kwargs):
+            calls.append(args)
+            return _fit(*args, **kwargs)
+        monkeypatch.setattr(evaluation, "fit_learner", counted)
+        return calls
+
     @pytest.mark.parametrize("spec", [SVR, LearnerSpec.ridge(2.0)], ids=["svr", "ridge"])
-    def test_scores_like_the_refit(self, data, spec):
+    def test_matching_model_scores_like_the_refit(self, data, spec, monkeypatch):
         refit = self.score(data, spec)
+        assert refit.reused_folds == 0
         other_seed = LearnerSpec(spec.kind, spec.hyperparams, seed=5)
         fitted = self.fold_model(data, other_seed)
-        assert self.score(data, spec, {0: fitted}).per_fold_rmse == refit.per_fold_rmse
+        calls = self.fits(monkeypatch)
+        result = self.score(data, spec, [fitted])
+        assert calls == []
+        assert result.reused_folds == 1
+        assert result.per_fold_rmse == refit.per_fold_rmse
 
-    def test_other_rows_rejected(self, data):
+    def test_first_matching_model_is_scored(self, data, monkeypatch):
+        other = self.fold_model(data, self.SVR, task_id="u")
+        fitted = self.fold_model(data, self.SVR)
+        calls = self.fits(monkeypatch)
+        result = self.score(data, self.SVR, iter([other, fitted, fitted]))
+        assert calls == []
+        assert result.reused_folds == 1
+
+    def assert_ignored(self, data, spec, model, monkeypatch):
+        refit = self.score(data, spec)
+        calls = self.fits(monkeypatch)
+        result = self.score(data, spec, (model,))
+        assert len(calls) == 1
+        assert result.reused_folds == 0
+        assert result.per_fold_rmse == refit.per_fold_rmse
+
+    @pytest.mark.parametrize("other", ["fewer-rows", "other-task"])
+    def test_model_of_other_rows_ignored(self, data, other, monkeypatch):
         train = data[3].split(0)[0]
-        for model in (self.fold_model(data, self.SVR, rows=train[1:]),
-                      self.fold_model(data, self.SVR, task_id="u")):
-            with pytest.raises(ValidationError, match="other rows"):
-                self.score(data, self.SVR, {0: model})
+        model = (self.fold_model(data, self.SVR, rows=train[1:]) if other == "fewer-rows"
+                 else self.fold_model(data, self.SVR, task_id="u"))
+        self.assert_ignored(data, self.SVR, model, monkeypatch)
 
     @pytest.mark.parametrize("spec, fitted_spec", [
         (SVR, LearnerSpec.svr(c=1.0, epsilon=0.05, sigma=0.3)),
@@ -263,13 +293,20 @@ class TestCrossValidateFittedModels:
         (LearnerSpec.forest(n_trees=2, seed=3), LearnerSpec.forest(n_trees=2, seed=3)),
         (LearnerSpec.ridge_cv((1.0, 10.0), k=3), LearnerSpec.ridge_cv((1.0, 10.0), k=3)),
     ], ids=["other-c", "other-kind", "seeded-forest", "seeded-ridge_cv"])
-    def test_other_fit_rejected(self, data, spec, fitted_spec):
-        with pytest.raises(ValidationError, match="does not fit the same model"):
-            self.score(data, spec, {0: self.fold_model(data, fitted_spec)})
+    def test_model_of_other_fit_ignored(self, data, spec, fitted_spec, monkeypatch):
+        self.assert_ignored(data, spec, self.fold_model(data, fitted_spec), monkeypatch)
 
-    def test_split_outside_the_plan_rejected(self, data):
-        with pytest.raises(ValidationError, match="fitted models for splits"):
-            self.score(data, self.SVR, {1: self.fold_model(data, self.SVR)})
+    def test_kfold_matches_only_its_own_fold(self, data, monkeypatch):
+        X, y, ids, _ = data
+        plan = make_fold_plan(self.N, 3, seed=2)
+        refit = cross_validate(X, y, self.SVR, plan, task_id="t", row_ids=ids)
+        fold1 = self.fold_model((X, y, ids, plan), self.SVR, rows=plan.split(1)[0])
+        calls = self.fits(monkeypatch)
+        result = cross_validate(X, y, self.SVR, plan, task_id="t", row_ids=ids,
+                                fitted=(fold1,))
+        assert len(calls) == 2
+        assert result.reused_folds == 1
+        assert result.per_fold_rmse == refit.per_fold_rmse
 
 
 class TestCrossValidateInputForms:

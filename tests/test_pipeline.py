@@ -242,6 +242,26 @@ class TestStage1Reuse:
         assert (f"intrinsic baseline scored with the stage-1 model: {reused} tasks"
                 in render_report(result))
 
+    @pytest.mark.parametrize("mode", [CollectionMode.INDEPENDENT_EXAMPLES,
+                                      CollectionMode.SHARED_EXAMPLES])
+    def test_kfold_full_task_refits_every_fold(self, mode, monkeypatch):
+        """A full-task stage-1 model holds every row, so no fold's train side
+        matches it, even with the same seedless learner at both stages."""
+        calls = []
+        for module in (engine, evaluation):
+            def counted(*args, _fit=module.fit_learner, **kwargs):
+                calls.append(args)
+                return _fit(*args, **kwargs)
+            monkeypatch.setattr(module, "fit_learner", counted)
+        cfg = config(toy_collection(mode=mode), transformer_spec=RIDGE, final_spec=RIDGE,
+                     stage1_scope=TrainingScope.FULL_TASK)
+        result = run_pipeline(cfg)
+
+        t, folds = cfg.collection.n_tasks, cfg.split.k
+        assert len(calls) == t + t * folds * 2
+        assert result.reused_stage1 == 0
+        assert "intrinsic baseline scored with the stage-1 model: 0 tasks" in render_report(result)
+
 
 class TestResultFiles:
     def test_written_files_and_manifest_echo(self, tmp_path):
