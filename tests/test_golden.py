@@ -8,8 +8,10 @@ task at stage 1 or at evaluation. The ``holdout_*`` cases fit stage 1 on
 the training side only, so the intrinsic baseline's single fold trains on
 the rows of the task's stage-1 model: with the same seedless learner at
 both stages that model is reused, and with different hyperparameters or a
-seeded learner the fold is refitted. A changed digest is a change of
-behaviour and must be named in CHANGES.md.
+seeded learner the fold is refitted. ``holdout_augment_order2_ridge`` adds
+augmentation at order 2: its transformed fold trains on the rows and spec
+of the task's stage-2 model, but on more columns, so it must be refitted.
+A changed digest is a change of behaviour and must be named in CHANGES.md.
 """
 
 import hashlib
@@ -105,6 +107,12 @@ CASES = {
              stage1_scope=TrainingScope.TRAIN_SPLIT_ONLY),
         (),
         "af58e1387c1981f89f4497795739d1c11acff64ce09e379959745fc1d2f9d3e3"),
+    "holdout_augment_order2_ridge": (
+        dict(collection=_collection(5, 26, 4, seed=21),
+             transformer_spec=RIDGE, final_spec=RIDGE, split=HOLDOUT, order=2, augment=True,
+             stage1_scope=TrainingScope.TRAIN_SPLIT_ONLY),
+        (),
+        "6f6065310ba282baa6585627d034fdce84af70653fff51baecd64329233ea2ea"),
 }
 
 
