@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 usage error, 3 validation/config error,
-4 runtime failure.
+Exit codes: 0 success, 2 usage error, 3 validation/config error or an
+unwritable output path, 4 runtime failure.
 """
 
 from __future__ import annotations
@@ -127,6 +127,8 @@ def _kmeans_line(items: str, res: ClusterResult) -> str:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     bank = load_bank(Path(args.bank))
     pool_path = Path(args.pool)
     if pool_path.suffix == ".json":
@@ -268,6 +270,9 @@ def main(argv: list[str] | None = None) -> int:
     except (FitError, ConvergenceError, CrossrepError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except OSError as exc:  # an output path that cannot be created or written
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -243,25 +243,18 @@ def stage2_train(extrinsic: ExtrinsicMatrix, y: np.ndarray, spec: LearnerSpec,
 def second_order_extrinsic(target_task_id: str, bank: ModelBank,
                            stage2_models: dict[str, FittedModel],
                            stage2_sources: dict[str, tuple[str, ...]],
-                           predictions: np.ndarray,
-                           source_ids: tuple[str, ...] | None = None) -> ExtrinsicMatrix:
+                           predictions: np.ndarray) -> ExtrinsicMatrix:
     """Order-2 representation: other tasks' stage-2 models on the target's rows.
 
     ``predictions`` is ``cross_predict(bank, X)`` for the target's rows X.
-    Column j applies task j's stage-2 model to task j's own view of those
-    rows: the columns of its stage-1 sources (post-capping).
-    ``source_ids`` restricts the stage-2 column set; the default is every
-    bank task except the target.
+    There is one column per task of ``stage2_models`` other than the target,
+    in bank order. Column j applies task j's stage-2 model to task j's own
+    view of those rows: the columns of its stage-1 sources (post-capping).
     """
     if target_task_id not in bank.models:
         raise ValidationError(f"unknown task id {target_task_id!r}")
     _check_block(bank, predictions)
-    if source_ids is None:
-        source_ids = bank.task_ids
-    other_ids = tuple(t for t in source_ids if t != target_task_id)
-    missing = [t for t in other_ids if t not in stage2_models]
-    if missing:
-        raise ValidationError(f"missing stage-2 models for tasks: {', '.join(missing)}")
+    other_ids = tuple(t for t in bank.task_ids if t in stage2_models and t != target_task_id)
 
     values = np.empty((predictions.shape[0], len(other_ids)), dtype=np.float64)
     for c, j in enumerate(other_ids):

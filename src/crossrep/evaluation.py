@@ -97,10 +97,10 @@ def cross_validate(features: np.ndarray, targets: np.ndarray, spec: LearnerSpec,
 
     A split is scored with the first model of ``fitted`` that is its own
     fit, when there is one: a model trained on exactly the split's train
-    rows (its train fingerprint is the split's) by a spec that fits the
-    same model as ``spec`` (``LearnerSpec.same_fit``). Other splits are
-    fitted here. The caller vouches that ``fitted`` models were trained on
-    rows of ``features`` and ``targets``.
+    rows (its train fingerprint is the split's) and all their columns,
+    by a spec that fits the same model as ``spec`` (``LearnerSpec.same_fit``).
+    Other splits are fitted here. The caller vouches that ``fitted``
+    models were trained on rows of ``features`` and ``targets``.
     """
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -118,7 +118,8 @@ def cross_validate(features: np.ndarray, targets: np.ndarray, spec: LearnerSpec,
         train, test = plan.split(f)
         fp = TrainFingerprint(task_id=task_id, row_ids=tuple(ids[i] for i in train))
         model = next((m for m in fitted
-                      if m.train_fingerprint == fp and m.spec.same_fit(spec)), None)
+                      if m.train_fingerprint == fp and m.feature_count == features.shape[1]
+                      and m.spec.same_fit(spec)), None)
         reused += model is not None
         try:
             if model is None:

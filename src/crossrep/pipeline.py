@@ -13,6 +13,7 @@ import datetime as _dt
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -29,7 +30,7 @@ from .errors import ConfigError, CrossrepError, FitError, IngestionError, Valida
 from .evaluation import (ComparisonTable, CvResult, Representation,
                          compare_representations, comparison_tsv, cross_validate,
                          render_comparison)
-from .learners import LearnerSpec, TrainFingerprint
+from .learners import FittedModel, LearnerSpec, TrainFingerprint
 from .seeding import derive_seed
 
 
@@ -145,7 +146,8 @@ class ExperimentResult:
     bank_fingerprints: dict[str, str]
     audit_violations: tuple[str, ...]
     normalization: dict[str, NormalizationParams]
-    reused_stage1: int
+    reused_stage1: int  # intrinsic folds scored with the stage-1 model
+    reused_stage2: int  # order-1 transformed folds scored with the stage-2 model
     version: str = __version__
 
     @property
@@ -218,11 +220,12 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
     # One cross-prediction block per distinct feature block: the tasks of a
     # shared-examples collection (or any tasks with equal rows) share it.
     blocks: dict[tuple, np.ndarray] = {}
-    # Order 2 reads each task's order-1 view back from its block by the view's
-    # source ids; keeping the views themselves would hold a second copy of
-    # every block.
-    evaluated: dict[str, tuple[Task, SplitPlan, np.ndarray, tuple[str, ...]]] = {}
+    evaluated: dict[str, tuple[Task, SplitPlan, np.ndarray]] = {}
+    # Only tasks scored under both order-1 representations get an order-2
+    # column; their stage-1 models may still feed the other tasks' views.
+    stage2_models, stage2_sources = {}, {}
     results: list[CvResult] = []
+    order1 = Representation.transformed(config.transformer_spec, 1)
 
     for task in collection.tasks:
         plan = plans[task.task_id]
@@ -237,21 +240,36 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
             feats = ext.values
             if config.augment:
                 feats = np.hstack([task.features, ext.values])
-            stage1 = (bank.models[task.task_id],)  # scores a fold when it is that fold's fit
-            feature_sets = [(Representation.original(), task.features, stage1),
-                            (Representation.transformed(config.transformer_spec, 1), feats, ())]
-            task_results = [cross_validate(f, task.targets, config.final_spec, plan,
-                                           task_id=task.task_id, representation=rep,
-                                           row_ids=task.example_ids, fitted=fitted)
-                            for rep, f, fitted in feature_sets]
+            score = partial(cross_validate, targets=task.targets, spec=config.final_spec,
+                            plan=plan, task_id=task.task_id, row_ids=task.example_ids)
+            # a given model scores a fold when it is that fold's own fit
+            intrinsic = score(task.features, representation=Representation.original(),
+                              fitted=(bank.models[task.task_id],))
+            stage2 = ()
+            if config.order == 2:
+                rows = training_rows(task, config.resolved_scope, plan)
+                fp = TrainFingerprint(task_id=task.task_id,
+                                      row_ids=tuple(task.example_ids[i] for i in rows))
+                view = ExtrinsicMatrix(ext.values[rows], ext.source_model_ids, task.task_id)
+                try:
+                    stage2 = (stage2_train(view, task.targets[rows], config.final_spec,
+                                           fingerprint=fp,
+                                           seed=derive_seed(config.seed, "stage2", task.task_id)),)
+                except CrossrepError as exc:
+                    record("stage2", task.task_id, exc)
+            transformed = score(feats, representation=order1, fitted=stage2)
         except CrossrepError as exc:
             record("evaluate", task.task_id, exc)
             continue
-        evaluated[task.task_id] = (task, plan, blocks[key], ext.source_model_ids)
-        results.extend(task_results)
+        evaluated[task.task_id] = (task, plan, blocks[key])
+        if stage2:
+            stage2_models[task.task_id] = stage2[0]
+            stage2_sources[task.task_id] = ext.source_model_ids
+        results.extend((intrinsic, transformed))
 
     if config.order == 2:
-        results.extend(_run_second_order(bank, evaluated, record, config))
+        results.extend(_run_second_order(bank, evaluated, stage2_models, stage2_sources,
+                                         record, config))
 
     # Keep only tasks scored under every representation so the comparison
     # table always sees identical task sets; recorded failures explain gaps.
@@ -270,41 +288,22 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
         bank_fingerprints=fingerprints,
         audit_violations=audit_violations,
         normalization=norm_params,
-        reused_stage1=sum(r.reused_folds for r in results),
+        reused_stage1=sum(r.reused_folds for r in results if r.representation.order == 0),
+        reused_stage2=sum(r.reused_folds for r in results if r.representation.order == 1),
     )
 
 
 def _run_second_order(bank: ModelBank,
-                      evaluated: dict[str, tuple[Task, SplitPlan, np.ndarray,
-                                                 tuple[str, ...]]],
+                      evaluated: dict[str, tuple[Task, SplitPlan, np.ndarray]],
+                      stage2_models: dict[str, FittedModel],
+                      stage2_sources: dict[str, tuple[str, ...]],
                       record: Callable[[str, str, CrossrepError], None],
                       config: PipelineConfig) -> list[CvResult]:
-    # Tasks that failed first-order evaluation drop out of the order-2
-    # column set; their stage-1 models may still feed surviving views.
-    stage2_models = {}
-    stage2_sources = {}
-    for task_id, (task, plan, block, sources) in evaluated.items():
-        rows = training_rows(task, config.resolved_scope, plan)
-        fp = TrainFingerprint(task_id=task_id,
-                              row_ids=tuple(task.example_ids[i] for i in rows))
-        train_view = ExtrinsicMatrix(values=block[np.ix_(rows, bank.columns(sources))],
-                                     source_model_ids=sources, target_task_id=task_id)
-        try:
-            stage2_models[task_id] = stage2_train(
-                train_view, task.targets[rows], config.final_spec, fingerprint=fp,
-                seed=derive_seed(config.seed, "stage2", task_id))
-        except CrossrepError as exc:
-            record("stage2", task_id, exc)
-            continue
-        stage2_sources[task_id] = sources
-    surviving = tuple(t for t in bank.task_ids if t in stage2_models)
-
     out: list[CvResult] = []
     rep = Representation.transformed(config.transformer_spec, 2)
-    for task_id, (task, plan, block, _) in evaluated.items():
+    for task_id, (task, plan, block) in evaluated.items():
         try:
-            ext2 = second_order_extrinsic(task_id, bank, stage2_models, stage2_sources,
-                                          block, source_ids=surviving)
+            ext2 = second_order_extrinsic(task_id, bank, stage2_models, stage2_sources, block)
             if config.descriptor_cap is not None:
                 ext2 = select_descriptors(ext2, config.descriptor_cap,
                                           derive_seed(config.seed, "cap2", task_id))
@@ -368,6 +367,7 @@ def render_report(result: ExperimentResult) -> str:
         "",
         f"tasks scored: {len({r.task_id for r in result.results})}",
         f"intrinsic baseline scored with the stage-1 model: {result.reused_stage1} tasks",
+        f"transformed representation scored with the stage-2 model: {result.reused_stage2} tasks",
         f"failures: {len(result.failures)}",
     ]
     for f in result.failures:

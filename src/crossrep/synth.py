@@ -46,8 +46,8 @@ class SynthSpec:
             raise ValidationError("examples and features must be positive")
         if not 0.0 <= self.relatedness <= 1.0:
             raise ValidationError(f"relatedness must be in [0, 1], got {self.relatedness}")
-        if self.noise_sd < 0:
-            raise ValidationError(f"noise_sd must be nonnegative, got {self.noise_sd}")
+        if not 0.0 <= self.noise_sd < np.inf:
+            raise ValidationError(f"noise_sd must be finite and nonnegative, got {self.noise_sd}")
 
 
 class _LatentFunction:

@@ -74,6 +74,15 @@ class TestSynth:
                        "--relatedness", "1.5", "--out", str(tmp_path / "x"))
         assert code == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_noise_sd_not_finite_and_nonnegative_is_validation_error(self, tmp_path, capsys,
+                                                                     value):
+        code = run_cli("synth", "--tasks", "3", "--examples", "10", "--features", "4",
+                       "--noise-sd", value, "--out", str(tmp_path / "x"))
+        assert code == 3
+        assert "noise_sd must be finite and nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestRun:
     def test_valid_config_exits_zero(self, tmp_path, run_config):
@@ -205,6 +214,14 @@ class TestBankAndCluster:
                     "--k", "2", "--seed", "5", "--out", str(out))
             outs.append((out / "task_clusters.tsv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_negative_seed_is_validation_error(self, tmp_path, bank_dir, synth_dir, capsys):
+        code = run_cli("cluster", "--bank", str(bank_dir),
+                       "--pool", str(synth_dir / "manifest.json"), "--k", "2",
+                       "--seed", "-1", "--out", str(tmp_path / "x"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "--seed" in err and "Traceback" not in err
 
     def test_k_zero_is_an_error(self, tmp_path, bank_dir, synth_dir):
         code = run_cli("cluster", "--bank", str(bank_dir),
@@ -510,6 +527,36 @@ class TestCompare:
         with pytest.raises(SystemExit) as exc:
             run_cli("compare")
         assert exc.value.code == 2
+
+
+class TestOutputPaths:
+    """An --out that cannot be created or written is a validation error
+    naming the path, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["run", "synth", "train-bank", "cluster",
+                                         "compare-missing-dir", "compare-directory"])
+    def test_unwritable_out_is_validation_error(self, command, tmp_path, run_config,
+                                                synth_dir, bank_dir, capsys):
+        scores = tmp_path / "r" / "scores.tsv"
+        assert run_cli("run", "--config", str(run_config), "--out", str(scores.parent)) == 0
+        existing = tmp_path / "existing.txt"
+        existing.write_text("")
+        argv, out = {
+            "run": (["run", "--config", str(run_config)], existing),
+            "synth": (["synth", "--tasks", "3", "--examples", "10", "--features", "4"],
+                      existing),
+            "train-bank": (["train-bank", "--collection", str(synth_dir / "manifest.json"),
+                            "--learner", '{"kind": "ridge"}'], existing),
+            "cluster": (["cluster", "--bank", str(bank_dir),
+                         "--pool", str(synth_dir / "manifest.json"), "--k", "2"], existing),
+            "compare-missing-dir": (["compare", str(scores)], tmp_path / "missing" / "x.txt"),
+            "compare-directory": (["compare", str(scores)], tmp_path),
+        }[command]
+        capsys.readouterr()
+        assert run_cli(*argv, "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert str(out) in err
+        assert "Traceback" not in err
 
 
 class TestSeedAndWorkers:

@@ -202,12 +202,15 @@ class TestSecondOrder:
             expected = predict(models[src], view)
             assert np.array_equal(ext2.values[:, j], expected)
 
-    def test_missing_stage2_model(self, setup):
+    def test_task_without_stage2_model_gets_no_column(self, setup):
         col, bank, models, sources = setup
-        incomplete = dict(list(models.items())[:1])
-        with pytest.raises(ValidationError, match="missing stage-2"):
-            second_order_extrinsic(col.tasks[0].task_id, bank, incomplete, sources,
-                                   cross_predict(bank, col.tasks[0].features))
+        target, dropped, kept = col.task_ids
+        block = cross_predict(bank, col.tasks[0].features)
+        full = second_order_extrinsic(target, bank, models, sources, block)
+        without = {t: m for t, m in models.items() if t != dropped}
+        ext2 = second_order_extrinsic(target, bank, without, sources, block)
+        assert ext2.source_model_ids == (kept,)
+        assert np.array_equal(ext2.values[:, 0], full.values[:, 1])
 
     def test_order_three_rejected(self):
         with pytest.raises(ValidationError, match="order must be 1 or 2"):

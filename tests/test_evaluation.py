@@ -287,6 +287,13 @@ class TestCrossValidateFittedModels:
                  else self.fold_model(data, self.SVR, task_id="u"))
         self.assert_ignored(data, self.SVR, model, monkeypatch)
 
+    def test_model_of_other_width_ignored(self, data, monkeypatch):
+        """The fold's rows and spec on fewer columns, as the stage-2 model is
+        next to an augmented view."""
+        X, y, ids, plan = data
+        narrow = self.fold_model((X[:, :2], y, ids, plan), self.SVR)
+        self.assert_ignored(data, self.SVR, narrow, monkeypatch)
+
     @pytest.mark.parametrize("spec, fitted_spec", [
         (SVR, LearnerSpec.svr(c=1.0, epsilon=0.05, sigma=0.3)),
         (SVR, LearnerSpec.ridge(2.0)),

@@ -208,17 +208,22 @@ class TestSharedExamplesProtocol:
 
 class TestStage1Reuse:
     """A train-split-only run with one seedless learner at both stages scores
-    each task's intrinsic baseline with its stage-1 model instead of a refit."""
+    each task's intrinsic baseline with its stage-1 model instead of a refit,
+    and at order 2 its transformed fold with its stage-2 model, unless
+    augmentation widens that fold."""
 
-    # golden case -> whether its intrinsic baseline reuses the stage-1 models
+    # golden case -> whether its intrinsic baseline reuses the stage-1 models,
+    # whether its order-1 transformed fold reuses the stage-2 models
     REUSES = {
-        "holdout_shared_svr": True,
-        "holdout_shared_order2_svr": True,
-        "holdout_independent_ridge": True,
-        "shared_order2_ridge": True,
-        "holdout_shared_svr_other_c": False,
-        "holdout_shared_forest": False,
-        "cap_order2_forest": False,
+        "holdout_shared_svr": (True, False),
+        "holdout_shared_order2_svr": (True, True),
+        "holdout_independent_ridge": (True, False),
+        "shared_order2_ridge": (True, True),
+        "holdout_augment_order2_ridge": (True, False),
+        "holdout_shared_svr_other_c": (False, False),
+        "holdout_shared_forest": (False, False),
+        "cap_order2_forest": (False, False),
+        "augment_order2_svr": (False, False),
     }
 
     @pytest.mark.parametrize("name", sorted(REUSES))
@@ -236,11 +241,13 @@ class TestStage1Reuse:
         folds = cfg.split.k if cfg.split.kind is SplitKind.KFOLD else 1
         # stage 1 (and stage 2 at order 2), then every fold of every representation
         refits = t * cfg.order + t * folds * (1 + cfg.order)
-        reused = t if self.REUSES[name] else 0
-        assert len(calls) == refits - reused
-        assert result.reused_stage1 == reused
-        assert (f"intrinsic baseline scored with the stage-1 model: {reused} tasks"
-                in render_report(result))
+        stage1, stage2 = (t * reuses for reuses in self.REUSES[name])
+        assert len(calls) == refits - stage1 - stage2
+        assert (result.reused_stage1, result.reused_stage2) == (stage1, stage2)
+        report = render_report(result)
+        assert f"intrinsic baseline scored with the stage-1 model: {stage1} tasks" in report
+        assert (f"transformed representation scored with the stage-2 model: {stage2} tasks"
+                in report)
 
     @pytest.mark.parametrize("mode", [CollectionMode.INDEPENDENT_EXAMPLES,
                                       CollectionMode.SHARED_EXAMPLES])
