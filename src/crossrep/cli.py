@@ -129,9 +129,14 @@ def _kmeans_line(items: str, res: ClusterResult) -> str:
 def cmd_cluster(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-    bank = load_bank(Path(args.bank))
     pool_path = Path(args.pool)
-    if pool_path.suffix == ".json":
+    manifest = pool_path.suffix == ".json"
+    if args.pool_cap is not None and not manifest:
+        raise ConfigError(f"--pool-cap applies to a collection manifest only, not {pool_path}")
+    if args.target is not None and manifest:
+        raise ConfigError(f"--target applies to a task-file pool only, not {pool_path}")
+    bank = load_bank(Path(args.bank))
+    if manifest:
         # a collection manifest: pool the collection's own example rows
         collection = load_collection(pool_path)
         pool, ids = build_pool(collection, cap=args.pool_cap, seed=args.seed)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .data import CollectionMode, SplitPlan, Task, TaskCollection, json_field, read_json
 from .errors import FitError, IngestionError, ValidationError
-from .learners import (FittedModel, LearnerSpec, TrainFingerprint, fit_learner,
-                       load_model, predict, save_model)
+from .learners import (EMPTY_FINGERPRINT, FittedModel, LearnerSpec, TrainFingerprint,
+                       fit_learner, load_model, predict, save_model)
 from .seeding import derive_seed
 
 
@@ -74,7 +74,6 @@ class ExtrinsicMatrix:
     values: np.ndarray
     source_model_ids: tuple[str, ...]
     target_task_id: str
-    order: int = 1
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.float64)
@@ -92,8 +91,6 @@ class ExtrinsicMatrix:
             raise ValidationError(
                 f"extrinsic matrix for {self.target_task_id!r} contains non-finite values"
             )
-        if self.order not in (1, 2):
-            raise ValidationError(f"transformation order must be 1 or 2, got {self.order}")
         vals = np.ascontiguousarray(vals)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -206,8 +203,7 @@ def build_extrinsic(target_task_id: str, bank: ModelBank,
     _check_block(bank, predictions)
     source_ids = tuple(t for t in bank.task_ids if t != target_task_id)
     return ExtrinsicMatrix(values=predictions.take(bank.columns(source_ids), axis=1),
-                           source_model_ids=source_ids,
-                           target_task_id=target_task_id, order=1)
+                           source_model_ids=source_ids, target_task_id=target_task_id)
 
 
 def select_descriptors(matrix: ExtrinsicMatrix, cap: int, seed: int) -> ExtrinsicMatrix:
@@ -223,21 +219,14 @@ def select_descriptors(matrix: ExtrinsicMatrix, cap: int, seed: int) -> Extrinsi
     keep = np.sort(rng.choice(matrix.n_columns, size=cap, replace=False))
     return ExtrinsicMatrix(values=matrix.values[:, keep],
                            source_model_ids=tuple(matrix.source_model_ids[i] for i in keep),
-                           target_task_id=matrix.target_task_id, order=matrix.order)
+                           target_task_id=matrix.target_task_id)
 
 
 def stage2_train(extrinsic: ExtrinsicMatrix, y: np.ndarray, spec: LearnerSpec,
-                 fingerprint: TrainFingerprint | None = None,
+                 fingerprint: TrainFingerprint = EMPTY_FINGERPRINT,
                  seed: int | None = None) -> FittedModel:
     """Fit the final learner on the extrinsic representation."""
-    y = np.asarray(y, dtype=np.float64)
-    if extrinsic.values.shape[0] != len(y):
-        raise FitError(
-            f"extrinsic matrix has {extrinsic.values.shape[0]} rows, targets have {len(y)}"
-        )
-    fp = fingerprint if fingerprint is not None else TrainFingerprint(
-        task_id=extrinsic.target_task_id, row_ids=())
-    return fit_learner(spec, extrinsic.values, y, fingerprint=fp, seed=seed)
+    return fit_learner(spec, extrinsic.values, y, fingerprint=fingerprint, seed=seed)
 
 
 def second_order_extrinsic(target_task_id: str, bank: ModelBank,
@@ -263,8 +252,7 @@ def second_order_extrinsic(target_task_id: str, bank: ModelBank,
             values[:, c] = predict(stage2_models[j], view)
         except Exception as exc:
             raise FitError(f"stage-2 prediction failed for model {j!r}: {exc}") from exc
-    return ExtrinsicMatrix(values=values, source_model_ids=other_ids,
-                           target_task_id=target_task_id, order=2)
+    return ExtrinsicMatrix(values, other_ids, target_task_id)
 
 
 def audit_no_leakage(bank: ModelBank, heldout_ids) -> list[str]:

@@ -10,7 +10,6 @@ score tables.
 from __future__ import annotations
 
 import datetime as _dt
-import hashlib
 import json
 from dataclasses import dataclass
 from functools import partial
@@ -20,17 +19,17 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .data import (CollectionMode, NormalizationParams, SplitKind, SplitPlan, Task,
+from .data import (CollectionMode, NormalizationParams, SplitKind, SplitPlan,
                    TaskCollection, assemble_collection, make_fold_plan,
                    make_holdout_plan, normalize_targets, parse_value, read_table)
-from .engine import (ExtrinsicMatrix, ModelBank, TrainingScope, audit_no_leakage,
-                     build_extrinsic, cross_predict, second_order_extrinsic,
-                     select_descriptors, stage1_train, stage2_train, training_rows)
+from .engine import (ExtrinsicMatrix, TrainingScope, audit_no_leakage, build_extrinsic,
+                     cross_predict, second_order_extrinsic, select_descriptors,
+                     stage1_train, stage2_train, training_rows)
 from .errors import ConfigError, CrossrepError, FitError, IngestionError, ValidationError
 from .evaluation import (ComparisonTable, CvResult, Representation,
                          compare_representations, comparison_tsv, cross_validate,
                          render_comparison)
-from .learners import FittedModel, LearnerSpec, TrainFingerprint
+from .learners import LearnerSpec, TrainFingerprint
 from .seeding import derive_seed
 
 
@@ -144,15 +143,29 @@ class ExperimentResult:
     results: tuple[CvResult, ...]
     failures: tuple[TaskFailure, ...]
     bank_fingerprints: dict[str, str]
-    audit_violations: tuple[str, ...]
     normalization: dict[str, NormalizationParams]
-    reused_stage1: int  # intrinsic folds scored with the stage-1 model
-    reused_stage2: int  # order-1 transformed folds scored with the stage-2 model
     version: str = __version__
 
     @property
     def table(self) -> ComparisonTable:
         return compare_representations(list(self.results))
+
+    @property
+    def reused_stage1(self) -> int:
+        """Intrinsic folds scored with the stage-1 model."""
+        return sum(r.reused_folds for r in self.results if r.representation.order == 0)
+
+    @property
+    def reused_stage2(self) -> int:
+        """Order-1 transformed folds scored with the stage-2 model."""
+        return sum(r.reused_folds for r in self.results if r.representation.order == 1)
+
+
+def _audits_leakage(echo: dict) -> bool:
+    """Whether a run audits its bank: only shared-example tasks hold one set
+    of held-out rows; independent tasks may reuse each other's example ids."""
+    return (echo.get("mode") == CollectionMode.SHARED_EXAMPLES.value
+            and echo.get("stage1_scope") == TrainingScope.TRAIN_SPLIT_ONLY.value)
 
 
 def _make_plans(collection: TaskCollection, split: SplitProtocol,
@@ -173,11 +186,6 @@ def _normalize_collection(collection: TaskCollection
         params[task.task_id] = p
     return assemble_collection(tasks, collection.mode,
                                collection.feature_space_id), params
-
-
-def _block_key(features: np.ndarray) -> tuple:
-    """Content key of a feature block; equal keys mean equal rows."""
-    return features.shape, hashlib.sha256(np.ascontiguousarray(features)).digest()
 
 
 def run_pipeline(config: PipelineConfig) -> ExperimentResult:
@@ -205,31 +213,27 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
         collection = assemble_collection(survivors, collection.mode,
                                          collection.feature_space_id)
 
-    audit_violations: tuple[str, ...] = ()
-    if (collection.mode is CollectionMode.SHARED_EXAMPLES
-            and config.resolved_scope is TrainingScope.TRAIN_SPLIT_ONLY):
-        plan = plans[collection.tasks[0].task_id]
-        _, test_idx = plan.split(0)
+    echo = config.echo()
+    if _audits_leakage(echo):
+        _, test_idx = plans[collection.tasks[0].task_id].split(0)
         heldout = [collection.tasks[0].example_ids[i] for i in test_idx]
-        audit_violations = tuple(audit_no_leakage(bank, heldout))
-        if audit_violations:
-            raise ValidationError(
-                "leakage audit failed: " + "; ".join(audit_violations)
-            )
+        violations = audit_no_leakage(bank, heldout)
+        if violations:
+            raise ValidationError("leakage audit failed: " + "; ".join(violations))
 
-    # One cross-prediction block per distinct feature block: the tasks of a
-    # shared-examples collection (or any tasks with equal rows) share it.
-    blocks: dict[tuple, np.ndarray] = {}
-    evaluated: dict[str, tuple[Task, SplitPlan, np.ndarray]] = {}
+    # One cross-prediction block per task; the tasks of a shared-examples
+    # collection hold equal rows and share one.
+    blocks: dict[str | None, np.ndarray] = {}
     # Only tasks scored under both order-1 representations get an order-2
     # column; their stage-1 models may still feed the other tasks' views.
+    evaluated: dict[str, tuple[Callable[..., CvResult], np.ndarray]] = {}  # scorer, block
     stage2_models, stage2_sources = {}, {}
     results: list[CvResult] = []
     order1 = Representation.transformed(config.transformer_spec, 1)
 
     for task in collection.tasks:
         plan = plans[task.task_id]
-        key = _block_key(task.features)
+        key = None if collection.mode is CollectionMode.SHARED_EXAMPLES else task.task_id
         try:
             if key not in blocks:
                 blocks[key] = cross_predict(bank, task.features)
@@ -248,8 +252,7 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
             stage2 = ()
             if config.order == 2:
                 rows = training_rows(task, config.resolved_scope, plan)
-                fp = TrainFingerprint(task_id=task.task_id,
-                                      row_ids=tuple(task.example_ids[i] for i in rows))
+                fp = TrainFingerprint(task.task_id, tuple(task.example_ids[i] for i in rows))
                 view = ExtrinsicMatrix(ext.values[rows], ext.source_model_ids, task.task_id)
                 try:
                     stage2 = (stage2_train(view, task.targets[rows], config.final_spec,
@@ -261,15 +264,23 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
         except CrossrepError as exc:
             record("evaluate", task.task_id, exc)
             continue
-        evaluated[task.task_id] = (task, plan, blocks[key])
+        evaluated[task.task_id] = (score, blocks[key])
         if stage2:
             stage2_models[task.task_id] = stage2[0]
             stage2_sources[task.task_id] = ext.source_model_ids
         results.extend((intrinsic, transformed))
 
     if config.order == 2:
-        results.extend(_run_second_order(bank, evaluated, stage2_models, stage2_sources,
-                                         record, config))
+        order2 = Representation.transformed(config.transformer_spec, 2)
+        for task_id, (score, block) in evaluated.items():
+            try:
+                ext2 = second_order_extrinsic(task_id, bank, stage2_models, stage2_sources, block)
+                if config.descriptor_cap is not None:
+                    ext2 = select_descriptors(ext2, config.descriptor_cap,
+                                              derive_seed(config.seed, "cap2", task_id))
+                results.append(score(ext2.values, representation=order2))
+            except CrossrepError as exc:
+                record("order2", task_id, exc)
 
     # Keep only tasks scored under every representation so the comparison
     # table always sees identical task sets; recorded failures explain gaps.
@@ -282,37 +293,12 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
     fingerprints = {tid: bank.models[tid].train_fingerprint.digest for tid in bank.task_ids}
     return ExperimentResult(
         collection_id=collection.feature_space_id,
-        config_echo=config.echo(),
+        config_echo=echo,
         results=tuple(results),
         failures=tuple(failures),
         bank_fingerprints=fingerprints,
-        audit_violations=audit_violations,
         normalization=norm_params,
-        reused_stage1=sum(r.reused_folds for r in results if r.representation.order == 0),
-        reused_stage2=sum(r.reused_folds for r in results if r.representation.order == 1),
     )
-
-
-def _run_second_order(bank: ModelBank,
-                      evaluated: dict[str, tuple[Task, SplitPlan, np.ndarray]],
-                      stage2_models: dict[str, FittedModel],
-                      stage2_sources: dict[str, tuple[str, ...]],
-                      record: Callable[[str, str, CrossrepError], None],
-                      config: PipelineConfig) -> list[CvResult]:
-    out: list[CvResult] = []
-    rep = Representation.transformed(config.transformer_spec, 2)
-    for task_id, (task, plan, block) in evaluated.items():
-        try:
-            ext2 = second_order_extrinsic(task_id, bank, stage2_models, stage2_sources, block)
-            if config.descriptor_cap is not None:
-                ext2 = select_descriptors(ext2, config.descriptor_cap,
-                                          derive_seed(config.seed, "cap2", task_id))
-            out.append(cross_validate(ext2.values, task.targets, config.final_spec, plan,
-                                      task_id=task_id, representation=rep,
-                                      row_ids=task.example_ids))
-        except CrossrepError as exc:
-            record("order2", task_id, exc)
-    return out
 
 
 SCORES_NAME = "scores.tsv"
@@ -348,6 +334,8 @@ def load_scores(path: str | Path) -> list[tuple[str, str, str, float]]:
     missing = [c for c in columns if c not in header]
     if missing:
         raise IngestionError(f"{path}: score file missing column(s) {', '.join(missing)}")
+    if not rows:
+        raise IngestionError(f"{path}: header only, zero score rows")
     final, rep, task, score = (header.index(c) for c in columns)
     return [(row[final], row[rep], row[task],
              parse_value(Path(path), line, "mean_rmse", row[score]))
@@ -372,11 +360,10 @@ def render_report(result: ExperimentResult) -> str:
     ]
     for f in result.failures:
         parts.append(f"  {f.task_id} [{f.stage}]: {f.message}")
-    if result.audit_violations:
-        parts.append("leakage audit violations:")
-        parts.extend(f"  {v}" for v in result.audit_violations)
-    elif result.config_echo.get("stage1_scope") == TrainingScope.TRAIN_SPLIT_ONLY.value:
+    if _audits_leakage(result.config_echo):
         parts.append("leakage audit: clean")
+    elif result.config_echo.get("stage1_scope") == TrainingScope.TRAIN_SPLIT_ONLY.value:
+        parts.append("leakage audit: not applicable (independent examples)")
     else:
         parts.append("leakage audit: not applicable (full-task stage-1 scope)")
     parts.append("")

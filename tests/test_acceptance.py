@@ -16,7 +16,7 @@ from crossrep.evaluation import improvement_pct, rmse, win_count
 from crossrep.learners import (LearnerSpec, Standardizer, fit_forest, fit_ridge, fit_svr,
                                predict, rbf_gram)
 from crossrep.learners.svr import _smo
-from crossrep.pipeline import (PipelineConfig, SplitProtocol, run_pipeline,
+from crossrep.pipeline import (PipelineConfig, SplitProtocol, render_report, run_pipeline,
                                scores_tsv, write_result)
 from crossrep.seeding import derive_seed
 from crossrep.synth import Nonlinearity, SynthSpec, generate_collection
@@ -255,7 +255,7 @@ def test_criterion_7_determinism_and_no_leakage(tmp_path):
                          split=SplitProtocol(SplitKind.HOLDOUT, test_fraction=0.3),
                          seed=23)
     result = run_pipeline(cfg)
-    assert result.audit_violations == ()
+    assert "leakage audit: clean" in render_report(result).splitlines()
     # re-run the mechanical audit directly from the fingerprints
     plan = cfg.split.make_plan(30, derive_seed(23, "split"))
     _, test_idx = plan.split(0)

@@ -223,6 +223,35 @@ class TestBankAndCluster:
         assert code == 3
         assert "--seed" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("pool_kind", ["pool file", "task file"])
+    def test_pool_cap_needs_a_manifest_pool(self, pool_kind, tmp_path, bank_dir, synth_dir,
+                                            capsys):
+        task = synth_dir / "task000.csv"
+        if pool_kind == "pool file":
+            pool = tmp_path / "pool.csv"
+            pool.write_text("".join(",".join(line.split(",")[:-1]) + "\n"
+                                    for line in task.read_text().splitlines()))
+            flags = []
+        else:
+            pool, flags = task, ["--target", "y"]
+        out = tmp_path / "x"
+        code = run_cli("cluster", "--bank", str(bank_dir), "--pool", str(pool), *flags,
+                       "--pool-cap", "3", "--k", "2", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "--pool-cap" in err and str(pool) in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_target_needs_a_task_file_pool(self, tmp_path, bank_dir, synth_dir, capsys):
+        out = tmp_path / "x"
+        code = run_cli("cluster", "--bank", str(bank_dir),
+                       "--pool", str(synth_dir / "manifest.json"), "--target", "y",
+                       "--k", "2", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "--target" in err and "manifest.json" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_k_zero_is_an_error(self, tmp_path, bank_dir, synth_dir):
         code = run_cli("cluster", "--bank", str(bank_dir),
                        "--pool", str(synth_dir / "task000.csv"), "--target", "y",
@@ -499,6 +528,17 @@ class TestCompare:
         err = capsys.readouterr().err
         assert "empty_scores.tsv" in err
         assert "Traceback" not in err
+
+    def test_header_only_score_file_is_validation_error(self, tmp_path, run_config, capsys):
+        out = tmp_path / "r1"
+        run_cli("run", "--config", str(run_config), "--out", str(out))
+        header_only = tmp_path / "header_scores.tsv"
+        header_only.write_text((out / "scores.tsv").read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        assert run_cli("compare", str(header_only)) == 3
+        captured = capsys.readouterr()
+        assert "header_scores.tsv" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_conflicting_scores_name_the_task(self, tmp_path, run_config, capsys):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -188,7 +188,6 @@ class TestSecondOrder:
             ext2 = second_order_extrinsic(task.task_id, bank, models, sources,
                                           cross_predict(bank, task.features))
             assert ext2.n_columns == col.n_tasks - 1
-            assert ext2.order == 2
 
     def test_matches_manual_chaining(self, setup):
         col, bank, models, sources = setup
@@ -211,11 +210,6 @@ class TestSecondOrder:
         ext2 = second_order_extrinsic(target, bank, without, sources, block)
         assert ext2.source_model_ids == (kept,)
         assert np.array_equal(ext2.values[:, 0], full.values[:, 1])
-
-    def test_order_three_rejected(self):
-        with pytest.raises(ValidationError, match="order must be 1 or 2"):
-            ExtrinsicMatrix(values=np.ones((2, 1)), source_model_ids=("b",),
-                            target_task_id="a", order=3)
 
 
 class TestBankPersistence:

@@ -179,15 +179,27 @@ class TestRunPipeline:
         assert result.config_echo["augment"] is True
 
 
+def _spy(monkeypatch, name):
+    """Count the calls run_pipeline makes to ``pipeline.<name>``."""
+    calls = []
+    def counted(*args, _fn=getattr(pipeline, name), **kwargs):
+        calls.append(args)
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
 class TestSharedExamplesProtocol:
-    def test_holdout_no_leakage(self, shared_collection):
+    def test_holdout_no_leakage(self, shared_collection, monkeypatch):
         cfg = PipelineConfig(collection=shared_collection, transformer_spec=RIDGE,
                              final_spec=RIDGE,
                              split=SplitProtocol(SplitKind.HOLDOUT, test_fraction=0.3),
                              seed=5)
         assert cfg.resolved_scope is TrainingScope.TRAIN_SPLIT_ONLY
+        audits = _spy(monkeypatch, "audit_no_leakage")
         result = run_pipeline(cfg)
-        assert result.audit_violations == ()
+        assert len(audits) == 1
+        assert "leakage audit: clean" in render_report(result).splitlines()
         assert len([r for r in result.results
                     if r.representation.kind == "original"]) == 4
 
@@ -204,6 +216,47 @@ class TestSharedExamplesProtocol:
                              stage1_scope=TrainingScope.FULL_TASK)
         result = run_pipeline(cfg)
         assert len(result.results) == 8
+
+
+class TestPredictionBlocks:
+    """One cross-prediction block per task, or one for a shared-examples
+    collection, whose tasks hold equal rows."""
+
+    def test_one_block_for_a_shared_collection(self, shared_collection, monkeypatch):
+        calls = _spy(monkeypatch, "cross_predict")
+        run_pipeline(config(shared_collection, transformer_spec=RIDGE, final_spec=RIDGE,
+                            split=SplitProtocol(SplitKind.HOLDOUT, test_fraction=0.3),
+                            order=2))
+        assert len(calls) == 1
+
+    def test_one_block_per_independent_task(self, monkeypatch):
+        col = toy_collection()
+        calls = _spy(monkeypatch, "cross_predict")
+        run_pipeline(config(col, transformer_spec=RIDGE, final_spec=RIDGE, order=2))
+        assert [X.shape[0] for _, X in calls] == [t.n_examples for t in col.tasks]
+
+
+class TestLeakageAuditLine:
+    def test_independent_train_split_only_is_not_audited(self, monkeypatch):
+        """Independent tasks may share example ids, so no id audit runs and
+        the report does not claim one."""
+        calls = _spy(monkeypatch, "audit_no_leakage")
+        result = run_pipeline(config(toy_collection(), transformer_spec=RIDGE,
+                                     final_spec=RIDGE,
+                                     split=SplitProtocol(SplitKind.HOLDOUT, test_fraction=0.3),
+                                     stage1_scope=TrainingScope.TRAIN_SPLIT_ONLY))
+        assert calls == []
+        lines = render_report(result).splitlines()
+        assert "leakage audit: not applicable (independent examples)" in lines
+        assert "leakage audit: clean" not in lines
+
+    def test_full_task_scope_is_not_audited(self, shared_collection, monkeypatch):
+        calls = _spy(monkeypatch, "audit_no_leakage")
+        result = run_pipeline(config(shared_collection, transformer_spec=RIDGE,
+                                     final_spec=RIDGE, stage1_scope=TrainingScope.FULL_TASK))
+        assert calls == []
+        assert ("leakage audit: not applicable (full-task stage-1 scope)"
+                in render_report(result).splitlines())
 
 
 class TestStage1Reuse:
