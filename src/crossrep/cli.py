@@ -133,6 +133,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     manifest = pool_path.suffix == ".json"
     if args.pool_cap is not None and not manifest:
         raise ConfigError(f"--pool-cap applies to a collection manifest only, not {pool_path}")
+    if args.pool_cap is not None and args.pool_cap < 1:
+        raise ConfigError(f"--pool-cap must be at least 1, got {args.pool_cap}")
+    if args.k < 1:
+        raise ConfigError(f"--k must be at least 1, got {args.k}")
     if args.target is not None and manifest:
         raise ConfigError(f"--target applies to a task-file pool only, not {pool_path}")
     bank = load_bank(Path(args.bank))
@@ -146,6 +150,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         ids = pool_task.example_ids
     else:
         pool, ids = load_pool(pool_path)
+    for item, count in (("task", len(bank.task_ids)), ("example", len(ids))):
+        if args.items in (f"{item}s", "both") and args.k > count:
+            raise ConfigError(f"--k {args.k} exceeds the {count} {item}s to cluster")
     try:
         matrix = cross_prediction_matrix(bank, pool, example_ids=ids)
         out_dir = Path(args.out)

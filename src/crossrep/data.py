@@ -125,9 +125,11 @@ class TaskCollection:
         if len(self.tasks) < 2:
             raise ValidationError("a collection needs at least 2 tasks")
         ref = self.tasks[0]
-        ids = {t.task_id for t in self.tasks}
-        if len(ids) != len(self.tasks):
-            raise ValidationError("duplicate task ids in collection")
+        seen: set[str] = set()
+        for t in self.tasks:
+            if t.task_id in seen:
+                raise ValidationError(f"duplicate task id {t.task_id!r} in collection")
+            seen.add(t.task_id)
         for t in self.tasks[1:]:
             if t.feature_names != ref.feature_names:
                 col = _first_name_mismatch(ref.feature_names, t.feature_names)
@@ -472,6 +474,13 @@ def load_collection(manifest_path: str | Path) -> TaskCollection:
     if not files or not all(isinstance(f, str) for f in files):
         raise IngestionError(f"{path}: 'tasks' must be a non-empty list of file paths, "
                              f"got {files!r}")
+    first_file: dict[str, str] = {}
+    for f in files:
+        task_id = (path.parent / f).stem  # the id load_task gives the file's task
+        if task_id in first_file:
+            raise IngestionError(f"{path}: 'tasks' lists task id {task_id!r} twice, as "
+                                 f"{first_file[task_id]!r} and {f!r}")
+        first_file[task_id] = f
     tasks = [load_task(path.parent / f, target=target) for f in files]
     return assemble_collection(tasks, mode, collection_id=collection_id)
 

@@ -20,6 +20,7 @@ from .data import CollectionMode, SplitPlan, Task, TaskCollection, json_field, r
 from .errors import FitError, IngestionError, ValidationError
 from .learners import (EMPTY_FINGERPRINT, FittedModel, LearnerSpec, TrainFingerprint,
                        fit_learner, load_model, predict, save_model)
+from .learners.ridge import RidgeStack, predict_stacked
 from .seeding import derive_seed
 
 
@@ -65,6 +66,12 @@ class ModelBank:
             cols.setflags(write=False)
             self._columns_memo[task_ids] = cols
         return cols
+
+    @cached_property
+    def _ridge_stack(self) -> RidgeStack | None:
+        """Every model's parameters stacked, when all are ridge models of one
+        width: ``cross_predict`` then predicts them in one product."""
+        return RidgeStack.of(self.models.values())
 
 
 @dataclass(frozen=True)
@@ -169,17 +176,24 @@ def cross_predict(bank: ModelBank, X: np.ndarray) -> np.ndarray:
     Column j is ``predict`` of the model of ``bank.task_ids[j]``. A task's
     order-1 view, the stage-2 inputs of order 2 and the clustering matrix
     are all slices of this one matrix, so each block of rows is predicted
-    once per model however many views read it.
+    once per model however many views read it. A bank of ridge models of
+    X's width predicts finite X in one stacked product with the same bits;
+    any other bank or input goes model by model, and the first model that
+    fails names the error.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValidationError("cross-prediction input must be a 2-d matrix")
-    out = np.empty((X.shape[0], len(bank.models)), dtype=np.float64)
-    for j, (task_id, model) in enumerate(bank.models.items()):
-        try:
-            out[:, j] = predict(model, X)
-        except Exception as exc:
-            raise FitError(f"prediction failed for source model {task_id!r}: {exc}") from exc
+    stack = bank._ridge_stack
+    if stack is not None and stack.width == X.shape[1] and np.isfinite(X).all():
+        out = predict_stacked(stack, X)
+    else:
+        out = np.empty((X.shape[0], len(bank.models)), dtype=np.float64)
+        for j, (task_id, model) in enumerate(bank.models.items()):
+            try:
+                out[:, j] = predict(model, X)
+            except Exception as exc:
+                raise FitError(f"prediction failed for source model {task_id!r}: {exc}") from exc
     out.setflags(write=False)
     return out
 
@@ -239,12 +253,21 @@ def second_order_extrinsic(target_task_id: str, bank: ModelBank,
     There is one column per task of ``stage2_models`` other than the target,
     in bank order. Column j applies task j's stage-2 model to task j's own
     view of those rows: the columns of its stage-1 sources (post-capping).
+    When every such model is a ridge model as wide as its view and the
+    block is finite, all columns come from one stacked product with the
+    bits of the model-by-model loop.
     """
     if target_task_id not in bank.models:
         raise ValidationError(f"unknown task id {target_task_id!r}")
     _check_block(bank, predictions)
     other_ids = tuple(t for t in bank.task_ids if t in stage2_models and t != target_task_id)
 
+    stack = RidgeStack.of(stage2_models[j] for j in other_ids)
+    if (stack is not None and all(len(stage2_sources[j]) == stack.width for j in other_ids)
+            and np.isfinite(predictions).all()):
+        cols = np.stack([bank.columns(stage2_sources[j]) for j in other_ids])
+        values = predict_stacked(stack, np.asarray(predictions, dtype=np.float64), cols)
+        return ExtrinsicMatrix(values, other_ids, target_task_id)
     values = np.empty((predictions.shape[0], len(other_ids)), dtype=np.float64)
     for c, j in enumerate(other_ids):
         view = predictions.take(bank.columns(stage2_sources[j]), axis=1)

@@ -34,6 +34,69 @@ def predict_state(state: RidgeState, X: np.ndarray) -> np.ndarray:
     return (X * state.coef).sum(axis=1) + state.intercept
 
 
+# floats in one temporary of ``predict_stacked``
+STACK_CHUNK_FLOATS = 1 << 15
+
+
+@dataclass(frozen=True)
+class RidgeStack:
+    """The standardizers and states of m ridge models of one width, one row each."""
+
+    mean: np.ndarray       # m x width
+    scale: np.ndarray      # m x width
+    coef: np.ndarray       # m x width
+    intercept: np.ndarray  # m
+
+    @property
+    def width(self) -> int:
+        return self.coef.shape[1]
+
+    @classmethod
+    def of(cls, models) -> "RidgeStack | None":
+        """Stack ``models``; None unless all are standardized ridge or ridge_cv
+        models of one feature count."""
+        models = list(models)
+        if not models or any(m.kind not in (LearnerKind.RIDGE, LearnerKind.RIDGE_CV)
+                             or m.standardization is None
+                             or m.feature_count != models[0].feature_count for m in models):
+            return None
+        return cls(mean=np.stack([m.standardization.mean for m in models]),
+                   scale=np.stack([m.standardization.scale for m in models]),
+                   coef=np.stack([m.state.coef for m in models]),
+                   intercept=np.array([m.state.intercept for m in models], dtype=np.float64))
+
+
+def predict_stacked(stack: RidgeStack, X: np.ndarray,
+                    cols: np.ndarray | None = None) -> np.ndarray:
+    """Every stacked model's predictions on the rows of X: a rows x m matrix.
+
+    Model i reads all of X's columns, or ``X[:, cols[i]]`` when ``cols``
+    (m x width) is given; X must be finite and of the width it reads. Each
+    element takes the steps of ``predict`` on one model, in its order:
+    subtract the mean, divide by the scale, multiply by the coefficients,
+    sum along a C-contiguous last axis, add the intercept; so column i is
+    bitwise ``predict`` of model i. Rows and models are taken in chunks of
+    at most ``STACK_CHUNK_FLOATS`` floats.
+    """
+    rows, m, width = X.shape[0], stack.intercept.shape[0], stack.width
+    out = np.empty((rows, m), dtype=np.float64)
+    row_step = max(1, min(rows, STACK_CHUNK_FLOATS // max(1, width)))
+    model_step = max(1, STACK_CHUNK_FLOATS // (row_step * max(1, width)))
+    for r in range(0, rows, row_step):
+        part = X[r:r + row_step]
+        for a in range(0, m, model_step):
+            b = a + model_step
+            if cols is None:
+                Z = np.subtract(part[:, None, :], stack.mean[a:b], order="C")
+            else:
+                Z = part.take(cols[a:b], axis=1)
+                Z -= stack.mean[a:b]
+            Z /= stack.scale[a:b]
+            Z *= stack.coef[a:b]
+            out[r:r + row_step, a:b] = Z.sum(axis=2) + stack.intercept[a:b]
+    return out
+
+
 def _solve_centered(Zc: np.ndarray, yc: np.ndarray, lam: float) -> np.ndarray:
     p = Zc.shape[1]
     if lam > 0.0:

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .data import (CollectionMode, NormalizationParams, SplitKind, SplitPlan,
+from .data import (CollectionMode, NormalizationParams, SplitKind, SplitPlan, Task,
                    TaskCollection, assemble_collection, make_fold_plan,
                    make_holdout_plan, normalize_targets, parse_value, read_table)
 from .engine import (ExtrinsicMatrix, TrainingScope, audit_no_leakage, build_extrinsic,
@@ -221,23 +221,31 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
         if violations:
             raise ValidationError("leakage audit failed: " + "; ".join(violations))
 
-    # One cross-prediction block per task; the tasks of a shared-examples
-    # collection hold equal rows and share one.
-    blocks: dict[str | None, np.ndarray] = {}
+    # The tasks of a shared-examples collection hold equal rows and share one
+    # cross-prediction block. An independent task's block lives only while
+    # its view is built, and order 2 predicts it again, so at most one block
+    # is alive however many tasks the collection holds.
+    shared_block: np.ndarray | None = None
+
+    def block_of(task: Task) -> np.ndarray:
+        nonlocal shared_block
+        if collection.mode is not CollectionMode.SHARED_EXAMPLES:
+            return cross_predict(bank, task.features)
+        if shared_block is None:
+            shared_block = cross_predict(bank, task.features)
+        return shared_block
+
     # Only tasks scored under both order-1 representations get an order-2
     # column; their stage-1 models may still feed the other tasks' views.
-    evaluated: dict[str, tuple[Callable[..., CvResult], np.ndarray]] = {}  # scorer, block
+    evaluated: list[tuple[Task, Callable[..., CvResult]]] = []
     stage2_models, stage2_sources = {}, {}
     results: list[CvResult] = []
     order1 = Representation.transformed(config.transformer_spec, 1)
 
     for task in collection.tasks:
         plan = plans[task.task_id]
-        key = None if collection.mode is CollectionMode.SHARED_EXAMPLES else task.task_id
         try:
-            if key not in blocks:
-                blocks[key] = cross_predict(bank, task.features)
-            ext = build_extrinsic(task.task_id, bank, blocks[key])
+            ext = build_extrinsic(task.task_id, bank, block_of(task))
             if config.descriptor_cap is not None:
                 ext = select_descriptors(ext, config.descriptor_cap,
                                          derive_seed(config.seed, "cap", task.task_id))
@@ -264,7 +272,7 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
         except CrossrepError as exc:
             record("evaluate", task.task_id, exc)
             continue
-        evaluated[task.task_id] = (score, blocks[key])
+        evaluated.append((task, score))
         if stage2:
             stage2_models[task.task_id] = stage2[0]
             stage2_sources[task.task_id] = ext.source_model_ids
@@ -272,15 +280,16 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
 
     if config.order == 2:
         order2 = Representation.transformed(config.transformer_spec, 2)
-        for task_id, (score, block) in evaluated.items():
+        for task, score in evaluated:
             try:
-                ext2 = second_order_extrinsic(task_id, bank, stage2_models, stage2_sources, block)
+                ext2 = second_order_extrinsic(task.task_id, bank, stage2_models, stage2_sources,
+                                              block_of(task))
                 if config.descriptor_cap is not None:
                     ext2 = select_descriptors(ext2, config.descriptor_cap,
-                                              derive_seed(config.seed, "cap2", task_id))
+                                              derive_seed(config.seed, "cap2", task.task_id))
                 results.append(score(ext2.values, representation=order2))
             except CrossrepError as exc:
-                record("order2", task_id, exc)
+                record("order2", task.task_id, exc)
 
     # Keep only tasks scored under every representation so the comparison
     # table always sees identical task sets; recorded failures explain gaps.

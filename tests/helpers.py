@@ -145,3 +145,23 @@ def oracle_extrinsic(collection, bank, task_id):
             col[i] = predict(model, X[i : i + 1])[0]
         columns.append(col)
     return np.column_stack(columns) if columns else np.empty((X.shape[0], 0))
+
+
+def loop_cross_predict(bank, X):
+    """``cross_predict`` model by model through the public predict call."""
+    out = np.empty((X.shape[0], len(bank.models)), dtype=np.float64)
+    for j, model in enumerate(bank.models.values()):
+        out[:, j] = predict(model, X)
+    return out
+
+
+def loop_second_order_extrinsic(target_task_id, bank, stage2_models, stage2_sources,
+                                predictions):
+    """``second_order_extrinsic``'s values model by model: each stage-2 model
+    on its sources' columns of ``predictions``, picked by task id."""
+    other_ids = [t for t in bank.task_ids if t in stage2_models and t != target_task_id]
+    out = np.empty((predictions.shape[0], len(other_ids)), dtype=np.float64)
+    for c, j in enumerate(other_ids):
+        cols = [bank.task_ids.index(s) for s in stage2_sources[j]]
+        out[:, c] = predict(stage2_models[j], predictions[:, cols])
+    return out

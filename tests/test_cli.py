@@ -258,6 +258,36 @@ class TestBankAndCluster:
                        "--k", "0", "--out", str(tmp_path / "x"))
         assert code == 3
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--pool-cap", "0", "--k", "2"], "error: --pool-cap must be at least 1, got 0"),
+        (["--k", "0"], "error: --k must be at least 1, got 0"),
+        (["--k", "500", "--items", "tasks"], "error: --k 500 exceeds the 4 tasks to cluster"),
+        (["--k", "97", "--items", "examples"],
+         "error: --k 97 exceeds the 96 examples to cluster"),
+    ])
+    def test_bad_flag_is_named_not_the_pool(self, flags, message, tmp_path, bank_dir,
+                                            synth_dir, capsys):
+        out = tmp_path / "x"
+        code = run_cli("cluster", "--bank", str(bank_dir),
+                       "--pool", str(synth_dir / "manifest.json"), *flags, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.splitlines() == [message]
+        assert not out.exists()
+
+    def test_task_listed_twice_names_the_manifest_and_the_task(self, tmp_path, synth_dir,
+                                                                capsys):
+        manifest = synth_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["tasks"].append("task000.csv")
+        manifest.write_text(json.dumps(doc))
+        code = run_cli("train-bank", "--collection", str(manifest),
+                       "--learner", '{"kind": "ridge"}', "--out", str(tmp_path / "b"))
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {manifest}: 'tasks' lists task id 'task000' twice, as 'task000.csv' "
+            f"and 'task000.csv'"]
+
     @pytest.mark.parametrize("command", ["inspect-bank", "cluster"])
     def test_truncated_model_archive_is_validation_error(self, command, tmp_path,
                                                          bank_dir, synth_dir, capsys):

@@ -132,6 +132,11 @@ class TestAssembleCollection:
                                                   "'ex2', column 'f1'"):
             assemble_collection([a, changed], CollectionMode.SHARED_EXAMPLES)
 
+    def test_duplicate_task_id_is_named(self):
+        tasks = [make_task("a"), make_task("b", seed=1), make_task("a", seed=2)]
+        with pytest.raises(ValidationError, match="^duplicate task id 'a' in collection$"):
+            assemble_collection(tasks, CollectionMode.INDEPENDENT_EXAMPLES)
+
     def test_fewer_than_two_tasks(self):
         with pytest.raises(ValidationError, match="at least 2"):
             assemble_collection([make_task("a")], CollectionMode.INDEPENDENT_EXAMPLES)

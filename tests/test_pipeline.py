@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -219,8 +220,9 @@ class TestSharedExamplesProtocol:
 
 
 class TestPredictionBlocks:
-    """One cross-prediction block per task, or one for a shared-examples
-    collection, whose tasks hold equal rows."""
+    """One cross-prediction block for a shared-examples collection, whose
+    tasks hold equal rows; an independent task's block is predicted in each
+    pass that reads it and dropped after, so one block at most is alive."""
 
     def test_one_block_for_a_shared_collection(self, shared_collection, monkeypatch):
         calls = _spy(monkeypatch, "cross_predict")
@@ -229,11 +231,28 @@ class TestPredictionBlocks:
                             order=2))
         assert len(calls) == 1
 
-    def test_one_block_per_independent_task(self, monkeypatch):
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_one_block_per_independent_task(self, order, monkeypatch):
+        """One call per task at order 1; at order 2 the pass that builds the
+        order-2 views predicts every task's rows again, in task order."""
         col = toy_collection()
         calls = _spy(monkeypatch, "cross_predict")
-        run_pipeline(config(col, transformer_spec=RIDGE, final_spec=RIDGE, order=2))
-        assert [X.shape[0] for _, X in calls] == [t.n_examples for t in col.tasks]
+        run_pipeline(config(col, transformer_spec=RIDGE, final_spec=RIDGE, order=order))
+        assert [id(X) for _, X in calls] == [id(t.features) for t in col.tasks] * order
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_at_most_one_earlier_block_alive(self, order, monkeypatch):
+        col = toy_collection(n_tasks=5)
+        alive, blocks = [], []
+        def tracked(bank, X, _fn=pipeline.cross_predict):
+            alive.append(sum(ref() is not None for ref in blocks))
+            block = _fn(bank, X)
+            blocks.append(weakref.ref(block))
+            return block
+        monkeypatch.setattr(pipeline, "cross_predict", tracked)
+        run_pipeline(config(col, transformer_spec=RIDGE, final_spec=RIDGE, order=order))
+        assert len(alive) == col.n_tasks * order
+        assert max(alive) <= 1
 
 
 class TestLeakageAuditLine:
