@@ -11,9 +11,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .clustering import (ClusterResult, assignments_tsv, build_pool, cluster_examples,
-                         cluster_tasks, cross_prediction_matrix,
+from .clustering import (ClusterResult, CrossPredictionMatrix, assignments_tsv, build_pool,
+                         cluster_examples, cluster_tasks, cross_prediction_matrix,
                          pairwise_distances_tsv)
 from .data import (CollectionMode, SplitKind, json_field, load_collection, load_pool,
                    load_task, read_json, write_collection)
@@ -126,6 +128,37 @@ def _kmeans_line(items: str, res: ClusterResult) -> str:
     return f"{items} k-means: converged={res.converged} n_iter={res.n_iter}"
 
 
+def _load_pool(args: argparse.Namespace, pool_path: Path, manifest: bool
+               ) -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...]]:
+    """The pool's rows, example ids and feature names. A collection or task
+    loaded on the way dies here, once its rows are pooled."""
+    if manifest:
+        # a collection manifest: pool the collection's own example rows
+        collection = load_collection(pool_path)
+        pool, ids = build_pool(collection, cap=args.pool_cap, seed=args.seed)
+        return pool, ids, collection.tasks[0].feature_names
+    if args.target:
+        pool_task = load_task(pool_path, target=args.target)
+        return pool_task.features, pool_task.example_ids, pool_task.feature_names
+    return load_pool(pool_path)
+
+
+def _pooled_matrix(args: argparse.Namespace, pool_path: Path,
+                   manifest: bool) -> CrossPredictionMatrix:
+    """The bank's predictions on the pool. The bank, with whatever its models
+    cache, and the pool die when this returns: only the matrix is alive
+    while clustering."""
+    bank = load_bank(Path(args.bank))
+    pool, ids, names = _load_pool(args, pool_path, manifest)
+    for item, count in (("task", len(bank.task_ids)), ("example", len(ids))):
+        if args.items in (f"{item}s", "both") and args.k > count:
+            raise ConfigError(f"--k {args.k} exceeds the {count} {item}s to cluster")
+    try:
+        return cross_prediction_matrix(bank, pool, example_ids=ids, feature_names=names)
+    except ValidationError as exc:
+        raise ValidationError(f"{pool_path}: {exc}") from None
+
+
 def cmd_cluster(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
@@ -139,22 +172,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         raise ConfigError(f"--k must be at least 1, got {args.k}")
     if args.target is not None and manifest:
         raise ConfigError(f"--target applies to a task-file pool only, not {pool_path}")
-    bank = load_bank(Path(args.bank))
-    if manifest:
-        # a collection manifest: pool the collection's own example rows
-        collection = load_collection(pool_path)
-        pool, ids = build_pool(collection, cap=args.pool_cap, seed=args.seed)
-    elif args.target:
-        pool_task = load_task(pool_path, target=args.target)
-        pool = pool_task.features
-        ids = pool_task.example_ids
-    else:
-        pool, ids = load_pool(pool_path)
-    for item, count in (("task", len(bank.task_ids)), ("example", len(ids))):
-        if args.items in (f"{item}s", "both") and args.k > count:
-            raise ConfigError(f"--k {args.k} exceeds the {count} {item}s to cluster")
+    matrix = _pooled_matrix(args, pool_path, manifest)
     try:
-        matrix = cross_prediction_matrix(bank, pool, example_ids=ids)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         wrote = []

@@ -88,9 +88,14 @@ class ClusterResult:
 
 
 def cross_prediction_matrix(bank: ModelBank, pool: np.ndarray,
-                            example_ids: tuple[str, ...] | None = None
+                            example_ids: tuple[str, ...] | None = None,
+                            feature_names: tuple[str, ...] | None = None
                             ) -> CrossPredictionMatrix:
-    """Apply all n bank models to the pool; returns a |pool| x n matrix."""
+    """Apply all n bank models to the pool; returns a |pool| x n matrix.
+
+    When both the pool's ``feature_names`` and the bank's are known, they
+    must match column by column: the models read features by position.
+    """
     pool = np.asarray(pool, dtype=np.float64)
     if pool.ndim != 2:
         raise ValidationError("pool must be a 2-d matrix")
@@ -98,6 +103,12 @@ def cross_prediction_matrix(bank: ModelBank, pool: np.ndarray,
     if first is not None and pool.shape[1] != first.feature_count:
         raise ValidationError(f"pool has {pool.shape[1]} feature columns, bank models "
                               f"expect {first.feature_count}")
+    if feature_names is not None and bank.feature_names is not None:
+        for i, (ours, theirs) in enumerate(zip(feature_names, bank.feature_names)):
+            if ours != theirs:
+                raise ValidationError(f"pool feature {i + 1} of {len(feature_names)} is "
+                                      f"{ours!r}; the bank was trained with {theirs!r} "
+                                      f"in that position")
     ids = example_ids if example_ids is not None else tuple(
         f"pool{i:05d}" for i in range(pool.shape[0]))
     return CrossPredictionMatrix(values=cross_predict(bank, pool), example_ids=ids,
@@ -112,7 +123,9 @@ def kmeans(X: np.ndarray, k: int, seed: int, max_iter: int = KMEANS_MAX_ITER,
     drops below ``tol``, or the iteration cap is reached; a final centroid
     update keeps the mean-consistency invariant exact at termination.
     """
-    X = np.asarray(X, dtype=np.float64)
+    # C order makes the bits independent of the caller's layout: each
+    # distance is then one pairwise sum along a contiguous row.
+    X = np.ascontiguousarray(X, dtype=np.float64)
     n = X.shape[0]
     if not 1 <= k <= n:
         raise ValidationError(f"k must be in [1, {n}], got {k}")
@@ -136,8 +149,19 @@ def kmeans(X: np.ndarray, k: int, seed: int, max_iter: int = KMEANS_MAX_ITER,
         pos += 1
     centroids = X[np.asarray(chosen)].copy()
 
+    # Squared distances one centroid at a time through one n x d scratch
+    # buffer, so a pass allocates O(n d), not O(n k d). Subtract, square and
+    # a row sum are the steps of ``((X[:, None] - C[None]) ** 2).sum(axis=2)``
+    # and keep its bits.
+    scratch = np.empty_like(X)
+    d2 = np.empty((n, k), dtype=np.float64)
+
     def costs(cents: np.ndarray) -> np.ndarray:
-        return ((X[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
+        for c in range(k):
+            np.subtract(X, cents[c], out=scratch)
+            np.square(scratch, out=scratch)
+            d2[:, c] = scratch.sum(axis=1)
+        return d2
 
     def refresh(asg: np.ndarray) -> None:
         for c in range(k):
@@ -195,7 +219,7 @@ def _cluster_items(items: np.ndarray, item_ids: tuple[str, ...], k: int, seed: i
     if standardize:
         # Each item's features are the columns of ``items``: standardize those.
         items = Standardizer.fit(items).transform(items)
-    result = kmeans(np.ascontiguousarray(items), k, seed)
+    result = kmeans(items, k, seed)
     return dataclasses.replace(result, item_ids=item_ids)
 
 

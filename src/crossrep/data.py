@@ -437,14 +437,15 @@ def load_task(path: str | Path, target: str, *, task_id: str | None = None) -> T
     )
 
 
-def load_pool(path: str | Path) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Pooled example rows: a task file without a target column."""
+def load_pool(path: str | Path) -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...]]:
+    """Pooled example rows, their ids and the feature names: a task file
+    without a target column."""
     path = Path(path)
     header, rows = read_table(path, "pool file")
     if len(header) < 2:
         raise IngestionError(f"{path}: need at least an id column and one feature")
     example_ids, values = _example_table(path, header, rows)
-    return values, example_ids
+    return values, example_ids, tuple(header[1:])
 
 
 def assemble_collection(tasks: list[Task] | tuple[Task, ...], mode: CollectionMode,

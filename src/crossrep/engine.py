@@ -37,6 +37,9 @@ class ModelBank:
     learner_spec: LearnerSpec
     collection_id: str
     training_scope: TrainingScope
+    # The collection's feature names, in the column order the models read;
+    # None for a bank index written before the names were recorded.
+    feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         for task_id, model in self.models.items():
@@ -167,7 +170,8 @@ def stage1_train(collection: TaskCollection, spec: LearnerSpec, scope: TrainingS
                 raise err from exc
             on_failure(task.task_id, err)
     return ModelBank(models=models, learner_spec=spec,
-                     collection_id=collection.feature_space_id, training_scope=scope)
+                     collection_id=collection.feature_space_id, training_scope=scope,
+                     feature_names=collection.tasks[0].feature_names)
 
 
 def cross_predict(bank: ModelBank, X: np.ndarray) -> np.ndarray:
@@ -314,6 +318,8 @@ def save_bank(bank: ModelBank, out_dir: str | Path) -> Path:
         "task_order": list(bank.task_ids),
         "models": files,
     }
+    if bank.feature_names is not None:
+        index["feature_names"] = list(bank.feature_names)
     index_path = out_dir / BANK_INDEX_NAME
     index_path.write_text(json.dumps(index, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
@@ -329,6 +335,7 @@ def load_bank(bank_dir: str | Path) -> ModelBank:
     collection_id = json_field(index_path, index, "collection_id", str)
     scope_value = json_field(index_path, index, "training_scope", str)
     order = json_field(index_path, index, "task_order", list, list(files))
+    names = json_field(index_path, index, "feature_names", list, None)
     spec = LearnerSpec.from_dict(spec_doc, f"{index_path}: 'learner_spec'")
     try:
         scope = TrainingScope(scope_value)
@@ -338,11 +345,19 @@ def load_bank(bank_dir: str | Path) -> ModelBank:
     if not all(isinstance(t, str) and isinstance(files.get(t), str) for t in order):
         raise IngestionError(f"{index_path}: 'task_order' must list task ids whose "
                              f"'models' entry is an archive file name")
+    if names is not None and not all(isinstance(name, str) for name in names):
+        raise IngestionError(f"{index_path}: 'feature_names' must list column names, "
+                             f"got {names!r}")
     models = {task_id: load_model(bank_dir / files[task_id]) for task_id in order}
     for task_id in order[1:]:
         count, first = models[task_id].feature_count, models[order[0]].feature_count
         if count != first:
             raise IngestionError(f"{bank_dir / files[task_id]}: 'feature_count' is {count}, "
                                  f"but {bank_dir / files[order[0]]} has {first}")
+    width = models[order[0]].feature_count if order else None
+    if names is not None and width is not None and len(names) != width:
+        raise IngestionError(f"{index_path}: 'feature_names' lists {len(names)} names, but "
+                             f"{bank_dir / files[order[0]]} has {width} features")
     return ModelBank(models=models, learner_spec=spec, collection_id=collection_id,
-                     training_scope=scope)
+                     training_scope=scope,
+                     feature_names=None if names is None else tuple(names))

@@ -5,11 +5,13 @@ plain gradient descent, the SVR dual by projected gradient with a tiny
 step size, the extrinsic matrix model by model and row by row, and forest
 predictions node by node. The scalar RBF kernel, the SVR dual objective
 and the inverse of target normalization are checks the library itself
-never calls.
+never calls. K-means keeps the all-centroids-at-once broadcast distances
+the library computed before it went one centroid at a time.
 """
 
 import numpy as np
 
+from crossrep.clustering import ClusterResult
 from crossrep.errors import ValidationError
 from crossrep.learners import predict
 
@@ -165,3 +167,64 @@ def loop_second_order_extrinsic(target_task_id, bank, stage2_models, stage2_sour
         cols = [bank.task_ids.index(s) for s in stage2_sources[j]]
         out[:, c] = predict(stage2_models[j], predictions[:, cols])
     return out
+
+
+def broadcast_kmeans(X, k, seed, max_iter=300, tol=1e-6):
+    """Lloyd's algorithm as ``clustering.kmeans``, with each pass's squared
+    distances taken at once as ``((X[:, None, :] - C[None]) ** 2).sum(axis=2)``,
+    an n x k x d temporary. ``X`` should be C-ordered, as ``kmeans`` makes it:
+    on another layout the broadcast sum may add in a different order."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    if not 1 <= k <= n:
+        raise ValidationError(f"k must be in [1, {n}], got {k}")
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    chosen, seen_rows = [], set()
+    for i in order:
+        key = X[i].tobytes()
+        if key not in seen_rows:
+            seen_rows.add(key)
+            chosen.append(int(i))
+        if len(chosen) == k:
+            break
+    pos = 0
+    while len(chosen) < k:
+        chosen.append(int(order[pos % n]))
+        pos += 1
+    centroids = X[np.asarray(chosen)].copy()
+
+    def costs(cents):
+        return ((X[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
+
+    def refresh(asg):
+        for c in range(k):
+            members = asg == c
+            if members.any():
+                centroids[c] = X[members].mean(axis=0)
+
+    assignments = np.full(n, -1, dtype=np.int64)
+    history = []
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        d2 = costs(centroids)
+        new_assignments = np.argmin(d2, axis=1)
+        history.append(float(d2[np.arange(n), new_assignments].sum()))
+        if np.array_equal(new_assignments, assignments):
+            converged = True
+            break
+        assignments = new_assignments
+        refresh(assignments)
+        if len(history) >= 2 and history[-2] - history[-1] < tol:
+            d2 = costs(centroids)
+            confirm = np.argmin(d2, axis=1)
+            history.append(float(d2[np.arange(n), confirm].sum()))
+            converged = bool(np.array_equal(confirm, assignments))
+            assignments = confirm
+            break
+    d2 = costs(centroids)
+    inertia = float(d2[np.arange(n), assignments].sum())
+    return ClusterResult(assignments=assignments, centroids=centroids, inertia=inertia,
+                         k=k, seed=seed, converged=converged, n_iter=it,
+                         inertia_history=tuple(history))

@@ -901,3 +901,84 @@ class TestJsonDocuments:
         capsys.readouterr()
         self.check(capsys, run_cli("inspect-bank", "--bank", str(bank_dir)), archive,
                    "intercept")
+
+
+class TestPoolFeatureNames:
+    """Bank models read features by position, so a pool must name its feature
+    columns as the bank's collection did, in the same order."""
+
+    def test_bank_records_the_feature_names(self, bank_dir):
+        assert load_bank(bank_dir).feature_names == tuple(f"x{j}" for j in range(6))
+
+    def test_reversed_pool_columns_name_the_first_difference(self, tmp_path, bank_dir,
+                                                             synth_dir, capsys):
+        header, *rows = (synth_dir / "task000.csv").read_text().splitlines()
+        names = header.split(",")
+        order = [0, *range(6, 0, -1)]  # id, x5 ... x0; the target column dropped
+        pool = tmp_path / "reversed.csv"
+        pool.write_text("\n".join(",".join(line.split(",")[i] for i in order)
+                                  for line in [header, *rows]) + "\n")
+        assert [names[i] for i in order] == ["id", "x5", "x4", "x3", "x2", "x1", "x0"]
+        code = run_cli("cluster", "--bank", str(bank_dir), "--pool", str(pool),
+                       "--k", "2", "--out", str(tmp_path / "c"))
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert (f"error: {pool}: pool feature 1 of 6 is 'x5'; the bank was trained with "
+                f"'x0' in that position") in err
+        assert not (tmp_path / "c").exists()
+
+    def test_task_file_pool_is_checked_without_its_target(self, tmp_path, bank_dir,
+                                                          synth_dir, capsys):
+        text = (synth_dir / "task001.csv").read_text()
+        renamed = tmp_path / "renamed.csv"
+        renamed.write_text(text.replace("x3", "w3", 1))
+        code = run_cli("cluster", "--bank", str(bank_dir), "--pool", str(renamed),
+                       "--target", "y", "--k", "2", "--out", str(tmp_path / "c"))
+        assert code == 3
+        assert "pool feature 4 of 6 is 'w3'; the bank was trained with 'x3'" in (
+            capsys.readouterr().err)
+
+    def test_manifest_pool_of_another_feature_space(self, tmp_path, bank_dir, synth_dir,
+                                                    capsys):
+        for path in synth_dir.glob("*.csv"):
+            path.write_text(path.read_text().replace("x0,", "z0,", 1))
+        manifest = synth_dir / "manifest.json"
+        code = run_cli("cluster", "--bank", str(bank_dir), "--pool", str(manifest),
+                       "--k", "2", "--out", str(tmp_path / "c"))
+        assert code == 3
+        assert (f"error: {manifest}: pool feature 1 of 6 is 'z0'; the bank was trained "
+                f"with 'x0'") in capsys.readouterr().err
+
+    def test_index_without_names_loads_unchecked(self, tmp_path, bank_dir, synth_dir):
+        """A bank index written before the names were recorded."""
+        index_path = bank_dir / "bank_index.json"
+        index = json.loads(index_path.read_text())
+        del index["feature_names"]
+        index_path.write_text(json.dumps(index))
+        assert load_bank(bank_dir).feature_names is None
+        pool = tmp_path / "pool.csv"
+        pool.write_text("id,a,b,c,d,e,f\ne1,1,2,3,4,5,6\ne2,6,5,4,3,2,1\n")
+        assert run_cli("cluster", "--bank", str(bank_dir), "--pool", str(pool),
+                       "--k", "2", "--items", "examples", "--out", str(tmp_path / "c")) == 0
+
+    @pytest.mark.parametrize("value, message", [
+        ("x0", "'feature_names' must be a list, got 'x0'"),
+        ({"x0": 0}, "'feature_names' must be a list"),
+        (["x0", "x1", "x2", "x3", "x4", 5], "'feature_names' must list column names"),
+        (["x0", "x1"], "'feature_names' lists 2 names, but"),
+    ])
+    @pytest.mark.parametrize("command", ["inspect-bank", "cluster"])
+    def test_malformed_feature_names(self, command, value, message, tmp_path, bank_dir,
+                                     synth_dir, capsys):
+        index_path = bank_dir / "bank_index.json"
+        index = json.loads(index_path.read_text())
+        index["feature_names"] = value
+        index_path.write_text(json.dumps(index))
+        argv = ["--bank", str(bank_dir)]
+        if command == "cluster":
+            argv += ["--pool", str(synth_dir / "manifest.json"), "--k", "2",
+                     "--out", str(tmp_path / "x")]
+        assert run_cli(command, *argv) == 3
+        err = capsys.readouterr().err
+        assert f"{index_path}: {message}" in err
+        assert "Traceback" not in err
