@@ -14,9 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .clustering import (ClusterResult, CrossPredictionMatrix, assignments_tsv, build_pool,
-                         cluster_examples, cluster_tasks, cross_prediction_matrix,
-                         pairwise_distances_tsv)
+from .clustering import (CrossPredictionMatrix, assignments_tsv, build_pool, cluster_examples,
+                         cluster_tasks, cross_prediction_matrix, pairwise_distances_tsv)
 from .data import (CollectionMode, SplitKind, json_field, load_collection, load_pool,
                    load_task, read_json, write_collection)
 from .engine import TrainingScope, load_bank, save_bank, stage1_train
@@ -124,10 +123,6 @@ def cmd_train_bank(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _kmeans_line(items: str, res: ClusterResult) -> str:
-    return f"{items} k-means: converged={res.converged} n_iter={res.n_iter}"
-
-
 def _load_pool(args: argparse.Namespace, pool_path: Path, manifest: bool
                ) -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...]]:
     """The pool's rows, example ids and feature names. A collection or task
@@ -184,7 +179,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
                 continue
             res = cluster(matrix, args.k, args.seed, standardize=args.standardize)
             (out_dir / f"{item}_clusters.tsv").write_text(assignments_tsv(res), encoding="utf-8")
-            print(_kmeans_line(item, res))
+            print(f"{item} k-means: converged={res.converged} n_iter={res.n_iter}")
             wrote.append(f"{item}_clusters.tsv")
             if args.distances:
                 (out_dir / f"{item}_distances.tsv").write_text(

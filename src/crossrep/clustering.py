@@ -79,8 +79,6 @@ class ClusterResult:
     assignments: np.ndarray
     centroids: np.ndarray
     inertia: float
-    k: int
-    seed: int
     converged: bool
     n_iter: int
     inertia_history: tuple[float, ...]
@@ -111,17 +109,17 @@ def cross_prediction_matrix(bank: ModelBank, pool: np.ndarray,
                                       f"in that position")
     ids = example_ids if example_ids is not None else tuple(
         f"pool{i:05d}" for i in range(pool.shape[0]))
-    return CrossPredictionMatrix(values=cross_predict(bank, pool), example_ids=ids,
+    return CrossPredictionMatrix(values=cross_predict(bank, pool, ids), example_ids=ids,
                                  task_ids=bank.task_ids)
 
 
-def kmeans(X: np.ndarray, k: int, seed: int, max_iter: int = KMEANS_MAX_ITER,
-           tol: float = KMEANS_TOL) -> ClusterResult:
+def kmeans(X: np.ndarray, k: int, seed: int) -> ClusterResult:
     """Lloyd's algorithm with seeded distinct-item initialization.
 
     Iterates until assignments stop changing, the inertia improvement
-    drops below ``tol``, or the iteration cap is reached; a final centroid
-    update keeps the mean-consistency invariant exact at termination.
+    drops below ``KMEANS_TOL``, or ``KMEANS_MAX_ITER`` passes are made; a
+    final centroid update keeps the mean-consistency invariant exact at
+    termination.
     """
     # C order makes the bits independent of the caller's layout: each
     # distance is then one pairwise sum along a contiguous row.
@@ -174,7 +172,7 @@ def kmeans(X: np.ndarray, k: int, seed: int, max_iter: int = KMEANS_MAX_ITER,
     history: list[float] = []
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, KMEANS_MAX_ITER + 1):
         d2 = costs(centroids)
         new_assignments = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(n), new_assignments].sum()))
@@ -185,7 +183,7 @@ def kmeans(X: np.ndarray, k: int, seed: int, max_iter: int = KMEANS_MAX_ITER,
             break
         assignments = new_assignments
         refresh(assignments)
-        if len(history) >= 2 and history[-2] - history[-1] < tol:
+        if len(history) >= 2 and history[-2] - history[-1] < KMEANS_TOL:
             # Stalled; one confirmation pass decides convergence.
             d2 = costs(centroids)
             confirm = np.argmin(d2, axis=1)
@@ -197,8 +195,7 @@ def kmeans(X: np.ndarray, k: int, seed: int, max_iter: int = KMEANS_MAX_ITER,
     d2 = costs(centroids)
     inertia = float(d2[np.arange(n), assignments].sum())
     return ClusterResult(assignments=assignments, centroids=centroids, inertia=inertia,
-                         k=k, seed=seed, converged=converged, n_iter=it,
-                         inertia_history=tuple(history))
+                         converged=converged, n_iter=it, inertia_history=tuple(history))
 
 
 @contextlib.contextmanager
@@ -226,8 +223,6 @@ def _cluster_items(items: np.ndarray, item_ids: tuple[str, ...], k: int, seed: i
 def cluster_tasks(matrix: CrossPredictionMatrix, k: int, seed: int,
                   standardize: bool = False) -> ClusterResult:
     """K-means over task columns (each task = its prediction vector)."""
-    if not 1 <= k <= len(matrix.task_ids):
-        raise ValidationError(f"k must be in [1, {len(matrix.task_ids)}], got {k}")
     if matrix.values.shape[0] == 0:
         raise ValidationError("cannot cluster tasks of an empty pool")
     return _cluster_items(matrix.values.T, matrix.task_ids, k, seed, standardize)
@@ -236,8 +231,6 @@ def cluster_tasks(matrix: CrossPredictionMatrix, k: int, seed: int,
 def cluster_examples(matrix: CrossPredictionMatrix, k: int, seed: int,
                      standardize: bool = False) -> ClusterResult:
     """K-means over example rows (each example = its prediction tuple)."""
-    if not 1 <= k <= len(matrix.example_ids):
-        raise ValidationError(f"k must be in [1, {len(matrix.example_ids)}], got {k}")
     return _cluster_items(matrix.values, matrix.example_ids, k, seed, standardize)
 
 

@@ -413,8 +413,8 @@ def _example_table(path: Path, header: tuple[str, ...], rows: list[tuple[int, li
     return tuple(first_row), values
 
 
-def load_task(path: str | Path, target: str, *, task_id: str | None = None) -> Task:
-    """Load one task from a delimited text file.
+def load_task(path: str | Path, target: str) -> Task:
+    """Load one task from a delimited text file, named by the file's stem.
 
     The first column is the example id, ``target`` names the target
     column, and every other column is parsed as a numeric feature.
@@ -429,7 +429,7 @@ def load_task(path: str | Path, target: str, *, task_id: str | None = None) -> T
     target_col = header.index(target) - 1
     feature_cols = [j for j in range(values.shape[1]) if j != target_col]
     return Task(
-        task_id=task_id or path.stem,
+        task_id=path.stem,
         features=values[:, feature_cols],
         targets=values[:, target_col],
         feature_names=tuple(header[j + 1] for j in feature_cols),

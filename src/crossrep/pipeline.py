@@ -19,9 +19,9 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .data import (CollectionMode, NormalizationParams, SplitKind, SplitPlan, Task,
-                   TaskCollection, assemble_collection, make_fold_plan,
-                   make_holdout_plan, normalize_targets, parse_value, read_table)
+from .data import (CollectionMode, SplitKind, SplitPlan, Task, TaskCollection,
+                   assemble_collection, make_fold_plan, make_holdout_plan,
+                   normalize_targets, parse_value, read_table)
 from .engine import (ExtrinsicMatrix, TrainingScope, audit_no_leakage, build_extrinsic,
                      cross_predict, second_order_extrinsic, select_descriptors,
                      stage1_train, stage2_train, training_rows)
@@ -29,7 +29,7 @@ from .errors import ConfigError, CrossrepError, FitError, IngestionError, Valida
 from .evaluation import (ComparisonTable, CvResult, Representation,
                          compare_representations, comparison_tsv, cross_validate,
                          render_comparison)
-from .learners import LearnerSpec, TrainFingerprint
+from .learners import LearnerSpec
 from .seeding import derive_seed
 
 
@@ -138,13 +138,10 @@ class TaskFailure:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    collection_id: str
     config_echo: dict
     results: tuple[CvResult, ...]
     failures: tuple[TaskFailure, ...]
     bank_fingerprints: dict[str, str]
-    normalization: dict[str, NormalizationParams]
-    version: str = __version__
 
     @property
     def table(self) -> ComparisonTable:
@@ -177,23 +174,12 @@ def _make_plans(collection: TaskCollection, split: SplitProtocol,
             for t in collection.tasks}
 
 
-def _normalize_collection(collection: TaskCollection
-                          ) -> tuple[TaskCollection, dict[str, NormalizationParams]]:
-    tasks, params = [], {}
-    for task in collection.tasks:
-        normalized, p = normalize_targets(task)
-        tasks.append(normalized)
-        params[task.task_id] = p
-    return assemble_collection(tasks, collection.mode,
-                               collection.feature_space_id), params
-
-
 def run_pipeline(config: PipelineConfig) -> ExperimentResult:
     """Run the full two-stage experiment described by ``config``."""
     collection = config.collection
-    norm_params: dict[str, NormalizationParams] = {}
     if config.normalize:
-        collection, norm_params = _normalize_collection(collection)
+        collection = assemble_collection([normalize_targets(t)[0] for t in collection.tasks],
+                                         collection.mode, collection.feature_space_id)
 
     plans = _make_plans(collection, config.split, config.seed)
     failures: list[TaskFailure] = []
@@ -255,16 +241,17 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
             score = partial(cross_validate, targets=task.targets, spec=config.final_spec,
                             plan=plan, task_id=task.task_id, row_ids=task.example_ids)
             # a given model scores a fold when it is that fold's own fit
+            own = bank.models[task.task_id]
             intrinsic = score(task.features, representation=Representation.original(),
-                              fitted=(bank.models[task.task_id],))
+                              fitted=(own,))
             stage2 = ()
             if config.order == 2:
+                # the rows of the stage-1 fit, so its fingerprint is stage 2's too
                 rows = training_rows(task, config.resolved_scope, plan)
-                fp = TrainFingerprint(task.task_id, tuple(task.example_ids[i] for i in rows))
                 view = ExtrinsicMatrix(ext.values[rows], ext.source_model_ids, task.task_id)
                 try:
                     stage2 = (stage2_train(view, task.targets[rows], config.final_spec,
-                                           fingerprint=fp,
+                                           fingerprint=own.train_fingerprint,
                                            seed=derive_seed(config.seed, "stage2", task.task_id)),)
                 except CrossrepError as exc:
                     record("stage2", task.task_id, exc)
@@ -301,12 +288,10 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
     results = [r for r in results if r.task_id in common]
     fingerprints = {tid: bank.models[tid].train_fingerprint.digest for tid in bank.task_ids}
     return ExperimentResult(
-        collection_id=collection.feature_space_id,
         config_echo=echo,
         results=tuple(results),
         failures=tuple(failures),
         bank_fingerprints=fingerprints,
-        normalization=norm_params,
     )
 
 
@@ -353,8 +338,8 @@ def load_scores(path: str | Path) -> list[tuple[str, str, str, float]]:
 
 def render_report(result: ExperimentResult) -> str:
     parts = [
-        f"crossrep experiment report (version {result.version})",
-        f"collection: {result.collection_id}",
+        f"crossrep experiment report (version {__version__})",
+        f"collection: {result.config_echo['collection_id']}",
         "",
         "config:",
         json.dumps(result.config_echo, indent=2, sort_keys=True),
@@ -391,7 +376,7 @@ def write_result(result: ExperimentResult, out_dir: str | Path) -> Path:
     (out_dir / REPORT_NAME).write_text(render_report(result), encoding="utf-8")
     manifest = {
         "config": result.config_echo,
-        "version": result.version,
+        "version": __version__,
         "completed_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         "outputs": [SCORES_NAME, COMPARISON_NAME, REPORT_NAME],
     }

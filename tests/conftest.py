@@ -32,3 +32,16 @@ def shared_collection():
         tasks.append(Task(task_id=f"g{i}", features=X, targets=y,
                           feature_names=names, example_ids=ids))
     return assemble_collection(tasks, CollectionMode.SHARED_EXAMPLES, "sharedsmall")
+
+
+@pytest.fixture
+def narrow_collection():
+    """3 tasks of 12 rows whose features x0, x1 are drawn as N(0, 0.01^2), so
+    a pool value of 1e308 overflows a standardization."""
+    tasks = []
+    for i in range(3):
+        rng = np.random.default_rng(20 + i)
+        tasks.append(Task(task_id=f"t{i}", features=rng.normal(scale=0.01, size=(12, 2)),
+                          targets=rng.normal(size=12), feature_names=("x0", "x1"),
+                          example_ids=tuple(f"t{i}-r{r}" for r in range(12))))
+    return assemble_collection(tasks, CollectionMode.INDEPENDENT_EXAMPLES, "narrow")

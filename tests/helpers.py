@@ -226,5 +226,4 @@ def broadcast_kmeans(X, k, seed, max_iter=300, tol=1e-6):
     d2 = costs(centroids)
     inertia = float(d2[np.arange(n), assignments].sum())
     return ClusterResult(assignments=assignments, centroids=centroids, inertia=inertia,
-                         k=k, seed=seed, converged=converged, n_iter=it,
-                         inertia_history=tuple(history))
+                         converged=converged, n_iter=it, inertia_history=tuple(history))

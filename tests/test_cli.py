@@ -9,7 +9,7 @@ import pytest
 
 from crossrep.cli import main
 from crossrep.clustering import cluster_examples, cluster_tasks, cross_prediction_matrix
-from crossrep.data import load_task
+from crossrep.data import load_task, write_collection
 from crossrep.engine import load_bank
 from crossrep.learners.archive import _dec, _enc
 
@@ -982,3 +982,36 @@ class TestPoolFeatureNames:
         err = capsys.readouterr().err
         assert f"{index_path}: {message}" in err
         assert "Traceback" not in err
+
+
+class TestOverflowingPool:
+    """A finite pool value far outside the training range overflows each
+    model's standardization."""
+
+    @staticmethod
+    def _cluster(tmp_path, collection, learner):
+        manifest = write_collection(collection, tmp_path / "coll")
+        assert run_cli("train-bank", "--collection", str(manifest), "--learner", learner,
+                       "--out", str(tmp_path / "bank")) == 0
+        pool = tmp_path / "pool.csv"
+        pool.write_text("id,x0,x1\na,1e308,1\nb,0.5,0.2\n")
+        code = run_cli("cluster", "--bank", str(tmp_path / "bank"), "--pool", str(pool),
+                       "--k", "1", "--out", str(tmp_path / "c"))
+        return code, pool
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ridge_bank_names_the_model_and_the_example(self, tmp_path, narrow_collection,
+                                                        capsys):
+        code, pool = self._cluster(tmp_path, narrow_collection, '{"kind": "ridge", "lam": 1}')
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err == (f"error: {pool}: source model 't0' predicts a non-finite value "
+                       "for example 'a'\n")
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_svr_bank_clusters_the_pool(self, tmp_path, narrow_collection, capsys):
+        code, _ = self._cluster(tmp_path, narrow_collection, '{"kind": "svr"}')
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "c" / "example_clusters.tsv").read_text().splitlines() == [
+            "item_id\tcluster", "a\t0", "b\t0"]

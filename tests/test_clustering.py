@@ -56,6 +56,16 @@ class TestCrossPredictionMatrix:
 
 
 class TestKmeans:
+    @pytest.mark.parametrize("cluster, n", [(cluster_tasks, 3), (cluster_examples, 4)],
+                             ids=["tasks", "examples"])
+    @pytest.mark.parametrize("past_n", [False, True], ids=["k=0", "k=n+1"])
+    def test_k_outside_one_to_n_is_rejected(self, cluster, n, past_n):
+        k = n + 1 if past_n else 0
+        matrix = CrossPredictionMatrix(values=np.arange(12.0).reshape(4, 3),
+                                       example_ids=tuple("abcd"), task_ids=("t1", "t2", "t3"))
+        with pytest.raises(ValidationError, match=fr"^k must be in \[1, {n}\], got {k}$"):
+            cluster(matrix, k=k, seed=0)
+
     def test_identical_columns_cluster_together(self):
         col = np.array([1.0, 2.0, 3.0, 4.0])
         values = np.column_stack([col, col, -col])
@@ -170,7 +180,7 @@ class TestKmeans:
 class TestReports:
     def test_assignments_tsv(self):
         result = ClusterResult(assignments=np.array([0, 1, 0]),
-                               centroids=np.zeros((2, 2)), inertia=0.0, k=2, seed=0,
+                               centroids=np.zeros((2, 2)), inertia=0.0,
                                converged=True, n_iter=1, inertia_history=(0.0,),
                                item_ids=("a", "b", "c"))
         text = assignments_tsv(result)

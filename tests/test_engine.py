@@ -259,3 +259,27 @@ def test_select_descriptors_977_to_500():
     assert capped.n_columns == 500
     positions = [ext.source_model_ids.index(s) for s in capped.source_model_ids]
     assert positions == sorted(positions)
+
+
+class TestNonFinitePredictions:
+    """Standardizing a pool value of 1e308 overflows: a ridge prediction is
+    then non-finite, while an SVR kernel value is exactly 0."""
+
+    POOL = np.array([[1e308, 1.0], [0.5, 0.2]])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ridge_overflow_names_the_model_and_the_example(self, narrow_collection):
+        bank = stage1_train(narrow_collection, LearnerSpec.ridge(1.0), TrainingScope.FULL_TASK)
+        with pytest.raises(ValidationError) as info:
+            cross_predict(bank, self.POOL, ("a", "b"))
+        assert str(info.value) == "source model 't0' predicts a non-finite value for example 'a'"
+        with pytest.raises(ValidationError, match=r"for row 0$"):
+            cross_predict(bank, self.POOL)
+        with pytest.raises(ValidationError, match="^1 example ids for 2 rows$"):
+            cross_predict(bank, self.POOL, ("a",))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_svr_predicts_its_bias_infinitely_far_away(self, narrow_collection):
+        bank = stage1_train(narrow_collection, LearnerSpec.svr(), TrainingScope.FULL_TASK)
+        out = cross_predict(bank, self.POOL)
+        assert list(out[0]) == [model.state.bias for model in bank.models.values()]

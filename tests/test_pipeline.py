@@ -4,8 +4,9 @@ import weakref
 import numpy as np
 import pytest
 
-from crossrep import engine, evaluation, pipeline
-from crossrep.data import (CollectionMode, SplitKind, Task, assemble_collection)
+from crossrep import __version__, engine, evaluation, pipeline
+from crossrep.data import (CollectionMode, SplitKind, Task, assemble_collection,
+                           normalize_targets)
 from crossrep.engine import TrainingScope
 from crossrep.errors import ConfigError, FitError
 from crossrep.learners import LearnerSpec
@@ -171,7 +172,30 @@ class TestRunPipeline:
         col = toy_collection()
         result = run_pipeline(config(col, transformer_spec=RIDGE, final_spec=RIDGE,
                                      normalize=True))
-        assert set(result.normalization) == set(col.task_ids)
+        by_hand = assemble_collection([normalize_targets(t)[0] for t in col.tasks],
+                                      col.mode, col.feature_space_id)
+        assert result.results == run_pipeline(config(by_hand, transformer_spec=RIDGE,
+                                                      final_spec=RIDGE)).results
+        assert result.results != run_pipeline(config(col, transformer_spec=RIDGE,
+                                                      final_spec=RIDGE)).results
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["plain", "normalized"])
+    def test_report_opens_with_version_and_collection(self, tmp_path, normalize):
+        tasks = list(toy_collection().tasks)
+        if normalize:
+            # internal 10-fold CV cannot run on this 8-row task, so the
+            # stage-1 survivors are assembled again
+            rng = np.random.default_rng(0)
+            tasks.append(Task("tiny", tasks[0].features[:8], rng.normal(size=8),
+                              tasks[0].feature_names, tuple(f"w{i}" for i in range(8))))
+        col = assemble_collection(tasks, CollectionMode.INDEPENDENT_EXAMPLES, "report-id")
+        ridge_cv = LearnerSpec.ridge_cv((1.0, 10.0), k=10)
+        result = run_pipeline(config(col, transformer_spec=ridge_cv, final_spec=RIDGE,
+                                     normalize=normalize))
+        assert [f.task_id for f in result.failures] == (["tiny"] if normalize else [])
+        report = (write_result(result, tmp_path) / "result.txt").read_text(encoding="utf-8")
+        assert report.splitlines()[:2] == [
+            f"crossrep experiment report (version {__version__})", "collection: report-id"]
 
     def test_augment_flag_smoke(self):
         col = toy_collection(n_tasks=3)
