@@ -67,8 +67,10 @@ class CrossPredictionMatrix:
                 f"shape {vals.shape} does not match {len(self.example_ids)} examples "
                 f"x {len(self.task_ids)} tasks"
             )
-        if vals.size and not np.isfinite(vals).all():
-            raise ValidationError("cross-prediction matrix contains non-finite values")
+        if not np.isfinite(vals).all():
+            i, j = np.argwhere(~np.isfinite(vals))[0]
+            raise ValidationError(f"source model {self.task_ids[j]!r} predicts a non-finite "
+                                  f"value for example {self.example_ids[i]!r}")
         vals = np.ascontiguousarray(vals)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -109,7 +111,7 @@ def cross_prediction_matrix(bank: ModelBank, pool: np.ndarray,
                                       f"in that position")
     ids = example_ids if example_ids is not None else tuple(
         f"pool{i:05d}" for i in range(pool.shape[0]))
-    return CrossPredictionMatrix(values=cross_predict(bank, pool, ids), example_ids=ids,
+    return CrossPredictionMatrix(values=cross_predict(bank, pool), example_ids=ids,
                                  task_ids=bank.task_ids)
 
 
@@ -213,6 +215,8 @@ def _overflow_is_an_error():
 @_overflow_is_an_error()
 def _cluster_items(items: np.ndarray, item_ids: tuple[str, ...], k: int, seed: int,
                    standardize: bool) -> ClusterResult:
+    if not 1 <= k <= len(item_ids):  # as kmeans does, but before standardizing
+        raise ValidationError(f"k must be in [1, {len(item_ids)}], got {k}")
     if standardize:
         # Each item's features are the columns of ``items``: standardize those.
         items = Standardizer.fit(items).transform(items)

@@ -175,8 +175,7 @@ def stage1_train(collection: TaskCollection, spec: LearnerSpec, scope: TrainingS
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def cross_predict(bank: ModelBank, X: np.ndarray,
-                  example_ids: tuple[str, ...] | None = None) -> np.ndarray:
+def cross_predict(bank: ModelBank, X: np.ndarray) -> np.ndarray:
     """Every bank model's predictions on X: a rows x T matrix.
 
     Column j is ``predict`` of the model of ``bank.task_ids[j]``. A task's
@@ -186,16 +185,13 @@ def cross_predict(bank: ModelBank, X: np.ndarray,
     X's width predicts finite X in one stacked product with the same bits;
     any other bank or input goes model by model, and the first model that
     fails names the error. A finite row far outside a model's training
-    range may still overflow its arithmetic: numpy's warning is silenced,
-    and the first non-finite value, in row order, raises a ValidationError
-    naming its model and its example (from ``example_ids``, else the row
-    number).
+    range may overflow its arithmetic: numpy's warning is silenced, and
+    the non-finite value is left for the matrix that takes the block
+    (``ExtrinsicMatrix``, ``CrossPredictionMatrix``) to reject.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValidationError("cross-prediction input must be a 2-d matrix")
-    if example_ids is not None and len(example_ids) != X.shape[0]:
-        raise ValidationError(f"{len(example_ids)} example ids for {X.shape[0]} rows")
     stack = bank._ridge_stack
     if stack is not None and stack.width == X.shape[1] and np.isfinite(X).all():
         out = predict_stacked(stack, X)
@@ -206,11 +202,6 @@ def cross_predict(bank: ModelBank, X: np.ndarray,
                 out[:, j] = predict(model, X)
             except Exception as exc:
                 raise FitError(f"prediction failed for source model {task_id!r}: {exc}") from exc
-    if not np.isfinite(out).all():
-        i, j = np.argwhere(~np.isfinite(out))[0]
-        where = f"row {i}" if example_ids is None else f"example {example_ids[i]!r}"
-        raise ValidationError(f"source model {bank.task_ids[j]!r} predicts a non-finite "
-                              f"value for {where}")
     out.setflags(write=False)
     return out
 

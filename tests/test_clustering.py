@@ -54,17 +54,38 @@ class TestCrossPredictionMatrix:
         with pytest.raises(ValidationError, match="4 feature columns"):
             cross_prediction_matrix(bank, np.ones((5, 4)))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_prediction_names_the_model_and_the_example(self, narrow_collection):
+        bank = stage1_train(narrow_collection, LearnerSpec.ridge(1.0), TrainingScope.FULL_TASK)
+        with pytest.raises(ValidationError) as info:
+            cross_prediction_matrix(bank, np.array([[0.5, 0.2], [1e308, 1.0]]),
+                                    example_ids=("b", "a"))
+        assert str(info.value) == "source model 't0' predicts a non-finite value for example 'a'"
+
 
 class TestKmeans:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("standardize", [False, True], ids=["raw", "standardized"])
+    @pytest.mark.parametrize("values", [np.arange(12.0).reshape(4, 3),
+                                        np.array([[1e308, 1.0, 2.0], [-1e308, 2.0, 3.0],
+                                                  [0.0, 3.0, 4.0], [1.0, 4.0, 5.0]])],
+                             ids=["near", "far"])
     @pytest.mark.parametrize("cluster, n", [(cluster_tasks, 3), (cluster_examples, 4)],
                              ids=["tasks", "examples"])
     @pytest.mark.parametrize("past_n", [False, True], ids=["k=0", "k=n+1"])
-    def test_k_outside_one_to_n_is_rejected(self, cluster, n, past_n):
+    def test_k_outside_one_to_n_is_rejected(self, cluster, n, past_n, values, standardize):
         k = n + 1 if past_n else 0
-        matrix = CrossPredictionMatrix(values=np.arange(12.0).reshape(4, 3),
-                                       example_ids=tuple("abcd"), task_ids=("t1", "t2", "t3"))
+        matrix = CrossPredictionMatrix(values=values, example_ids=tuple("abcd"),
+                                       task_ids=("t1", "t2", "t3"))
         with pytest.raises(ValidationError, match=fr"^k must be in \[1, {n}\], got {k}$"):
-            cluster(matrix, k=k, seed=0)
+            cluster(matrix, k=k, seed=0, standardize=standardize)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_k_is_checked_before_an_empty_pool_is_standardized(self):
+        matrix = CrossPredictionMatrix(values=np.empty((0, 3)), example_ids=(),
+                                       task_ids=("t1", "t2", "t3"))
+        with pytest.raises(ValidationError, match=r"^k must be in \[1, 0\], got 1$"):
+            cluster_examples(matrix, k=1, seed=0, standardize=True)
 
     def test_identical_columns_cluster_together(self):
         col = np.array([1.0, 2.0, 3.0, 4.0])
