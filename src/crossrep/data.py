@@ -177,18 +177,6 @@ def _first_name_mismatch(a: tuple[str, ...], b: tuple[str, ...]) -> str:
 
 
 @dataclass(frozen=True)
-class NormalizationParams:
-    """Min/max of the original target vector, kept for inversion."""
-
-    min: float
-    max: float
-
-    def __post_init__(self) -> None:
-        if not self.max > self.min:
-            raise ValidationError("normalization requires max > min")
-
-
-@dataclass(frozen=True)
 class SplitPlan:
     """A deterministic partition of n examples into folds or a holdout.
 
@@ -258,9 +246,7 @@ def make_holdout_plan(n: int, test_fraction: float, seed: int) -> SplitPlan:
         raise ValidationError(f"test_fraction must be in (0, 1), got {test_fraction}")
     n_test = int(round(n * test_fraction))
     if n_test == 0 or n_test == n:
-        raise ValidationError(
-            f"n={n} with test_fraction={test_fraction} leaves an empty train or test side"
-        )
+        raise ValidationError(f"test_fraction {test_fraction} leaves an empty train or test side")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     assignments = np.zeros(n, dtype=np.int64)
@@ -268,14 +254,13 @@ def make_holdout_plan(n: int, test_fraction: float, seed: int) -> SplitPlan:
     return SplitPlan(SplitKind.HOLDOUT, assignments, seed=seed, test_fraction=test_fraction)
 
 
-def normalize_targets(task: Task) -> tuple[Task, NormalizationParams]:
-    """Rescale targets to [0, 1] by their global min/max."""
+def normalize_targets(task: Task) -> Task:
+    """The task with its targets rescaled to [0, 1] by their global min/max."""
     lo = float(task.targets.min())
     hi = float(task.targets.max())
     if hi == lo:
         raise ValidationError(f"task {task.task_id!r}: constant target vector cannot be normalized")
-    params = NormalizationParams(min=lo, max=hi)
-    return task.with_targets((task.targets - lo) / (hi - lo)), params
+    return task.with_targets((task.targets - lo) / (hi - lo))
 
 
 def read_table(path: str | Path, what: str) -> tuple[tuple[str, ...],
@@ -448,17 +433,6 @@ def load_pool(path: str | Path) -> tuple[np.ndarray, tuple[str, ...], tuple[str,
     return values, example_ids, tuple(header[1:])
 
 
-def assemble_collection(tasks: list[Task] | tuple[Task, ...], mode: CollectionMode,
-                        collection_id: str | None = None) -> TaskCollection:
-    """Validate a list of tasks into a collection over one feature space."""
-    if len(tasks) < 2:
-        raise ValidationError(f"need at least 2 tasks, got {len(tasks)}")
-    if collection_id is None:
-        h = hashlib.sha256("\x1f".join(tasks[0].feature_names).encode("utf-8"))
-        collection_id = f"collection-{h.hexdigest()[:12]}"
-    return TaskCollection(tuple(tasks), mode, collection_id)
-
-
 def load_collection(manifest_path: str | Path) -> TaskCollection:
     """Load a collection from a JSON manifest listing task files."""
     path = Path(manifest_path)
@@ -483,7 +457,7 @@ def load_collection(manifest_path: str | Path) -> TaskCollection:
                                  f"{first_file[task_id]!r} and {f!r}")
         first_file[task_id] = f
     tasks = [load_task(path.parent / f, target=target) for f in files]
-    return assemble_collection(tasks, mode, collection_id=collection_id)
+    return TaskCollection(tasks, mode, collection_id)
 
 
 def write_task_file(task: Task, path: str | Path, target: str = "y") -> None:

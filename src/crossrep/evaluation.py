@@ -31,7 +31,11 @@ def rmse(pred: np.ndarray, truth: np.ndarray) -> float:
         raise ValidationError("rmse of empty vectors is undefined")
     if not (np.isfinite(pred).all() and np.isfinite(truth).all()):
         raise ValidationError("rmse: non-finite entries")
-    return math.sqrt(float(np.mean((pred - truth) ** 2)))
+    with np.errstate(over="ignore"):
+        mse = float(np.mean((pred - truth) ** 2))
+    if not math.isfinite(mse):
+        raise ValidationError("squared prediction error overflows")
+    return math.sqrt(mse)
 
 
 def improvement_pct(rmse_original: float, rmse_tl: float) -> float:
@@ -125,10 +129,9 @@ def cross_validate(features: np.ndarray, targets: np.ndarray, spec: LearnerSpec,
             if model is None:
                 model = fit_learner(spec, features[train], targets[train], fingerprint=fp,
                                     seed=derive_seed(spec.seed, "cv", task_id, f))
-            pred = predict(model, features[test])
-        except FitError as exc:
-            raise FitError(f"fold {f} of task {task_id!r}: {exc}") from exc
-        scores.append(rmse(pred, targets[test]))
+            scores.append(rmse(predict(model, features[test]), targets[test]))
+        except (FitError, ValidationError) as exc:
+            raise type(exc)(f"fold {f} of task {task_id!r}: {exc}") from exc
     return CvResult(task_id=task_id, per_fold_rmse=tuple(scores), representation=rep,
                     final_learner=spec, plan_digest=plan.digest, reused_folds=reused)
 

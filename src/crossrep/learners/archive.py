@@ -174,8 +174,13 @@ def load_model(path: str | Path) -> FittedModel:
         raise IngestionError(f"{path}: unsupported archive version {doc.get('version')}")
     fp_doc = json_field(path, doc, "train_fingerprint", dict)
     fp_where = f"{path}: train_fingerprint"
+    row_ids = json_field(fp_where, fp_doc, "row_ids", list)
+    bad = next((i for i, r in enumerate(row_ids) if not isinstance(r, str)), None)
+    if bad is not None:
+        raise IngestionError(f"{fp_where}: 'row_ids' entry {bad} must be a string, "
+                             f"got {row_ids[bad]!r}")
     fp = TrainFingerprint(task_id=json_field(fp_where, fp_doc, "task_id", str),
-                          row_ids=tuple(json_field(fp_where, fp_doc, "row_ids", list)))
+                          row_ids=tuple(row_ids))
     feature_count = json_field(path, doc, "feature_count", int)
     try:
         spec = LearnerSpec.from_dict(json_field(path, doc, "spec", dict), f"{path}: spec")

@@ -201,9 +201,6 @@ class TrainFingerprint:
     task_id: str
     row_ids: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "row_ids", tuple(str(r) for r in self.row_ids))
-
     @property
     def digest(self) -> str:
         h = hashlib.sha256()

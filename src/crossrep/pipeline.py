@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .data import (CollectionMode, SplitKind, SplitPlan, Task, TaskCollection,
-                   assemble_collection, make_fold_plan, make_holdout_plan,
-                   normalize_targets, parse_value, read_table)
+                   make_fold_plan, make_holdout_plan, normalize_targets, parse_value,
+                   read_table)
 from .engine import (ExtrinsicMatrix, TrainingScope, audit_no_leakage, build_extrinsic,
                      cross_predict, second_order_extrinsic, select_descriptors,
                      stage1_train, stage2_train, training_rows)
@@ -40,14 +40,6 @@ class SplitProtocol:
     kind: SplitKind
     k: int = 0
     test_fraction: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind is SplitKind.KFOLD and self.k < 2:
-            raise ConfigError(f"k-fold protocol needs k >= 2, got {self.k}")
-        if self.kind is SplitKind.HOLDOUT and not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError(
-                f"holdout protocol needs test_fraction in (0, 1), got {self.test_fraction}"
-            )
 
     def make_plan(self, n: int, seed: int) -> SplitPlan:
         if self.kind is SplitKind.KFOLD:
@@ -74,6 +66,8 @@ class PipelineConfig:
     augment: bool = False
     normalize: bool = False
     collection_ref: str = "<in-memory>"
+    # each task's split plan, shared by every representation of the run
+    plans: dict[str, SplitPlan] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.order not in (1, 2):
@@ -93,15 +87,7 @@ class PipelineConfig:
             raise ConfigError(
                 "train-split-only stage-1 scope requires a holdout split protocol"
             )
-        for task in self.collection.tasks:
-            rows = task.n_examples
-            if self.split.kind is SplitKind.KFOLD:
-                if self.split.k > rows:
-                    raise ConfigError(f"task {task.task_id!r} has {rows} examples, "
-                                      f"fewer than k = {self.split.k}")
-            elif not 0 < round(rows * self.split.test_fraction) < rows:
-                raise ConfigError(f"task {task.task_id!r} has {rows} examples: test_fraction "
-                                  f"{self.split.test_fraction} leaves an empty train or test side")
+        object.__setattr__(self, "plans", _make_plans(self.collection, self.split, self.seed))
 
     @property
     def resolved_scope(self) -> TrainingScope:
@@ -167,21 +153,30 @@ def _audits_leakage(echo: dict) -> bool:
 
 def _make_plans(collection: TaskCollection, split: SplitProtocol,
                 seed: int) -> dict[str, SplitPlan]:
+    """Each task's split plan; the tasks of a shared-examples collection share one.
+
+    A plan the split cannot make for a task's rows is a ConfigError naming the task.
+    """
+    def make(task: Task, *key: str) -> SplitPlan:
+        try:
+            return split.make_plan(task.n_examples, derive_seed(seed, "split", *key))
+        except ValidationError as exc:
+            raise ConfigError(f"task {task.task_id!r} has {task.n_examples} examples: "
+                              f"{exc}") from None
+
     if collection.mode is CollectionMode.SHARED_EXAMPLES:
-        plan = split.make_plan(collection.tasks[0].n_examples, derive_seed(seed, "split"))
+        plan = make(collection.tasks[0])
         return {t.task_id: plan for t in collection.tasks}
-    return {t.task_id: split.make_plan(t.n_examples, derive_seed(seed, "split", t.task_id))
-            for t in collection.tasks}
+    return {t.task_id: make(t, t.task_id) for t in collection.tasks}
 
 
 def run_pipeline(config: PipelineConfig) -> ExperimentResult:
     """Run the full two-stage experiment described by ``config``."""
     collection = config.collection
     if config.normalize:
-        collection = assemble_collection([normalize_targets(t)[0] for t in collection.tasks],
-                                         collection.mode, collection.feature_space_id)
+        collection = TaskCollection([normalize_targets(t) for t in collection.tasks],
+                                    collection.mode, collection.feature_space_id)
 
-    plans = _make_plans(collection, config.split, config.seed)
     failures: list[TaskFailure] = []
 
     def record(stage: str, task_id: str, exc: CrossrepError) -> None:
@@ -191,17 +186,17 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
         failures.append(TaskFailure(task_id, stage, str(exc)))
 
     bank = stage1_train(collection, config.transformer_spec, config.resolved_scope,
-                        split_plans=plans, on_failure=lambda t, exc: record("stage1", t, exc))
+                        split_plans=config.plans,
+                        on_failure=lambda t, exc: record("stage1", t, exc))
     if failures:
         survivors = [t for t in collection.tasks if t.task_id in bank.models]
         if len(survivors) < 2:
             raise FitError("fewer than 2 tasks survived stage-1 training; cannot continue")
-        collection = assemble_collection(survivors, collection.mode,
-                                         collection.feature_space_id)
+        collection = TaskCollection(survivors, collection.mode, collection.feature_space_id)
 
     echo = config.echo()
     if _audits_leakage(echo):
-        _, test_idx = plans[collection.tasks[0].task_id].split(0)
+        _, test_idx = config.plans[collection.tasks[0].task_id].split(0)
         heldout = [collection.tasks[0].example_ids[i] for i in test_idx]
         violations = audit_no_leakage(bank, heldout)
         if violations:
@@ -229,7 +224,7 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
     order1 = Representation.transformed(config.transformer_spec, 1)
 
     for task in collection.tasks:
-        plan = plans[task.task_id]
+        plan = config.plans[task.task_id]
         try:
             ext = build_extrinsic(task.task_id, bank, block_of(task))
             if config.descriptor_cap is not None:

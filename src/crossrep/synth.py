@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import CollectionMode, Task, TaskCollection, assemble_collection
+from .data import CollectionMode, Task, TaskCollection
 from .errors import ValidationError
 from .seeding import rng_for
 
@@ -121,6 +121,5 @@ def generate_collection(spec: SynthSpec) -> TaskCollection:
         ids = tuple(f"ex{i:04d}" for i in range(spec.n_examples_per_task))
         tasks.append(Task(task_id=task_id, features=X, targets=y,
                           feature_names=feature_names, example_ids=ids))
-    return assemble_collection(tasks, spec.mode,
-                               collection_id=f"synth-{spec.seed}-{spec.n_tasks}")
+    return TaskCollection(tasks, spec.mode, f"synth-{spec.seed}-{spec.n_tasks}")
 

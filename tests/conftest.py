@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crossrep.data import CollectionMode, Task, assemble_collection
+from crossrep.data import CollectionMode, Task, TaskCollection
 
 
 def make_task(task_id, n=10, p=3, seed=0, targets=None, mode_shared_ids=False):
@@ -17,7 +17,7 @@ def make_task(task_id, n=10, p=3, seed=0, targets=None, mode_shared_ids=False):
 @pytest.fixture
 def small_collection():
     tasks = [make_task(f"t{i}", n=12, p=3, seed=i) for i in range(3)]
-    return assemble_collection(tasks, CollectionMode.INDEPENDENT_EXAMPLES, "small")
+    return TaskCollection(tasks, CollectionMode.INDEPENDENT_EXAMPLES, "small")
 
 
 @pytest.fixture
@@ -31,7 +31,7 @@ def shared_collection():
         y = X @ rng.normal(size=4) + 0.1 * rng.normal(size=20)
         tasks.append(Task(task_id=f"g{i}", features=X, targets=y,
                           feature_names=names, example_ids=ids))
-    return assemble_collection(tasks, CollectionMode.SHARED_EXAMPLES, "sharedsmall")
+    return TaskCollection(tasks, CollectionMode.SHARED_EXAMPLES, "sharedsmall")
 
 
 @pytest.fixture
@@ -44,4 +44,4 @@ def narrow_collection():
         tasks.append(Task(task_id=f"t{i}", features=rng.normal(scale=0.01, size=(12, 2)),
                           targets=rng.normal(size=12), feature_names=("x0", "x1"),
                           example_ids=tuple(f"t{i}-r{r}" for r in range(12))))
-    return assemble_collection(tasks, CollectionMode.INDEPENDENT_EXAMPLES, "narrow")
+    return TaskCollection(tasks, CollectionMode.INDEPENDENT_EXAMPLES, "narrow")

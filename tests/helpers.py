@@ -35,9 +35,10 @@ def dual_objective(K, y, epsilon, a):
     return float(0.5 * beta @ K @ beta + epsilon * a.sum() - y @ beta)
 
 
-def denormalize_targets(values, params):
-    """Inverse of ``data.normalize_targets`` for its ``NormalizationParams``."""
-    return np.asarray(values, dtype=np.float64) * (params.max - params.min) + params.min
+def denormalize_targets(values, original):
+    """Inverse of ``data.normalize_targets``, from the targets it rescaled."""
+    lo, hi = float(np.min(original)), float(np.max(original))
+    return np.asarray(values, dtype=np.float64) * (hi - lo) + lo
 
 
 def ridge_gradient(X, y, b0, beta, lam):

@@ -303,6 +303,23 @@ class TestBankAndCluster:
         assert "task001.model.json" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["inspect-bank", "cluster"])
+    def test_non_string_row_id_in_an_archive_is_validation_error(self, command, tmp_path,
+                                                                 bank_dir, synth_dir, capsys):
+        archive = bank_dir / "task001.model.json"
+        doc = json.loads(archive.read_text())
+        doc["train_fingerprint"]["row_ids"][:2] = [None, 7]
+        archive.write_text(json.dumps(doc))
+        argv = ["--bank", str(bank_dir)]
+        if command == "cluster":
+            argv += ["--pool", str(synth_dir / "manifest.json"), "--k", "2",
+                     "--out", str(tmp_path / "x")]
+        capsys.readouterr()
+        assert run_cli(command, *argv) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {archive}: train_fingerprint: 'row_ids' entry 0 must be a string, "
+            "got None"]
+
     @pytest.mark.parametrize("key, value", [
         ("models", None), ("learner_spec", None), ("collection_id", None),
         ("training_scope", None), ("models", []), ("learner_spec", "ridge"),

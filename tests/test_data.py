@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crossrep
-from crossrep.data import (CollectionMode, Task, assemble_collection, json_field,
+from crossrep.data import (CollectionMode, Task, TaskCollection, json_field,
                            load_collection, load_task, make_fold_plan, make_holdout_plan,
                            normalize_targets, read_json, write_collection)
 from crossrep.errors import IngestionError, ValidationError
@@ -101,17 +101,17 @@ class TestTaskInvariants:
             task.features[0, 0] = 99.0
 
 
-class TestAssembleCollection:
+class TestTaskCollection:
     def test_three_tasks(self):
         tasks = [make_task(f"t{i}", p=5, seed=i) for i in range(3)]
-        col = assemble_collection(tasks, CollectionMode.INDEPENDENT_EXAMPLES)
+        col = TaskCollection(tasks, CollectionMode.INDEPENDENT_EXAMPLES, "c")
         assert col.n_tasks == 3
 
     def test_feature_mismatch_reports_column(self):
         a = make_task("a", p=3)
         b = Task("b", np.ones((2, 2)), np.ones(2), ("f0", "f1"), ("x", "y"))
         with pytest.raises(ValidationError, match="first differing column 'f2'"):
-            assemble_collection([a, b], CollectionMode.INDEPENDENT_EXAMPLES)
+            TaskCollection([a, b], CollectionMode.INDEPENDENT_EXAMPLES, "c")
 
     def test_shared_mode_requires_same_ids_in_order(self):
         a = make_task("a", n=4, mode_shared_ids=True)
@@ -119,7 +119,7 @@ class TestAssembleCollection:
         reordered = Task("b", b.features, b.targets, b.feature_names,
                          tuple(reversed(b.example_ids)))
         with pytest.raises(ValidationError, match="identical example ids"):
-            assemble_collection([a, reordered], CollectionMode.SHARED_EXAMPLES)
+            TaskCollection([a, reordered], CollectionMode.SHARED_EXAMPLES, "c")
 
     def test_shared_mode_requires_same_feature_values(self):
         a = make_task("a", n=4, mode_shared_ids=True)
@@ -127,19 +127,19 @@ class TestAssembleCollection:
         X = b.features.copy()
         X[2, 1] += 1.0
         changed = Task("b", X, b.targets, b.feature_names, b.example_ids)
-        assemble_collection([a, b], CollectionMode.SHARED_EXAMPLES)
+        TaskCollection([a, b], CollectionMode.SHARED_EXAMPLES, "c")
         with pytest.raises(ValidationError, match="task 'b' differs from 'a' at example "
                                                   "'ex2', column 'f1'"):
-            assemble_collection([a, changed], CollectionMode.SHARED_EXAMPLES)
+            TaskCollection([a, changed], CollectionMode.SHARED_EXAMPLES, "c")
 
     def test_duplicate_task_id_is_named(self):
         tasks = [make_task("a"), make_task("b", seed=1), make_task("a", seed=2)]
         with pytest.raises(ValidationError, match="^duplicate task id 'a' in collection$"):
-            assemble_collection(tasks, CollectionMode.INDEPENDENT_EXAMPLES)
+            TaskCollection(tasks, CollectionMode.INDEPENDENT_EXAMPLES, "c")
 
     def test_fewer_than_two_tasks(self):
         with pytest.raises(ValidationError, match="at least 2"):
-            assemble_collection([make_task("a")], CollectionMode.INDEPENDENT_EXAMPLES)
+            TaskCollection([make_task("a")], CollectionMode.INDEPENDENT_EXAMPLES, "c")
 
 
 class TestFoldPlan:
@@ -210,20 +210,20 @@ class TestHoldoutPlan:
 class TestNormalization:
     def test_basic(self):
         task = make_task("t", targets=np.array([2.0, 4.0, 6.0]), n=3)
-        norm, params = normalize_targets(task)
+        norm = normalize_targets(task)
         assert norm.targets.tolist() == [0.0, 0.5, 1.0]
-        assert params.min == 2.0 and params.max == 6.0
+        assert np.array_equal(norm.features, task.features)
+        assert (norm.task_id, norm.example_ids) == (task.task_id, task.example_ids)
 
     def test_identity_case(self):
         task = make_task("t", targets=np.array([0.0, 1.0]), n=2)
-        norm, params = normalize_targets(task)
+        norm = normalize_targets(task)
         assert norm.targets.tolist() == [0.0, 1.0]
-        assert (params.min, params.max) == (0.0, 1.0)
 
     def test_round_trip(self):
         task = make_task("t", targets=np.array([3.3, 7.1, 5.0]), n=3)
-        norm, params = normalize_targets(task)
-        back = denormalize_targets(norm.targets, params)
+        norm = normalize_targets(task)
+        back = denormalize_targets(norm.targets, task.targets)
         assert np.allclose(back, [3.3, 7.1, 5.0], atol=1e-12)
 
     def test_constant_targets_rejected(self):
@@ -238,9 +238,9 @@ class TestNormalization:
         if y.max() == y.min():
             return
         task = make_task("t", targets=y, n=len(y))
-        norm, params = normalize_targets(task)
+        norm = normalize_targets(task)
         assert norm.targets.min() >= 0.0 and norm.targets.max() <= 1.0
-        back = denormalize_targets(norm.targets, params)
+        back = denormalize_targets(norm.targets, task.targets)
         assert np.max(np.abs(back - y)) < 1e-9 * max(1.0, np.max(np.abs(y)))
 
 

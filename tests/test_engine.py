@@ -59,10 +59,10 @@ class TestStage1:
 
     def test_failing_task_aborts_with_id(self):
         from conftest import make_task
-        from crossrep.data import assemble_collection
+        from crossrep.data import TaskCollection
         good = make_task("ok", n=8)
         tiny = make_task("tiny", n=8)
-        col = assemble_collection([good, tiny], CollectionMode.INDEPENDENT_EXAMPLES)
+        col = TaskCollection([good, tiny], CollectionMode.INDEPENDENT_EXAMPLES, "c")
         bad_spec = LearnerSpec.svr(c=-1.0)  # invalid C triggers a fit error
         with pytest.raises(FitError, match="'ok'|'tiny'"):
             stage1_train(col, bad_spec, TrainingScope.FULL_TASK)

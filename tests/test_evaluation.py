@@ -120,6 +120,18 @@ class TestCrossValidate:
                                 LearnerSpec.ridge(2.0), plan)
         assert result.mean_rmse == pytest.approx(np.mean(result.per_fold_rmse))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_squared_error_names_the_fold(self):
+        """A fold whose squared error overflows fails; it is not scored inf."""
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(12, 2))
+        y = rng.normal(size=12)
+        y[4] = 1e300
+        with pytest.raises(ValidationError, match="^fold 0 of task 't': squared prediction "
+                                                  "error overflows$"):
+            cross_validate(X, y, LearnerSpec.ridge(1.0), make_fold_plan(12, 3, seed=0),
+                           task_id="t")
+
 
 class TestWinCount:
     def test_all_tied(self):

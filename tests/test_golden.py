@@ -19,12 +19,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from crossrep.data import CollectionMode, SplitKind, Task, assemble_collection
+from crossrep.data import CollectionMode, SplitKind, Task, TaskCollection
 from crossrep.engine import TrainingScope
 from crossrep.learners import LearnerSpec
 from crossrep.pipeline import (COMPARISON_NAME, SCORES_NAME, PipelineConfig,
                                SplitProtocol, run_pipeline, write_result)
 from crossrep.synth import Nonlinearity, SynthSpec, generate_collection
+
+# A config that starts to warn (an overflow, say) fails here even when its
+# output bytes stay the same.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 RIDGE = LearnerSpec.ridge(5.0)
 RIDGE_CV10 = LearnerSpec.ridge_cv((1.0, 10.0), k=10)
@@ -46,7 +50,7 @@ def _collection(n_tasks, n, p, seed, shared=False, tiny=False):
     first = col.tasks[0]
     small = Task("tiny", first.features[:8], np.random.default_rng(0).normal(size=8),
                  first.feature_names, tuple(f"w{i}" for i in range(8)))
-    return assemble_collection([*col.tasks, small], mode)
+    return TaskCollection([*col.tasks, small], mode, col.feature_space_id)
 
 
 CASES = {

@@ -11,7 +11,7 @@ target's test folds too, so order 2 reads their labels (ROADMAP item 13).
 import numpy as np
 import pytest
 
-from crossrep.data import SplitKind, assemble_collection
+from crossrep.data import SplitKind, TaskCollection
 from crossrep.engine import TrainingScope
 from crossrep.learners import LearnerSpec
 from crossrep.pipeline import PipelineConfig, SplitProtocol, run_pipeline
@@ -27,7 +27,7 @@ def noise_collection(seed):
                                           relatedness=0.8, seed=seed))
     rng = np.random.default_rng(seed + 1000)
     tasks = [t.with_targets(rng.normal(size=t.n_examples)) for t in synth.tasks]
-    return assemble_collection(tasks, synth.mode, synth.feature_space_id)
+    return TaskCollection(tasks, synth.mode, synth.feature_space_id)
 
 
 def mean_rmse(results, order):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crossrep import __version__, engine, evaluation, pipeline
-from crossrep.data import (CollectionMode, SplitKind, Task, assemble_collection,
+from crossrep.data import (CollectionMode, SplitKind, Task, TaskCollection,
                            normalize_targets)
 from crossrep.engine import TrainingScope
 from crossrep.errors import ConfigError, FitError
@@ -65,7 +65,7 @@ class TestRunPipeline:
         tasks = list(toy_collection().tasks)
         bad = Task("broken", tasks[0].features, np.full(30, np.e),
                    tasks[0].feature_names, tasks[0].example_ids)
-        col = assemble_collection([*tasks, bad], CollectionMode.INDEPENDENT_EXAMPLES)
+        col = TaskCollection([*tasks, bad], CollectionMode.INDEPENDENT_EXAMPLES, "toy")
         cfg = config(col, transformer_spec=LearnerSpec.svr(c=-1.0), strict=True)
         with pytest.raises(FitError):
             run_pipeline(cfg)
@@ -75,7 +75,7 @@ class TestRunPipeline:
         rng = np.random.default_rng(0)
         tiny = Task("tiny", tasks[0].features[:8], rng.normal(size=8),
                     tasks[0].feature_names, tuple(f"w{i}" for i in range(8)))
-        col = assemble_collection([*tasks, tiny], CollectionMode.INDEPENDENT_EXAMPLES)
+        col = TaskCollection([*tasks, tiny], CollectionMode.INDEPENDENT_EXAMPLES, "toy")
         # internal 10-fold CV cannot run on the 8-row task; others are fine
         cfg = config(col, transformer_spec=LearnerSpec.ridge_cv((1.0, 10.0), k=10),
                      final_spec=RIDGE, strict=False)
@@ -91,8 +91,8 @@ class TestRunPipeline:
         tiny = [Task(f"tiny{k}", tasks[0].features[:8], rng.normal(size=8),
                      tasks[0].feature_names, tuple(f"w{i}" for i in range(8)))
                 for k in range(2)]
-        col = assemble_collection([tiny[0], *tasks, tiny[1]],
-                                  CollectionMode.INDEPENDENT_EXAMPLES)
+        col = TaskCollection([tiny[0], *tasks, tiny[1]], CollectionMode.INDEPENDENT_EXAMPLES,
+                             "toy")
         fits = []
         real_fit = engine.fit_learner
 
@@ -142,6 +142,22 @@ class TestRunPipeline:
             (col.task_ids[2], "order2", "injected second_order_extrinsic failure")]
         assert {r.task_id for r in result.results} == set(col.task_ids) - {col.task_ids[2]}
 
+    def test_overflowing_fold_is_recorded_as_an_evaluate_failure(self, narrow_collection):
+        """A row of x0 = 1e300 overflows its task's squared fold error: the task
+        fails at evaluation instead of being scored inf."""
+        rng = np.random.default_rng(23)
+        X = rng.normal(scale=0.01, size=(12, 2))
+        X[0, 0] = 1e300
+        t3 = Task("t3", X, rng.normal(size=12), ("x0", "x1"),
+                  tuple(f"t3-r{r}" for r in range(12)))
+        col = TaskCollection([*narrow_collection.tasks, t3], narrow_collection.mode, "narrow")
+        ridge = LearnerSpec.ridge(1.0)
+        result = run_pipeline(config(col, transformer_spec=ridge, final_spec=ridge))
+        assert [(f.task_id, f.stage, f.message) for f in result.failures] == [
+            ("t3", "evaluate", "fold 2 of task 't3': squared prediction error overflows")]
+        rows = scores_tsv(result).splitlines()[1:]
+        assert {row.split("\t")[0] for row in rows} == {"t0", "t1", "t2"}
+
     @pytest.mark.parametrize("name", ["stage2_train", "second_order_extrinsic"])
     def test_strict_order2_failure_raises(self, monkeypatch, name):
         col = toy_collection()
@@ -172,8 +188,8 @@ class TestRunPipeline:
         col = toy_collection()
         result = run_pipeline(config(col, transformer_spec=RIDGE, final_spec=RIDGE,
                                      normalize=True))
-        by_hand = assemble_collection([normalize_targets(t)[0] for t in col.tasks],
-                                      col.mode, col.feature_space_id)
+        by_hand = TaskCollection([normalize_targets(t) for t in col.tasks], col.mode,
+                                 col.feature_space_id)
         assert result.results == run_pipeline(config(by_hand, transformer_spec=RIDGE,
                                                       final_spec=RIDGE)).results
         assert result.results != run_pipeline(config(col, transformer_spec=RIDGE,
@@ -188,7 +204,7 @@ class TestRunPipeline:
             rng = np.random.default_rng(0)
             tasks.append(Task("tiny", tasks[0].features[:8], rng.normal(size=8),
                               tasks[0].feature_names, tuple(f"w{i}" for i in range(8))))
-        col = assemble_collection(tasks, CollectionMode.INDEPENDENT_EXAMPLES, "report-id")
+        col = TaskCollection(tasks, CollectionMode.INDEPENDENT_EXAMPLES, "report-id")
         ridge_cv = LearnerSpec.ridge_cv((1.0, 10.0), k=10)
         result = run_pipeline(config(col, transformer_spec=ridge_cv, final_spec=RIDGE,
                                      normalize=normalize))
@@ -202,6 +218,61 @@ class TestRunPipeline:
         result = run_pipeline(config(col, transformer_spec=RIDGE, final_spec=RIDGE,
                                      augment=True))
         assert result.config_echo["augment"] is True
+
+
+def _with_short_task(col):
+    """``col`` and one 8-row task, for splits the other tasks' 30 rows take."""
+    first = col.tasks[0]
+    short = Task("short", first.features[:8], first.targets[:8], first.feature_names,
+                 tuple(f"s{i}" for i in range(8)))
+    return TaskCollection([*col.tasks, short], col.mode, col.feature_space_id)
+
+
+class TestSplitPlans:
+    """The config makes each task's split plan once, and every score uses it."""
+
+    @pytest.mark.parametrize("mode, split, message", [
+        ("independent", SplitProtocol(SplitKind.KFOLD, k=9),
+         "task 'short' has 8 examples: k (9) exceeds the number of examples (8)"),
+        ("independent", SplitProtocol(SplitKind.HOLDOUT, test_fraction=0.05),
+         "task 'short' has 8 examples: test_fraction 0.05 leaves an empty train or test side"),
+        ("shared", SplitProtocol(SplitKind.KFOLD, k=31),
+         "task 'task000' has 30 examples: k (31) exceeds the number of examples (30)"),
+        *((mode, SplitProtocol(SplitKind.KFOLD, k=1),
+           "task 'task000' has 30 examples: k must be at least 2, got 1")
+          for mode in ("independent", "shared")),
+        *((mode, SplitProtocol(SplitKind.HOLDOUT, test_fraction=f),
+           f"task 'task000' has 30 examples: test_fraction must be in (0, 1), got {f}")
+          for mode in ("independent", "shared") for f in (0.0, 1.0)),
+    ])
+    def test_a_split_the_rows_cannot_take_names_the_task(self, mode, split, message):
+        col = toy_collection(mode=CollectionMode(mode))
+        if mode == "independent":
+            col = _with_short_task(col)
+        with pytest.raises(ConfigError) as info:
+            config(col, split=split, stage1_scope=TrainingScope.FULL_TASK)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("case", ["independent_kfold", "shared_holdout", "stage1_loss"])
+    def test_every_score_uses_the_config_plan(self, case):
+        col = toy_collection()
+        specs = dict(transformer_spec=RIDGE, final_spec=RIDGE)
+        if case == "shared_holdout":
+            col = toy_collection(mode=CollectionMode.SHARED_EXAMPLES)
+            specs["split"] = SplitProtocol(SplitKind.HOLDOUT, test_fraction=0.3)
+        elif case == "stage1_loss":
+            # ridge_cv's internal 10-fold CV cannot run on the 8-row task
+            col = _with_short_task(col)
+            specs["transformer_spec"] = LearnerSpec.ridge_cv((1.0, 10.0), k=10)
+        cfg = config(col, **specs)
+        result = run_pipeline(cfg)
+        assert [(f.task_id, f.stage) for f in result.failures] == (
+            [("short", "stage1")] if case == "stage1_loss" else [])
+        assert {r.task_id for r in result.results} == set(toy_collection().task_ids)
+        for r in result.results:
+            assert r.plan_digest == cfg.plans[r.task_id].digest
+        digests = {plan.digest for plan in cfg.plans.values()}
+        assert len(digests) == (1 if case == "shared_holdout" else col.n_tasks)
 
 
 def _spy(monkeypatch, name):

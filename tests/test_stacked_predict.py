@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crossrep.data import CollectionMode, Task, assemble_collection
+from crossrep.data import CollectionMode, Task, TaskCollection
 from crossrep.engine import (ModelBank, TrainingScope, build_extrinsic, cross_predict,
                              second_order_extrinsic, select_descriptors, stage1_train,
                              stage2_train)
@@ -38,7 +38,7 @@ def collection():
         y = X @ rng.normal(size=WIDTH) + rng.normal(size=ROWS)
         tasks.append(Task(f"t{i:02d}", X, y, tuple(f"f{j}" for j in range(WIDTH)),
                           tuple(f"t{i:02d}-r{r}" for r in range(ROWS))))
-    return assemble_collection(tasks, CollectionMode.INDEPENDENT_EXAMPLES, "stacked")
+    return TaskCollection(tasks, CollectionMode.INDEPENDENT_EXAMPLES, "stacked")
 
 
 @pytest.fixture(scope="module", params=sorted(SPECS))
@@ -156,7 +156,7 @@ def test_first_failing_model_in_bank_order_is_named(bank_of):
     """A bank whose widths differ is predicted model by model."""
     col, bank = bank_of
     wide = stage1_train(collection(), SPECS["ridge"], TrainingScope.FULL_TASK).models["t03"]
-    narrow_col = assemble_collection(
+    narrow_col = TaskCollection(
         [Task(t.task_id, t.features[:, :7], t.targets, t.feature_names[:7], t.example_ids)
          for t in col.tasks[:4]], CollectionMode.INDEPENDENT_EXAMPLES, "narrow")
     models = dict(stage1_train(narrow_col, SPECS["ridge"], TrainingScope.FULL_TASK).models)
