@@ -140,9 +140,10 @@ def _load_pool(args: argparse.Namespace, pool_path: Path, manifest: bool
 
 def _pooled_matrix(args: argparse.Namespace, pool_path: Path,
                    manifest: bool) -> CrossPredictionMatrix:
-    """The bank's predictions on the pool. The bank, with whatever its models
-    cache, and the pool die when this returns: only the matrix is alive
-    while clustering."""
+    """The bank's predictions on the pool. The bank reads its models one at
+    a time as it predicts, so an archive after the first is checked only
+    once the pool has loaded. The bank and the pool die when this returns:
+    only the matrix is alive while clustering."""
     bank = load_bank(Path(args.bank))
     pool, ids, names = _load_pool(args, pool_path, manifest)
     for item, count in (("task", len(bank.task_ids)), ("example", len(ids))):
@@ -204,17 +205,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_inspect_bank(args: argparse.Namespace) -> int:
     bank = load_bank(Path(args.bank))
-    print(f"collection: {bank.collection_id}")
-    print(f"learner: {bank.learner_spec.label} {json.dumps(bank.learner_spec.to_dict()['hyperparams'], sort_keys=True)}")
-    print(f"scope: {bank.training_scope.value}")
-    print(f"models: {len(bank.models)}")
-    for task_id in bank.task_ids:
-        model = bank.models[task_id]
+    hyperparams = json.dumps(bank.learner_spec.to_dict()["hyperparams"], sort_keys=True)
+    lines = [f"collection: {bank.collection_id}",
+             f"learner: {bank.learner_spec.label} {hyperparams}",
+             f"scope: {bank.training_scope.value}",
+             f"models: {len(bank.models)}"]
+    # one model at a time; nothing is printed until every archive has been read
+    for task_id, model in bank.models.items():
         fp = model.train_fingerprint
         solver = " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
                           for k, v in model.state.diagnostics().items())
-        print(f"  {task_id}: features={model.feature_count} "
-              f"rows={len(fp.row_ids)} fingerprint={fp.digest[:16]} {solver}")
+        lines.append(f"  {task_id}: features={model.feature_count} "
+                     f"rows={len(fp.row_ids)} fingerprint={fp.digest[:16]} {solver}")
+    print("\n".join(lines))
     return EXIT_OK
 
 

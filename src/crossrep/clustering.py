@@ -99,10 +99,9 @@ def cross_prediction_matrix(bank: ModelBank, pool: np.ndarray,
     pool = np.asarray(pool, dtype=np.float64)
     if pool.ndim != 2:
         raise ValidationError("pool must be a 2-d matrix")
-    first = next(iter(bank.models.values()), None)
-    if first is not None and pool.shape[1] != first.feature_count:
+    if bank.feature_count is not None and pool.shape[1] != bank.feature_count:
         raise ValidationError(f"pool has {pool.shape[1]} feature columns, bank models "
-                              f"expect {first.feature_count}")
+                              f"expect {bank.feature_count}")
     if feature_names is not None and bank.feature_names is not None:
         for i, (ours, theirs) in enumerate(zip(feature_names, bank.feature_names)):
             if ours != theirs:

@@ -80,7 +80,9 @@ class Task:
             if name in seen:
                 raise ValidationError(f"task {self.task_id!r}: duplicate feature name {name!r}")
             seen.add(name)
-        example_ids = tuple(str(e) for e in self.example_ids)
+        example_ids = tuple(self.example_ids)  # a tuple of strings is kept, not copied
+        if not all(isinstance(e, str) for e in example_ids):
+            example_ids = tuple(str(e) for e in example_ids)
         if len(set(example_ids)) != n:
             seen = set()
             for example_id in example_ids:
@@ -144,7 +146,8 @@ class TaskCollection:
                         f"shared-examples collection requires identical example ids in "
                         f"identical order; task {t.task_id!r} differs from {ref.task_id!r}"
                     )
-                if not np.array_equal(t.features, ref.features):
+                if t.features is not ref.features and not np.array_equal(t.features,
+                                                                         ref.features):
                     i, j = np.argwhere(t.features != ref.features)[0]
                     raise ValidationError(
                         f"shared-examples collection requires identical feature values; "
@@ -456,8 +459,24 @@ def load_collection(manifest_path: str | Path) -> TaskCollection:
             raise IngestionError(f"{path}: 'tasks' lists task id {task_id!r} twice, as "
                                  f"{first_file[task_id]!r} and {f!r}")
         first_file[task_id] = f
-    tasks = [load_task(path.parent / f, target=target) for f in files]
+    tasks: list[Task] = []
+    for f in files:
+        task = load_task(path.parent / f, target=target)
+        if mode is CollectionMode.SHARED_EXAMPLES and tasks:
+            task = _share_rows(task, tasks[0])
+        tasks.append(task)
     return TaskCollection(tasks, mode, collection_id)
+
+
+def _share_rows(task: Task, first: Task) -> Task:
+    """``task`` on ``first``'s feature array and id tuple when its own are
+    equal to them, so a shared collection holds one copy of its rows. A task
+    that differs is left as it is, for ``TaskCollection`` to name."""
+    if task.example_ids != first.example_ids or not np.array_equal(task.features,
+                                                                   first.features):
+        return task
+    return Task(task.task_id, first.features, task.targets, task.feature_names,
+                first.example_ids)
 
 
 def write_task_file(task: Task, path: str | Path, target: str = "y") -> None:

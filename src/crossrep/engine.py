@@ -8,6 +8,7 @@ source model, the task's own model always excluded.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -18,8 +19,8 @@ import numpy as np
 
 from .data import CollectionMode, SplitPlan, Task, TaskCollection, json_field, read_json
 from .errors import FitError, IngestionError, ValidationError
-from .learners import (EMPTY_FINGERPRINT, FittedModel, LearnerSpec, TrainFingerprint,
-                       fit_learner, load_model, predict, save_model)
+from .learners import (EMPTY_FINGERPRINT, FittedModel, LearnerKind, LearnerSpec,
+                       TrainFingerprint, fit_learner, load_model, predict, save_model)
 from .learners.ridge import RidgeStack, predict_stacked
 from .seeding import derive_seed
 
@@ -31,22 +32,27 @@ class TrainingScope(Enum):
 
 @dataclass(frozen=True)
 class ModelBank:
-    """One frozen stage-1 model per task, in collection order."""
+    """One frozen stage-1 model per task, in collection order.
 
-    models: dict[str, FittedModel]
+    ``models`` is a dict for a bank fitted in memory; a saved bank reads
+    each model from its archive when it is looked up (``load_bank``).
+    """
+
+    models: Mapping[str, FittedModel]
     learner_spec: LearnerSpec
     collection_id: str
     training_scope: TrainingScope
     # The collection's feature names, in the column order the models read;
     # None for a bank index written before the names were recorded.
     feature_names: tuple[str, ...] | None = None
+    # The feature count of the first model, which the models read; None for
+    # an empty bank. A bank built in memory takes it from its first model.
+    feature_count: int | None = None
 
     def __post_init__(self) -> None:
-        for task_id, model in self.models.items():
-            if model.spec.key() != self.learner_spec.key():
-                raise ValidationError(
-                    f"model for task {task_id!r} does not match the bank's learner spec"
-                )
+        if self.feature_count is None and self.models:
+            object.__setattr__(self, "feature_count",
+                               next(iter(self.models.values())).feature_count)
 
     @property
     def task_ids(self) -> tuple[str, ...]:
@@ -73,7 +79,10 @@ class ModelBank:
     @cached_property
     def _ridge_stack(self) -> RidgeStack | None:
         """Every model's parameters stacked, when all are ridge models of one
-        width: ``cross_predict`` then predicts them in one product."""
+        width: ``cross_predict`` then predicts them in one product. The
+        models of any other kind are not read here."""
+        if self.learner_spec.kind not in (LearnerKind.RIDGE, LearnerKind.RIDGE_CV):
+            return None
         return RidgeStack.of(self.models.values())
 
 
@@ -184,10 +193,12 @@ def cross_predict(bank: ModelBank, X: np.ndarray) -> np.ndarray:
     once per model however many views read it. A bank of ridge models of
     X's width predicts finite X in one stacked product with the same bits;
     any other bank or input goes model by model, and the first model that
-    fails names the error. A finite row far outside a model's training
-    range may overflow its arithmetic: numpy's warning is silenced, and
-    the non-finite value is left for the matrix that takes the block
-    (``ExtrinsicMatrix``, ``CrossPredictionMatrix``) to reject.
+    fails names the error. Model by model, a saved bank holds one model
+    (with what its prediction caches) at a time. A finite row far outside
+    a model's training range may overflow its arithmetic: numpy's warning
+    is silenced, and the non-finite value is left for the matrix that
+    takes the block (``ExtrinsicMatrix``, ``CrossPredictionMatrix``) to
+    reject.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -197,6 +208,8 @@ def cross_predict(bank: ModelBank, X: np.ndarray) -> np.ndarray:
         out = predict_stacked(stack, X)
     else:
         out = np.empty((X.shape[0], len(bank.models)), dtype=np.float64)
+        # A saved bank reads each model here, outside the ``try``: a bad
+        # archive stays an IngestionError. Each model dies when the next is read.
         for j, (task_id, model) in enumerate(bank.models.items()):
             try:
                 out[:, j] = predict(model, X)
@@ -330,7 +343,52 @@ def save_bank(bank: ModelBank, out_dir: str | Path) -> Path:
     return index_path
 
 
+class _ArchivedModels(Mapping[str, FittedModel]):
+    """A saved bank's models in task order.
+
+    Each model is read from its archive, and checked, when it is looked up,
+    and is not kept: a pass over the models holds one at a time. The first
+    archive is read once up front for the feature count that every archive
+    must have.
+    """
+
+    def __init__(self, paths: dict[str, Path], spec: LearnerSpec) -> None:
+        self._paths, self._spec = paths, spec
+        self._first = next(iter(paths.values()), None)
+        self.feature_count: int | None = None
+        if self._first is not None:
+            self.feature_count = self._read(self._first).feature_count
+
+    def __getitem__(self, task_id: str) -> FittedModel:
+        return self._read(self._paths[task_id])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._paths)
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+    def __contains__(self, task_id: object) -> bool:
+        return task_id in self._paths
+
+    def _read(self, path: Path) -> FittedModel:
+        model = load_model(path)
+        if model.spec.key() != self._spec.key():
+            raise IngestionError(f"{path}: 'spec' {model.spec.to_dict()} does not match the "
+                                 f"bank index's 'learner_spec' {self._spec.to_dict()}")
+        if self.feature_count is not None and model.feature_count != self.feature_count:
+            raise IngestionError(f"{path}: 'feature_count' is {model.feature_count}, "
+                                 f"but {self._first} has {self.feature_count}")
+        return model
+
+
 def load_bank(bank_dir: str | Path) -> ModelBank:
+    """The bank saved in ``bank_dir``.
+
+    The index and the first archive are read and checked here. Every
+    archive, the first too, is read again each time its model is looked up
+    in the bank's ``models``, and checked then.
+    """
     bank_dir = Path(bank_dir)
     index_path = bank_dir / BANK_INDEX_NAME
     index = read_json(index_path, "bank index")
@@ -352,16 +410,11 @@ def load_bank(bank_dir: str | Path) -> ModelBank:
     if names is not None and not all(isinstance(name, str) for name in names):
         raise IngestionError(f"{index_path}: 'feature_names' must list column names, "
                              f"got {names!r}")
-    models = {task_id: load_model(bank_dir / files[task_id]) for task_id in order}
-    for task_id in order[1:]:
-        count, first = models[task_id].feature_count, models[order[0]].feature_count
-        if count != first:
-            raise IngestionError(f"{bank_dir / files[task_id]}: 'feature_count' is {count}, "
-                                 f"but {bank_dir / files[order[0]]} has {first}")
-    width = models[order[0]].feature_count if order else None
+    models = _ArchivedModels({task_id: bank_dir / files[task_id] for task_id in order}, spec)
+    width = models.feature_count
     if names is not None and width is not None and len(names) != width:
         raise IngestionError(f"{index_path}: 'feature_names' lists {len(names)} names, but "
                              f"{bank_dir / files[order[0]]} has {width} features")
     return ModelBank(models=models, learner_spec=spec, collection_id=collection_id,
-                     training_scope=scope,
-                     feature_names=None if names is None else tuple(names))
+                     training_scope=scope, feature_names=None if names is None else tuple(names),
+                     feature_count=width)

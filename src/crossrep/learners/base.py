@@ -216,7 +216,13 @@ EMPTY_FINGERPRINT = TrainFingerprint(task_id="", row_ids=())
 
 @dataclass(frozen=True)
 class Standardizer:
-    """Per-feature zero-mean unit-variance scaling; constant columns map to 0."""
+    """Per-feature zero-mean unit-variance scaling; constant columns map to 0.
+
+    A column whose spread overflows (one holding 1e300, say) gets an
+    infinite scale without a warning, and also maps to 0. Only numpy's
+    warning is silenced: a caller that has overflow raise still gets the
+    error, as clustering does to name items too far apart.
+    """
 
     mean: np.ndarray
     scale: np.ndarray
@@ -224,7 +230,9 @@ class Standardizer:
     @classmethod
     def fit(cls, X: np.ndarray) -> "Standardizer":
         mean = X.mean(axis=0)
-        scale = X.std(axis=0)
+        quiet = {"over": "ignore"} if np.geterr()["over"] == "warn" else {}
+        with np.errstate(**quiet):
+            scale = X.std(axis=0)
         scale = np.where(scale == 0.0, 1.0, scale)
         return cls(mean=mean, scale=scale)
 

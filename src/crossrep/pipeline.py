@@ -173,10 +173,6 @@ def _make_plans(collection: TaskCollection, split: SplitProtocol,
 def run_pipeline(config: PipelineConfig) -> ExperimentResult:
     """Run the full two-stage experiment described by ``config``."""
     collection = config.collection
-    if config.normalize:
-        collection = TaskCollection([normalize_targets(t) for t in collection.tasks],
-                                    collection.mode, collection.feature_space_id)
-
     failures: list[TaskFailure] = []
 
     def record(stage: str, task_id: str, exc: CrossrepError) -> None:
@@ -185,14 +181,26 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
             raise exc
         failures.append(TaskFailure(task_id, stage, str(exc)))
 
+    def survivors(tasks: list[Task], step: str) -> TaskCollection:
+        if len(tasks) < 2:
+            raise FitError(f"fewer than 2 tasks survived {step}; cannot continue")
+        return TaskCollection(tasks, collection.mode, collection.feature_space_id)
+
+    if config.normalize:
+        normalized = []
+        for task in collection.tasks:
+            try:
+                normalized.append(normalize_targets(task))
+            except CrossrepError as exc:
+                record("normalize", task.task_id, exc)
+        collection = survivors(normalized, "target normalization")
+
     bank = stage1_train(collection, config.transformer_spec, config.resolved_scope,
                         split_plans=config.plans,
                         on_failure=lambda t, exc: record("stage1", t, exc))
-    if failures:
-        survivors = [t for t in collection.tasks if t.task_id in bank.models]
-        if len(survivors) < 2:
-            raise FitError("fewer than 2 tasks survived stage-1 training; cannot continue")
-        collection = TaskCollection(survivors, collection.mode, collection.feature_space_id)
+    if len(bank.models) < collection.n_tasks:
+        collection = survivors([t for t in collection.tasks if t.task_id in bank.models],
+                               "stage-1 training")
 
     echo = config.echo()
     if _audits_leakage(echo):

@@ -3,15 +3,18 @@ import hashlib
 import json
 import signal
 import warnings
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from crossrep import engine
 from crossrep.cli import main
 from crossrep.clustering import cluster_examples, cluster_tasks, cross_prediction_matrix
-from crossrep.data import load_task, write_collection
+from crossrep.data import CollectionMode, Task, TaskCollection, load_task, write_collection
 from crossrep.engine import load_bank
-from crossrep.learners.archive import _dec, _enc
+from crossrep.learners.archive import _dec, _enc, load_model
 
 
 def run_cli(*argv):
@@ -147,6 +150,40 @@ class TestRun:
         bad = tmp_path / "bad2.json"
         bad.write_text(json.dumps(doc))
         assert run_cli("run", "--config", str(bad), "--out", str(tmp_path / "x")) == 3
+
+    @staticmethod
+    def _constant_t0_run(tmp_path, tasks, strict=False):
+        """Write ``tasks`` as a collection and run ridge(1) on it, 3-fold, normalized."""
+        coll = tmp_path / "coll"
+        write_collection(TaskCollection(tasks, CollectionMode.INDEPENDENT_EXAMPLES, "c"), coll)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"collection": "coll/manifest.json",
+                                   "transformer": {"kind": "ridge", "lam": 1.0},
+                                   "final": {"kind": "ridge", "lam": 1.0},
+                                   "split": {"kind": "kfold", "k": 3}, "seed": 0,
+                                   "strict": strict, "normalize_targets": True}))
+        return run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+
+    def test_task_that_cannot_be_normalized_is_left_out(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(4, 20, 5))
+        names, ids = tuple(f"x{j}" for j in range(5)), tuple(f"r{i}" for i in range(20))
+        targets = [np.full(20, 2.0)] + [X[i] @ rng.normal(size=5) for i in range(1, 4)]
+        tasks = [Task(f"t{i}", X[i], targets[i], names, ids) for i in range(4)]
+        assert self._constant_t0_run(tmp_path / "all", tasks) == 0
+        report = (tmp_path / "all" / "out" / "result.txt").read_text()
+        assert ("  t0 [normalize]: task 't0': constant target vector cannot be normalized"
+                in report.splitlines())
+        assert self._constant_t0_run(tmp_path / "rest", tasks[1:]) == 0
+        assert ((tmp_path / "all" / "out" / "scores.tsv").read_bytes()
+                == (tmp_path / "rest" / "out" / "scores.tsv").read_bytes())
+        capsys.readouterr()
+        assert self._constant_t0_run(tmp_path / "strict", tasks, strict=True) == 3
+        assert capsys.readouterr().err == (
+            "error: task 't0': constant target vector cannot be normalized\n")
+        assert self._constant_t0_run(tmp_path / "two", tasks[:2]) == 4
+        assert capsys.readouterr().err == ("runtime error: fewer than 2 tasks survived "
+                                           "target normalization; cannot continue\n")
 
 
 class TestBankAndCluster:
@@ -412,6 +449,82 @@ class TestBankAndCluster:
         assert (f"{archive}: 'feature_count' is 1, but {bank_dir / 'task000.model.json'} "
                 f"has 6") in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["task000.model.json", "task003.model.json"])
+    @pytest.mark.parametrize("command", ["inspect-bank", "cluster"])
+    def test_archive_of_another_spec_names_the_archive(self, command, name, tmp_path,
+                                                       bank_dir, synth_dir, capsys):
+        """The first archive is checked on load, a later one when its model is read."""
+        archive = bank_dir / name
+        doc = json.loads(archive.read_text())
+        doc["spec"]["hyperparams"]["lam"] = 5.0
+        archive.write_text(json.dumps(doc))
+        argv = ["--bank", str(bank_dir)]
+        if command == "cluster":
+            argv += ["--pool", str(synth_dir / "manifest.json"), "--k", "2",
+                     "--out", str(tmp_path / "x")]
+        capsys.readouterr()
+        assert run_cli(command, *argv) == 3
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {archive}: 'spec' ")
+        assert "does not match the bank index's 'learner_spec'" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["inspect-bank", "cluster"])
+    def test_truncated_last_archive_leaves_no_output(self, command, tmp_path, synth_dir,
+                                                     capsys):
+        bank = tmp_path / "b"
+        assert run_cli("train-bank", "--collection", str(synth_dir / "manifest.json"),
+                       "--learner", '{"kind": "forest", "n_trees": 3, "seed": 1}',
+                       "--out", str(bank)) == 0
+        archive = bank / "task003.model.json"
+        text = archive.read_text()
+        archive.write_text(text[: len(text) // 2])
+        out_dir = tmp_path / "x"
+        argv = ["--bank", str(bank)]
+        if command == "cluster":
+            argv += ["--pool", str(synth_dir / "manifest.json"), "--k", "2",
+                     "--out", str(out_dir)]
+        capsys.readouterr()
+        assert run_cli(command, *argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {archive}: ")
+        assert not out_dir.exists()
+
+    def test_later_archive_is_read_after_the_pool(self, tmp_path, bank_dir, capsys):
+        """Both bad: the pool is named, since a later archive is read only to predict."""
+        (bank_dir / "task001.model.json").write_text("{")
+        pool = tmp_path / "pool.csv"
+        pool.write_text("id,x0\n")
+        assert run_cli("cluster", "--bank", str(bank_dir), "--pool", str(pool), "--k", "2",
+                       "--out", str(tmp_path / "x")) == 3
+        assert capsys.readouterr().err.startswith(f"error: {pool}: ")
+
+    def test_cluster_holds_two_forest_models_at_most(self, tmp_path, synth_dir, monkeypatch):
+        """Each archive is read once as the bank predicts, plus the first once
+        on load for the feature count; a model dies once the next is read."""
+        bank = tmp_path / "b"
+        manifest = str(synth_dir / "manifest.json")
+        assert run_cli("train-bank", "--collection", manifest,
+                       "--learner", '{"kind": "forest", "n_trees": 3, "seed": 1}',
+                       "--out", str(bank)) == 0
+        reads, refs, alive = [], [], []
+
+        def spy(path):
+            model = load_model(path)
+            reads.append(Path(path).name)
+            refs.append(weakref.ref(model))
+            alive.append(sum(ref() is not None for ref in refs))
+            return model
+
+        monkeypatch.setattr(engine, "load_model", spy)
+        assert run_cli("cluster", "--bank", str(bank), "--pool", manifest, "--k", "2",
+                       "--out", str(tmp_path / "c")) == 0
+        names = [f"task{i:03d}.model.json" for i in range(4)]
+        assert reads == names[:1] + names
+        assert max(alive) <= 2
 
 
 def _at_root(value):

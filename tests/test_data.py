@@ -254,6 +254,27 @@ class TestManifestRoundTrip:
             assert np.array_equal(a.features, b.features)
             assert np.array_equal(a.targets, b.targets)
 
+    def test_shared_tasks_hold_the_first_tasks_rows(self, tmp_path, shared_collection):
+        loaded = load_collection(write_collection(shared_collection, tmp_path / "coll"))
+        first = loaded.tasks[0]
+        for task, orig in zip(loaded.tasks[1:], shared_collection.tasks[1:]):
+            assert task.features is first.features
+            assert task.example_ids is first.example_ids
+            assert np.array_equal(task.targets, orig.targets)
+
+    def test_shared_task_that_differs_keeps_its_rows_and_is_named(self, tmp_path,
+                                                                  shared_collection):
+        manifest = write_collection(shared_collection, tmp_path / "coll")
+        task = tmp_path / "coll" / "g2.csv"
+        header, first, *rest = task.read_text().splitlines()
+        cells = first.split(",")
+        cells[2] = repr(float(cells[2]) + 1.0)
+        task.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+        with pytest.raises(ValidationError, match="shared-examples collection requires "
+                           "identical feature values; task 'g2' differs from 'g0' at "
+                           "example 'row0', column 'f1'"):
+            load_collection(manifest)
+
     def test_manifest_missing_key(self, tmp_path):
         bad = tmp_path / "manifest.json"
         bad.write_text('{"mode": "independent"}')

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,17 @@ def test_standardization_scale_invariance():
     scaled = predict(fit_ridge(X * np.array([1.0, 100.0, 0.01]), y, 10.0),
                      X * np.array([1.0, 100.0, 0.01]))
     assert np.allclose(base, scaled, atol=1e-8)
+
+
+def test_overflowing_spread_maps_its_column_to_zero_without_a_warning():
+    X = np.random.default_rng(2).normal(scale=0.01, size=(12, 2))
+    X[0, 0] = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        std = Standardizer.fit(X)
+        Z = std.transform(X)
+    assert np.isinf(std.scale[0]) and np.isfinite(std.scale[1])
+    assert np.array_equal(Z[:, 0], np.zeros(12))
 
 
 class TestRidgeCv:
