@@ -210,7 +210,8 @@ def cmd_inspect_bank(args: argparse.Namespace) -> int:
              f"learner: {bank.learner_spec.label} {hyperparams}",
              f"scope: {bank.training_scope.value}",
              f"models: {len(bank.models)}"]
-    # one model at a time; nothing is printed until every archive has been read
+    # at most two models alive at a time; nothing is printed until every
+    # archive has been read
     for task_id, model in bank.models.items():
         fp = model.train_fingerprint
         solver = " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"

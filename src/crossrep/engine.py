@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -45,14 +45,15 @@ class ModelBank:
     # The collection's feature names, in the column order the models read;
     # None for a bank index written before the names were recorded.
     feature_names: tuple[str, ...] | None = None
-    # The feature count of the first model, which the models read; None for
-    # an empty bank. A bank built in memory takes it from its first model.
-    feature_count: int | None = None
+    # The feature count the models read, taken from them; None for an empty
+    # bank. A saved bank's mapping holds its first archive's count.
+    feature_count: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.feature_count is None and self.models:
-            object.__setattr__(self, "feature_count",
-                               next(iter(self.models.values())).feature_count)
+        width = getattr(self.models, "feature_count", None)
+        if width is None and self.models:
+            width = next(iter(self.models.values())).feature_count
+        object.__setattr__(self, "feature_count", width)
 
     @property
     def task_ids(self) -> tuple[str, ...]:
@@ -193,8 +194,9 @@ def cross_predict(bank: ModelBank, X: np.ndarray) -> np.ndarray:
     once per model however many views read it. A bank of ridge models of
     X's width predicts finite X in one stacked product with the same bits;
     any other bank or input goes model by model, and the first model that
-    fails names the error. Model by model, a saved bank holds one model
-    (with what its prediction caches) at a time. A finite row far outside
+    fails names the error. Model by model, a saved bank holds at most two
+    models (with what their predictions cache): the previous one stays
+    alive until the next archive has been read. A finite row far outside
     a model's training range may overflow its arithmetic: numpy's warning
     is silenced, and the non-finite value is left for the matrix that
     takes the block (``ExtrinsicMatrix``, ``CrossPredictionMatrix``) to
@@ -209,7 +211,8 @@ def cross_predict(bank: ModelBank, X: np.ndarray) -> np.ndarray:
     else:
         out = np.empty((X.shape[0], len(bank.models)), dtype=np.float64)
         # A saved bank reads each model here, outside the ``try``: a bad
-        # archive stays an IngestionError. Each model dies when the next is read.
+        # archive stays an IngestionError. The previous model is dropped only
+        # once the next archive has been read, so at most two are alive.
         for j, (task_id, model) in enumerate(bank.models.items()):
             try:
                 out[:, j] = predict(model, X)
@@ -347,9 +350,9 @@ class _ArchivedModels(Mapping[str, FittedModel]):
     """A saved bank's models in task order.
 
     Each model is read from its archive, and checked, when it is looked up,
-    and is not kept: a pass over the models holds one at a time. The first
-    archive is read once up front for the feature count that every archive
-    must have.
+    and is not kept: a pass over the models holds at most two, the previous
+    one until the next archive has been read. The first archive is read
+    once up front for the feature count that every archive must have.
     """
 
     def __init__(self, paths: dict[str, Path], spec: LearnerSpec) -> None:
@@ -416,5 +419,4 @@ def load_bank(bank_dir: str | Path) -> ModelBank:
         raise IngestionError(f"{index_path}: 'feature_names' lists {len(names)} names, but "
                              f"{bank_dir / files[order[0]]} has {width} features")
     return ModelBank(models=models, learner_spec=spec, collection_id=collection_id,
-                     training_scope=scope, feature_names=None if names is None else tuple(names),
-                     feature_count=width)
+                     training_scope=scope, feature_names=None if names is None else tuple(names))

@@ -504,7 +504,8 @@ class TestBankAndCluster:
 
     def test_cluster_holds_two_forest_models_at_most(self, tmp_path, synth_dir, monkeypatch):
         """Each archive is read once as the bank predicts, plus the first once
-        on load for the feature count; a model dies once the next is read."""
+        on load for the feature count; the previous model stays alive until
+        the next archive has been read."""
         bank = tmp_path / "b"
         manifest = str(synth_dir / "manifest.json")
         assert run_cli("train-bank", "--collection", manifest,

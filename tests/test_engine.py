@@ -234,6 +234,15 @@ class TestBankPersistence:
         with pytest.raises(IngestionError, match="t1.model.json"):
             dict(loaded.models)
 
+    def test_feature_count_comes_from_the_models(self, tmp_path, small_collection):
+        bank = stage1_train(small_collection, RIDGE, TrainingScope.FULL_TASK)
+        width = small_collection.tasks[0].features.shape[1]
+        assert bank.feature_count == width
+        save_bank(bank, tmp_path / "bank")
+        assert load_bank(tmp_path / "bank").feature_count == width
+        with pytest.raises(TypeError):
+            type(bank)(bank.models, RIDGE, "c", TrainingScope.FULL_TASK, feature_count=1)
+
     def test_audit_detects_leak(self, shared_collection):
         bank = stage1_train(shared_collection, RIDGE, TrainingScope.FULL_TASK)
         heldout = shared_collection.tasks[0].example_ids[:5]

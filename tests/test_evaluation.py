@@ -52,7 +52,11 @@ class TestRmse:
         p, t = np.asarray(pair[0]), np.asarray(pair[1])
         base = rmse(p, t)
         scaled = rmse(c * p, c * t)
-        assert scaled == pytest.approx(abs(c) * base, rel=1e-9, abs=1e-12)
+        # Rounding c * p and c * t moves each difference by up to
+        # eps * |c| * max(|p_i|, |t_i|), and the rmse by no more than that:
+        # two entries one ulp apart near 1e6 are not one scaled ulp apart.
+        rounding = np.finfo(np.float64).eps * abs(c) * max(np.abs(p).max(), np.abs(t).max())
+        assert scaled == pytest.approx(abs(c) * base, rel=1e-9, abs=1e-12 + rounding)
 
 
 class TestImprovementPct:
