@@ -40,34 +40,25 @@ def load_config(path: Path, seed_override: int | None, strict_flag: bool) -> Pip
     seed = json_field(path, doc, "seed", int)
     cap = json_field(path, doc, "descriptor_cap", int, None)
     order = json_field(path, doc, "order", int, 1)
-    scope_doc = json_field(path, doc, "stage1_scope", str, None)
+    scope = json_field(path, doc, "stage1_scope", TrainingScope, None)
     strict = json_field(path, doc, "strict", bool, False)
     augment = json_field(path, doc, "augment", bool, False)
     normalize = json_field(path, doc, "normalize_targets", bool, False)
-    try:
-        scope = None if scope_doc is None else TrainingScope(scope_doc)
-    except ValueError:
-        raise IngestionError(
-            f"{path}: stage1_scope must be 'full_task' or 'train_split_only', "
-            f"got {scope_doc!r}") from None
     specs = {key: parse_learner_spec(json_field(path, doc, key, dict), f"{path}: {key}")
              for key in ("transformer", "final")}
     split_where = f"{path}: split"
-    split_kind = json_field(split_where, split_doc, "kind", str)
-    if split_kind == "kfold":
-        split_args = {"k": json_field(split_where, split_doc, "k", int, 0)}
-    elif split_kind == "holdout":
-        split_args = {"test_fraction": json_field(split_where, split_doc, "test_fraction",
-                                                  float, 0.0)}
+    split_kind = json_field(split_where, split_doc, "kind", SplitKind)
+    if split_kind is SplitKind.KFOLD:
+        split_args = {"k": json_field(split_where, split_doc, "k", int)}
     else:
-        raise IngestionError(f"{path}: split.kind must be 'kfold' or 'holdout'")
+        split_args = {"test_fraction": json_field(split_where, split_doc, "test_fraction", float)}
     collection = load_collection(path.parent / collection_ref)
     try:
         return PipelineConfig(
             collection=collection,
             transformer_spec=specs["transformer"],
             final_spec=specs["final"],
-            split=SplitProtocol(SplitKind(split_kind), **split_args),
+            split=SplitProtocol(split_kind, **split_args),
             seed=seed if seed_override is None else seed_override,
             descriptor_cap=cap,
             order=order,
@@ -179,7 +170,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             if args.items not in (f"{item}s", "both"):
                 continue
             res = cluster(matrix, args.k, args.seed, standardize=args.standardize)
-            (out_dir / f"{item}_clusters.tsv").write_text(assignments_tsv(res), encoding="utf-8")
+            (out_dir / f"{item}_clusters.tsv").write_text(assignments_tsv(res, item_ids),
+                                                          encoding="utf-8")
             print(f"{item} k-means: converged={res.converged} n_iter={res.n_iter}")
             wrote.append(f"{item}_clusters.tsv")
             if args.distances:

@@ -10,7 +10,6 @@ predict; clustering its rows groups examples by how they are predicted.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,11 +83,9 @@ class ClusterResult:
     converged: bool
     n_iter: int
     inertia_history: tuple[float, ...]
-    item_ids: tuple[str, ...] = ()
 
 
-def cross_prediction_matrix(bank: ModelBank, pool: np.ndarray,
-                            example_ids: tuple[str, ...] | None = None,
+def cross_prediction_matrix(bank: ModelBank, pool: np.ndarray, example_ids: tuple[str, ...],
                             feature_names: tuple[str, ...] | None = None
                             ) -> CrossPredictionMatrix:
     """Apply all n bank models to the pool; returns a |pool| x n matrix.
@@ -108,9 +105,7 @@ def cross_prediction_matrix(bank: ModelBank, pool: np.ndarray,
                 raise ValidationError(f"pool feature {i + 1} of {len(feature_names)} is "
                                       f"{ours!r}; the bank was trained with {theirs!r} "
                                       f"in that position")
-    ids = example_ids if example_ids is not None else tuple(
-        f"pool{i:05d}" for i in range(pool.shape[0]))
-    return CrossPredictionMatrix(values=cross_predict(bank, pool), example_ids=ids,
+    return CrossPredictionMatrix(values=cross_predict(bank, pool), example_ids=example_ids,
                                  task_ids=bank.task_ids)
 
 
@@ -212,15 +207,14 @@ def _overflow_is_an_error():
 
 
 @_overflow_is_an_error()
-def _cluster_items(items: np.ndarray, item_ids: tuple[str, ...], k: int, seed: int,
-                   standardize: bool) -> ClusterResult:
-    if not 1 <= k <= len(item_ids):  # as kmeans does, but before standardizing
-        raise ValidationError(f"k must be in [1, {len(item_ids)}], got {k}")
+def _cluster_items(items: np.ndarray, k: int, seed: int, standardize: bool) -> ClusterResult:
+    n = items.shape[0]
+    if not 1 <= k <= n:  # as kmeans does, but before standardizing
+        raise ValidationError(f"k must be in [1, {n}], got {k}")
     if standardize:
         # Each item's features are the columns of ``items``: standardize those.
         items = Standardizer.fit(items).transform(items)
-    result = kmeans(items, k, seed)
-    return dataclasses.replace(result, item_ids=item_ids)
+    return kmeans(items, k, seed)
 
 
 def cluster_tasks(matrix: CrossPredictionMatrix, k: int, seed: int,
@@ -228,20 +222,19 @@ def cluster_tasks(matrix: CrossPredictionMatrix, k: int, seed: int,
     """K-means over task columns (each task = its prediction vector)."""
     if matrix.values.shape[0] == 0:
         raise ValidationError("cannot cluster tasks of an empty pool")
-    return _cluster_items(matrix.values.T, matrix.task_ids, k, seed, standardize)
+    return _cluster_items(matrix.values.T, k, seed, standardize)
 
 
 def cluster_examples(matrix: CrossPredictionMatrix, k: int, seed: int,
                      standardize: bool = False) -> ClusterResult:
     """K-means over example rows (each example = its prediction tuple)."""
-    return _cluster_items(matrix.values, matrix.example_ids, k, seed, standardize)
+    return _cluster_items(matrix.values, k, seed, standardize)
 
 
-def assignments_tsv(result: ClusterResult) -> str:
-    """Delimited assignment table."""
+def assignments_tsv(result: ClusterResult, item_ids: tuple[str, ...]) -> str:
+    """Delimited assignment table of the items ``result`` clustered, in order."""
     lines = ["item_id\tcluster"]
-    ids = result.item_ids or tuple(str(i) for i in range(len(result.assignments)))
-    for item_id, c in zip(ids, result.assignments):
+    for item_id, c in zip(item_ids, result.assignments):
         lines.append(f"{item_id}\t{int(c)}")
     return "\n".join(lines) + "\n"
 

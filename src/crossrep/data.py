@@ -263,7 +263,13 @@ def normalize_targets(task: Task) -> Task:
     hi = float(task.targets.max())
     if hi == lo:
         raise ValidationError(f"task {task.task_id!r}: constant target vector cannot be normalized")
-    return task.with_targets((task.targets - lo) / (hi - lo))
+    # a finite span bounds every target's distance from lo, so only this
+    # subtraction, of Python floats, can overflow, and it does so quietly
+    span = hi - lo
+    if not math.isfinite(span):
+        raise ValidationError(f"task {task.task_id!r}: target range {lo!r} to {hi!r} "
+                              "overflows, cannot be normalized")
+    return task.with_targets((task.targets - lo) / span)
 
 
 def read_table(path: str | Path, what: str) -> tuple[tuple[str, ...],
@@ -344,16 +350,24 @@ def json_float(where: str | Path, key: str, value: int | float) -> float:
 def json_field(where: str | Path, doc: dict, key: str, kind: type, default=_REQUIRED):
     """``doc[key]`` if it is a JSON ``kind``: an integer is a number, a boolean is not.
 
-    A number is returned as a float (see ``json_float``). A null or absent
-    key gives ``default``; without a default the key is required. Errors are
-    IngestionErrors prefixed with ``where``, the file and, for a nested
-    object, the key that holds it.
+    A number is returned as a float (see ``json_float``). For an ``Enum``
+    ``kind`` the value must be one of its members' values, and the member
+    is returned. A null or absent key gives ``default``; without a default
+    the key is required. Errors are IngestionErrors prefixed with
+    ``where``, the file and, for a nested object, the key that holds it.
     """
     value = doc.get(key)
     if value is None and default is not _REQUIRED:
         return default
     if key not in doc:
         raise IngestionError(f"{where}: missing key {key!r}")
+    if issubclass(kind, Enum):
+        for member in kind:
+            if member.value == value:
+                return member
+        *rest, last = (repr(member.value) for member in kind)
+        raise IngestionError(f"{where}: {key!r} must be {', '.join(rest)} or {last}, "
+                             f"got {value!r}")
     if kind in (int, float):
         ok = isinstance(value, (int, kind)) and not isinstance(value, bool)
     else:
@@ -441,14 +455,9 @@ def load_collection(manifest_path: str | Path) -> TaskCollection:
     path = Path(manifest_path)
     doc = read_json(path, "manifest")
     collection_id = json_field(path, doc, "collection_id", str)
-    mode_value = json_field(path, doc, "mode", str)
+    mode = json_field(path, doc, "mode", CollectionMode)
     target = json_field(path, doc, "target", str)
     files = json_field(path, doc, "tasks", list)
-    try:
-        mode = CollectionMode(mode_value)
-    except ValueError:
-        raise IngestionError(
-            f"{path}: 'mode' must be 'independent' or 'shared', got {mode_value!r}") from None
     if not files or not all(isinstance(f, str) for f in files):
         raise IngestionError(f"{path}: 'tasks' must be a non-empty list of file paths, "
                              f"got {files!r}")

@@ -398,15 +398,10 @@ def load_bank(bank_dir: str | Path) -> ModelBank:
     files = json_field(index_path, index, "models", dict)
     spec_doc = json_field(index_path, index, "learner_spec", dict)
     collection_id = json_field(index_path, index, "collection_id", str)
-    scope_value = json_field(index_path, index, "training_scope", str)
+    scope = json_field(index_path, index, "training_scope", TrainingScope)
     order = json_field(index_path, index, "task_order", list, list(files))
     names = json_field(index_path, index, "feature_names", list, None)
     spec = LearnerSpec.from_dict(spec_doc, f"{index_path}: 'learner_spec'")
-    try:
-        scope = TrainingScope(scope_value)
-    except ValueError:
-        raise IngestionError(f"{index_path}: 'training_scope' must be 'full_task' or "
-                             f"'train_split_only', got {scope_value!r}") from None
     if not all(isinstance(t, str) and isinstance(files.get(t), str) for t in order):
         raise IngestionError(f"{index_path}: 'task_order' must list task ids whose "
                              f"'models' entry is an archive file name")

@@ -7,7 +7,6 @@ against each transformed one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -15,27 +14,10 @@ import numpy as np
 
 from .data import SplitPlan
 from .errors import FitError, ValidationError
-from .learners import FittedModel, LearnerSpec, TrainFingerprint, fit_learner, predict
+from .learners import FittedModel, LearnerSpec, TrainFingerprint, fit_learner, predict, rmse
 from .seeding import derive_seed
 
 TIE_TOLERANCE = 1e-12
-
-
-def rmse(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Root mean squared error between two equal-length vectors."""
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != truth.shape or pred.ndim != 1:
-        raise ValidationError(f"rmse: shape mismatch {pred.shape} vs {truth.shape}")
-    if len(pred) == 0:
-        raise ValidationError("rmse of empty vectors is undefined")
-    if not (np.isfinite(pred).all() and np.isfinite(truth).all()):
-        raise ValidationError("rmse: non-finite entries")
-    with np.errstate(over="ignore"):
-        mse = float(np.mean((pred - truth) ** 2))
-    if not math.isfinite(mse):
-        raise ValidationError("squared prediction error overflows")
-    return math.sqrt(mse)
 
 
 def improvement_pct(rmse_original: float, rmse_tl: float) -> float:
@@ -49,38 +31,32 @@ def improvement_pct(rmse_original: float, rmse_tl: float) -> float:
 
 @dataclass(frozen=True)
 class Representation:
-    """Which feature space a result was computed on."""
+    """Which feature space a result was computed on: its label, and its
+    transformation order (0 for the original features)."""
 
-    kind: str  # "original" or "transformed"
-    transformer: LearnerSpec | None = None
-    order: int = 0
+    label: str
+    order: int
 
     @classmethod
     def original(cls) -> "Representation":
-        return cls(kind="original")
+        return cls("Original rep.", 0)
 
     @classmethod
     def transformed(cls, transformer: LearnerSpec, order: int = 1) -> "Representation":
-        return cls(kind="transformed", transformer=transformer, order=order)
-
-    @property
-    def label(self) -> str:
-        if self.kind == "original":
-            return "Original rep."
-        suffix = "" if self.order == 1 else f" (order {self.order})"
-        return f"TL - {self.transformer.label}{suffix}"
+        suffix = "" if order == 1 else f" (order {order})"
+        return cls(f"TL - {transformer.label}{suffix}", order)
 
 
 @dataclass(frozen=True)
 class CvResult:
-    """Per-fold RMSEs of one task under one representation and learner."""
+    """Per-fold RMSEs of one task under one representation and final learner."""
 
     task_id: str
     per_fold_rmse: tuple[float, ...]
     representation: Representation
-    final_learner: LearnerSpec
-    plan_digest: str = ""
-    reused_folds: int = 0  # folds scored with a given model instead of a refit
+    final: str  # the final learner's label
+    plan_digest: str
+    reused_folds: int  # folds scored with a given model instead of a refit
     mean_rmse: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -133,7 +109,7 @@ def cross_validate(features: np.ndarray, targets: np.ndarray, spec: LearnerSpec,
         except (FitError, ValidationError) as exc:
             raise type(exc)(f"fold {f} of task {task_id!r}: {exc}") from exc
     return CvResult(task_id=task_id, per_fold_rmse=tuple(scores), representation=rep,
-                    final_learner=spec, plan_digest=plan.digest, reused_folds=reused)
+                    final=spec.label, plan_digest=plan.digest, reused_folds=reused)
 
 
 def win_count(baseline: dict[str, float], challenger: dict[str, float]) -> tuple[int, int, int]:
@@ -165,18 +141,13 @@ class ComparisonRow:
     task_count: int
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
-    rows: tuple[ComparisonRow, ...]
-
-
-def compare_representations(results: list[CvResult]) -> ComparisonTable:
+def compare_representations(results: Iterable[CvResult]) -> tuple[ComparisonRow, ...]:
     """Aggregate per-task results into the per-learner comparison table."""
-    return compare_scores((r.final_learner.label, r.representation.label, r.task_id,
-                           r.mean_rmse) for r in results)
+    return compare_scores((r.final, r.representation.label, r.task_id, r.mean_rmse)
+                          for r in results)
 
 
-def compare_scores(scores: Iterable[tuple[str, str, str, float]]) -> ComparisonTable:
+def compare_scores(scores: Iterable[tuple[str, str, str, float]]) -> tuple[ComparisonRow, ...]:
     """The comparison table of (final, representation, task id, mean RMSE) scores.
 
     Scores group by final learner and representation label. Mean RMSE is
@@ -227,15 +198,16 @@ def compare_scores(scores: Iterable[tuple[str, str, str, float]]) -> ComparisonT
         rep_rank = 0 if row.improvement is None else 1
         return (row.final_label, rep_rank, row.representation_label)
 
-    return ComparisonTable(rows=tuple(sorted(rows, key=sort_key)))
+    return tuple(sorted(rows, key=sort_key))
 
 
-def render_comparison(table: ComparisonTable) -> str:
+def render_comparison(table: tuple[ComparisonRow, ...]) -> str:
     """Wide pivot: one line per final learner, columns per representation."""
+    original = Representation.original().label
     finals: list[str] = []
     reps: list[str] = []
     cells: dict[tuple[str, str], ComparisonRow] = {}
-    for row in table.rows:
+    for row in table:
         if row.final_label not in finals:
             finals.append(row.final_label)
         if row.representation_label not in reps:
@@ -245,7 +217,7 @@ def render_comparison(table: ComparisonTable) -> str:
     header = ["Learning Method"]
     for rep in reps:
         header.append(rep)
-        if rep != "Original rep.":
+        if rep != original:
             header.append("(%)")
     lines = [header]
     for final in finals:
@@ -253,7 +225,7 @@ def render_comparison(table: ComparisonTable) -> str:
         for rep in reps:
             row = cells.get((final, rep))
             line.append("-" if row is None else f"{row.mean_rmse:.4f}")
-            if rep != "Original rep.":
+            if rep != original:
                 line.append("-" if row is None or row.improvement is None
                             else f"{row.improvement:.2f}")
         lines.append(line)
@@ -265,10 +237,10 @@ def render_comparison(table: ComparisonTable) -> str:
     return "\n".join(out) + "\n"
 
 
-def comparison_tsv(table: ComparisonTable) -> str:
+def comparison_tsv(table: tuple[ComparisonRow, ...]) -> str:
     """Delimited form of the comparison table, one row per group."""
     lines = ["final\trepresentation\tmean_rmse\timprovement_pct\twins\tlosses\tties\ttasks"]
-    for row in table.rows:
+    for row in table:
         imp = "" if row.improvement is None else repr(row.improvement)
         lines.append("\t".join([
             row.final_label, row.representation_label, repr(row.mean_rmse), imp,

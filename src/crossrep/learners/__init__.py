@@ -3,7 +3,7 @@
 from .archive import load_model, save_model
 from .base import (EMPTY_FINGERPRINT, FittedModel, LearnerKind, LearnerSpec,
                    Standardizer, TrainFingerprint, fit_learner, parse_learner_spec,
-                   predict)
+                   predict, rmse)
 from .forest import fit_forest
 from .ridge import fit_ridge, fit_ridge_cv
 from .svr import fit_svr, rbf_gram
@@ -24,5 +24,6 @@ __all__ = [
     "parse_learner_spec",
     "predict",
     "rbf_gram",
+    "rmse",
     "save_model",
 ]

@@ -156,14 +156,9 @@ def parse_learner_spec(doc: dict, where: str) -> LearnerSpec:
     Each value must have its hyperparameter's JSON type and pass the bound
     its fit checks; errors name ``where`` and the key.
     """
-    if not isinstance(doc, dict) or "kind" not in doc:
+    if not isinstance(doc, dict):
         raise ValidationError(f"{where}: needs to be a JSON object with a 'kind' field")
-    try:
-        kind = LearnerKind(doc["kind"])
-    except (TypeError, ValueError):
-        valid = ", ".join(k.value for k in LearnerKind)
-        raise ValidationError(
-            f"{where}: unknown learner kind {doc['kind']!r} (valid: {valid})") from None
+    kind = json_field(where, doc, "kind", LearnerKind)
     table = _HYPERPARAMS[kind]
     unknown = [k for k in doc if k not in table and k not in ("kind", "seed")]
     if unknown:
@@ -317,6 +312,23 @@ def check_fit_input(X: np.ndarray, y: np.ndarray, min_rows: int = 1) -> tuple[np
     if y.size and not np.isfinite(y).all():
         raise FitError("fit: targets contain non-finite values")
     return X, y
+
+
+def rmse(pred: np.ndarray, truth: np.ndarray) -> float:
+    """Root mean squared error between two equal-length vectors."""
+    pred = np.asarray(pred, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    if pred.shape != truth.shape or pred.ndim != 1:
+        raise ValidationError(f"rmse: shape mismatch {pred.shape} vs {truth.shape}")
+    if len(pred) == 0:
+        raise ValidationError("rmse of empty vectors is undefined")
+    if not (np.isfinite(pred).all() and np.isfinite(truth).all()):
+        raise ValidationError("rmse: non-finite entries")
+    with np.errstate(over="ignore"):
+        mse = float(np.mean((pred - truth) ** 2))
+    if not math.isfinite(mse):
+        raise ValidationError("squared prediction error overflows")
+    return math.sqrt(mse)
 
 
 # The learner modules import their contracts from this module, so they are

@@ -35,11 +35,17 @@ from functools import cached_property
 
 import numpy as np
 
+from ..errors import FitError
 from ..seeding import derive_seed
 from .base import FittedModel, LearnerKind, LearnerSpec, check_fit_input, check_hyperparams
 
 # (tree, row) pairs per prediction chunk: keeps the traversal's buffers small
 PREDICT_CHUNK_PAIRS = 8192
+
+# A split score of m rows with |target| <= t is a sum of two terms of at most
+# (m t)^2 each, so targets up to sqrt(max float) / (2 n) keep every split sum
+# of an n-row fit finite.
+ROOT_FLOAT_MAX = float(np.sqrt(np.finfo(np.float64).max))
 
 
 @dataclass(frozen=True)
@@ -198,7 +204,11 @@ def fit_forest(X: np.ndarray, y: np.ndarray, *, n_trees: int = 500, mtry: int = 
     X, y = check_fit_input(X, y, min_rows=1)
     check_hyperparams(LearnerKind.FOREST,
                       {"n_trees": n_trees, "min_node_size": min_node_size, "mtry": mtry})
-    p = X.shape[1]
+    n, p = X.shape
+    bound, top = ROOT_FLOAT_MAX / (2 * n), float(np.abs(y).max())
+    if top > bound:
+        raise FitError(f"largest |target| {top!r} is too large for the forest's split sums; "
+                       f"{n} rows allow at most {bound:.6g}")
     eff_mtry = mtry if mtry > 0 else -(-p // 3)
     trees = tuple(_grow_tree(X, y, eff_mtry, min_node_size,
                              np.random.default_rng(derive_seed(seed, "tree", t)))

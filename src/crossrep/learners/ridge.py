@@ -15,7 +15,7 @@ import numpy as np
 from ..data import make_fold_plan
 from ..errors import FitError, ValidationError
 from .base import (FittedModel, LearnerKind, LearnerSpec, Standardizer, check_fit_input,
-                   check_hyperparams, predict)
+                   check_hyperparams, predict, rmse)
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,6 @@ def _solve_centered(Zc: np.ndarray, yc: np.ndarray, lam: float) -> np.ndarray:
         # Minimum-norm least squares; rank-deficient designs interpolate
         # instead of erroring, matching the unpenalized-intercept objective.
         coef, *_ = np.linalg.lstsq(Zc, yc, rcond=None)
-    if not np.isfinite(coef).all():
-        raise FitError("singular system at lambda = 0")
     return coef
 
 
@@ -118,9 +116,15 @@ def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> FittedModel:
     scaler = Standardizer.fit(X)
     Z = scaler.transform(X)
     xm = Z.mean(axis=0)
-    ym = y.mean()
-    coef = _solve_centered(Z - xm, y - ym, float(lam))
-    intercept = float(ym - xm @ coef)
+    # Either solve is finite on finite sums (lstsq gives the minimum-norm
+    # solution of a singular design), so a non-finite solution means targets
+    # near the float range overflowed a sum: an error, not numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ym = y.mean()
+        coef = _solve_centered(Z - xm, y - ym, float(lam))
+        intercept = float(ym - xm @ coef)
+    if not (np.isfinite(coef).all() and math.isfinite(intercept)):
+        raise FitError(f"ridge solution is not finite (lam = {float(lam)!r})")
     state = RidgeState(coef=coef, intercept=intercept, lam=float(lam))
     return FittedModel(spec=LearnerSpec.ridge(lam=lam), state=state,
                        feature_count=X.shape[1], standardization=scaler)
@@ -130,11 +134,10 @@ def _cv_rmse(X: np.ndarray, y: np.ndarray, lam: float, plan) -> float:
     errors = []
     for f in range(plan.n_splits):
         train, test = plan.split(f)
-        if len(train) < 2 or len(test) == 0:
-            raise FitError(f"degenerate internal fold {f}: {len(train)} train rows")
-        model = fit_ridge(X[train], y[train], lam)
-        pred = predict(model, X[test])
-        errors.append(math.sqrt(float(np.mean((pred - y[test]) ** 2))))
+        try:
+            errors.append(rmse(predict(fit_ridge(X[train], y[train], lam), X[test]), y[test]))
+        except (FitError, ValidationError) as exc:
+            raise FitError(f"internal fold {f}: {exc}") from exc
     return float(np.mean(errors))
 
 

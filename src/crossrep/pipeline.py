@@ -12,7 +12,7 @@ from __future__ import annotations
 import datetime as _dt
 import json
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable
 
@@ -26,9 +26,8 @@ from .engine import (ExtrinsicMatrix, TrainingScope, audit_no_leakage, build_ext
                      cross_predict, second_order_extrinsic, select_descriptors,
                      stage1_train, stage2_train, training_rows)
 from .errors import ConfigError, CrossrepError, FitError, IngestionError, ValidationError
-from .evaluation import (ComparisonTable, CvResult, Representation,
-                         compare_representations, comparison_tsv, cross_validate,
-                         render_comparison)
+from .evaluation import (ComparisonRow, CvResult, Representation, compare_representations,
+                         comparison_tsv, cross_validate, render_comparison)
 from .learners import LearnerSpec
 from .seeding import derive_seed
 
@@ -129,9 +128,10 @@ class ExperimentResult:
     failures: tuple[TaskFailure, ...]
     bank_fingerprints: dict[str, str]
 
-    @property
-    def table(self) -> ComparisonTable:
-        return compare_representations(list(self.results))
+    @cached_property
+    def table(self) -> tuple[ComparisonRow, ...]:
+        """The comparison table, built on first use."""
+        return compare_representations(self.results)
 
     @property
     def reused_stage1(self) -> int:
@@ -285,8 +285,7 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
     # table always sees identical task sets; recorded failures explain gaps.
     groups: dict[tuple[str, str], set[str]] = {}
     for r in results:
-        groups.setdefault((r.final_learner.label, r.representation.label),
-                          set()).add(r.task_id)
+        groups.setdefault((r.final, r.representation.label), set()).add(r.task_id)
     common = set.intersection(*groups.values()) if groups else set()
     results = [r for r in results if r.task_id in common]
     fingerprints = {tid: bank.models[tid].train_fingerprint.digest for tid in bank.task_ids}
@@ -308,12 +307,11 @@ def scores_tsv(result: ExperimentResult) -> str:
     lines = ["task_id\tfinal\trepresentation\torder\tn_folds\tmean_rmse"
              "\tper_fold_rmse\tplan_digest"]
     def sort_key(r: CvResult):
-        return (r.task_id, r.final_learner.label, r.representation.order,
-                r.representation.label)
+        return (r.task_id, r.final, r.representation.order, r.representation.label)
     for r in sorted(result.results, key=sort_key):
         lines.append("\t".join([
             r.task_id,
-            r.final_learner.label,
+            r.final,
             r.representation.label,
             str(r.representation.order),
             str(len(r.per_fold_rmse)),

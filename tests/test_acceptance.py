@@ -158,9 +158,9 @@ BENCH_SPEC = SynthSpec(n_tasks=40, n_examples_per_task=200, n_features=30,
 
 def _improvements(result):
     intrinsic = {r.task_id: r.mean_rmse for r in result.results
-                 if r.representation.kind == "original"}
+                 if r.representation.order == 0}
     transformed = {r.task_id: r.mean_rmse for r in result.results
-                   if r.representation.kind == "transformed"}
+                   if r.representation.order > 0}
     wins, _, _ = win_count(intrinsic, transformed)
     mean_int = float(np.mean(sorted(intrinsic.values())))
     mean_tl = float(np.mean(sorted(transformed.values())))

@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crossrep import engine
+from crossrep import engine, pipeline
 from crossrep.cli import main
 from crossrep.clustering import cluster_examples, cluster_tasks, cross_prediction_matrix
 from crossrep.data import CollectionMode, Task, TaskCollection, load_task, write_collection
 from crossrep.engine import load_bank
+from crossrep.evaluation import compare_representations
 from crossrep.learners.archive import _dec, _enc, load_model
 
 
@@ -185,6 +186,55 @@ class TestRun:
         assert capsys.readouterr().err == ("runtime error: fewer than 2 tasks survived "
                                            "target normalization; cannot continue\n")
 
+    def test_task_whose_target_range_overflows_is_left_out(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(4, 20, 5))
+        names, ids = tuple(f"x{j}" for j in range(5)), tuple(f"r{i}" for i in range(20))
+        targets = [np.resize([1e308, -1e308], 20)] + [X[i] @ rng.normal(size=5)
+                                                      for i in range(1, 4)]
+        tasks = [Task(f"t{i}", X[i], targets[i], names, ids) for i in range(4)]
+        message = "task 't0': target range -1e+308 to 1e+308 overflows, cannot be normalized"
+        assert self._constant_t0_run(tmp_path / "all", tasks) == 0
+        report = (tmp_path / "all" / "out" / "result.txt").read_text()
+        assert f"  t0 [normalize]: {message}" in report.splitlines()
+        capsys.readouterr()
+        assert self._constant_t0_run(tmp_path / "strict", tasks, strict=True) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("learner, cause", [
+        ({"kind": "ridge_cv", "lambda_grid": [0.1, 1.0, 10.0], "k": 3},
+         "internal fold 0: squared prediction error overflows"),
+        ({"kind": "forest", "n_trees": 3, "seed": 0}, "largest |target|"),
+    ])
+    def test_stage1_fit_on_overflowing_targets_is_recorded(self, tmp_path, run_config,
+                                                           learner, cause):
+        t0 = run_config.parent / "coll" / "task000.csv"
+        header, *rows = t0.read_text().splitlines()  # the target is the last column
+        scaled = [f"{head},{float(y) * 1e160!r}" for head, y in (r.rsplit(",", 1) for r in rows)]
+        t0.write_text("\n".join([header, *scaled]) + "\n")
+        doc = json.loads(run_config.read_text())
+        doc["transformer"] = learner
+        run_config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(run_config), "--out", str(out)) == 0
+        failures = [line for line in (out / "result.txt").read_text().splitlines()
+                    if line.startswith("  task000 [")]
+        assert len(failures) == 1
+        assert failures[0].startswith("  task000 [stage1]: stage-1 fit failed for task "
+                                      "'task000': ")
+        assert cause in failures[0]
+
+    def test_the_comparison_is_built_once_per_run(self, tmp_path, run_config, monkeypatch):
+        calls = []
+
+        def spy(results):
+            calls.append(len(results))
+            return compare_representations(results)
+
+        monkeypatch.setattr(pipeline, "compare_representations", spy)
+        assert run_cli("run", "--config", str(run_config), "--out", str(tmp_path / "x")) == 0
+        assert calls == [8]
+
 
 class TestBankAndCluster:
     def test_inspect_bank(self, bank_dir, capsys):
@@ -235,7 +285,9 @@ class TestBankAndCluster:
         assert (out / "example_clusters.tsv").is_file()
         assert (out / "task_distances.tsv").is_file()
         # the printed k-means diagnostics are those of the clusterings written
-        matrix = cross_prediction_matrix(load_bank(bank_dir), load_task(pool, "y").features)
+        pool_task = load_task(pool, "y")
+        matrix = cross_prediction_matrix(load_bank(bank_dir), pool_task.features,
+                                         pool_task.example_ids)
         lines = capsys.readouterr().out.splitlines()
         for items, res in (("task", cluster_tasks(matrix, 2, 3)),
                            ("example", cluster_examples(matrix, 2, 3))):
@@ -1032,6 +1084,51 @@ class TestJsonDocuments:
         capsys.readouterr()
         self.check(capsys, run_cli("inspect-bank", "--bank", str(bank_dir)), archive,
                    "intercept")
+
+
+class TestEnumKeys:
+    """Each enum-valued JSON key is checked by one rule: a value that is not
+    one of its names, a string or not, exits 3 naming the file, the key, the
+    valid names and the value found."""
+
+    NAMES = {"mode": "'independent' or 'shared'",
+             "training_scope": "'full_task' or 'train_split_only'",
+             "stage1_scope": "'full_task' or 'train_split_only'",
+             "split": "'kfold' or 'holdout'",
+             "transformer": "'ridge', 'ridge_cv', 'forest' or 'svr'"}
+
+    @pytest.mark.parametrize("value", ["everything", 7, ["kfold"]])
+    @pytest.mark.parametrize("key", list(NAMES))
+    def test_value_outside_the_names(self, key, value, tmp_path, run_config, synth_dir,
+                                     bank_dir, capsys):
+        path, where, name = run_config, str(run_config), key
+        argv = ["run", "--config", str(run_config), "--out", str(tmp_path / "x")]
+        if key == "mode":
+            path = where = synth_dir / "manifest.json"
+        elif key == "training_scope":
+            path = where = bank_dir / "bank_index.json"
+            argv = ["inspect-bank", "--bank", str(bank_dir)]
+        doc = json.loads(path.read_text())
+        if key in ("split", "transformer"):
+            doc[key] = {**doc[key], "kind": value}
+            where, name = f"{path}: {key}", "kind"
+        else:
+            doc[key] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli(*argv) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {where}: {name!r} must be {self.NAMES[key]}, got {value!r}"]
+
+    @pytest.mark.parametrize("kind, key", [("kfold", "k"), ("holdout", "test_fraction")])
+    def test_split_without_its_size_names_the_key(self, kind, key, tmp_path, run_config,
+                                                  capsys):
+        doc = json.loads(run_config.read_text())
+        doc["split"] = {"kind": kind}
+        run_config.write_text(json.dumps(doc))
+        assert run_cli("run", "--config", str(run_config), "--out", str(tmp_path / "x")) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {run_config}: split: missing key {key!r}"]
 
 
 class TestPoolFeatureNames:

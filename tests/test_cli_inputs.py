@@ -8,7 +8,9 @@ on them in-process. Every
 run must exit 0, 2, 3 or 4 and print no traceback; an exception escaping
 ``main`` fails the property with the input that raised it. A wrongly
 typed or out-of-range learner hyperparameter, or a wrongly typed archived
-state value, must exit 3 and name the flag or file and the key.
+state value, must exit 3 and name the flag or file and the key. Targets
+near the float range must end the same way, without a numpy warning
+(which the suite's filter turns into an error).
 """
 
 import contextlib
@@ -19,11 +21,13 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossrep.cli import main
+from crossrep.data import CollectionMode, Task, TaskCollection, write_collection
 
 PROPERTY = settings(max_examples=40, deadline=None)
 EXIT_CODES = {0, 2, 3, 4}
@@ -326,3 +330,38 @@ def test_inspect_bank_on_malformed_archive(bank, edits):
                 target[name] = copy.deepcopy(value)  # sampled values are shared objects
         archive.write_text(json.dumps(doc), encoding="utf-8")
         check(*run("inspect-bank", "--bank", copied))
+
+
+SMALL_LEARNERS = {"ridge": {"kind": "ridge", "lam": 1.0},
+                  "ridge_cv": {"kind": "ridge_cv", "lambda_grid": [0.1, 1.0, 10.0], "k": 3},
+                  "forest": {"kind": "forest", "n_trees": 5, "seed": 0},
+                  "svr": {"kind": "svr", "max_iter": 2000}}
+EXTREME_RUNS = [
+    *((kind, "ridge", scale, False) for kind in SMALL_LEARNERS for scale in (1e160, 1e307)),
+    *(("ridge", kind, scale, False) for kind in SMALL_LEARNERS if kind != "ridge"
+      for scale in (1e160, 1e307)),
+    ("ridge", "ridge", None, True),
+]
+
+
+@pytest.mark.parametrize("transformer, final, scale, normalize", EXTREME_RUNS)
+def test_run_on_extreme_targets(transformer, final, scale, normalize):
+    """Four independent tasks of 20 x 3; the first task's targets are scaled
+    by ``scale``, or alternate between 1e308 and -1e308 (``scale`` None)."""
+    rng = np.random.default_rng(0)
+    ids = tuple(f"e{i}" for i in range(20))
+    tasks = []
+    for t in range(4):
+        X, y = rng.normal(size=(20, 3)), rng.normal(size=20)
+        if t == 0:
+            y = np.resize([1e308, -1e308], 20) if scale is None else y * scale
+        tasks.append(Task(f"t{t}", X, y, ("x0", "x1", "x2"), ids))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_collection(TaskCollection(tasks, CollectionMode.INDEPENDENT_EXAMPLES, "c"),
+                         root / "coll")
+        (root / "cfg.json").write_text(json.dumps(
+            {"collection": "coll/manifest.json", "transformer": SMALL_LEARNERS[transformer],
+             "final": SMALL_LEARNERS[final], "split": {"kind": "kfold", "k": 3}, "seed": 0,
+             "normalize_targets": normalize}))
+        check(*run("run", "--config", root / "cfg.json", "--out", root / "out"))

@@ -27,7 +27,7 @@ class TestCrossPredictionMatrix:
                             TrainingScope.FULL_TASK)
         rng = np.random.default_rng(0)
         pool = rng.normal(size=(5, 3))
-        matrix = cross_prediction_matrix(bank, pool)
+        matrix = cross_prediction_matrix(bank, pool, tuple("abcde"))
         assert matrix.values.shape == (5, 3)
         assert matrix.task_ids == small_collection.task_ids
 
@@ -36,7 +36,7 @@ class TestCrossPredictionMatrix:
                             TrainingScope.FULL_TASK)
         rng = np.random.default_rng(1)
         pool = rng.normal(size=(7, 3))
-        matrix = cross_prediction_matrix(bank, pool)
+        matrix = cross_prediction_matrix(bank, pool, tuple("abcdefg"))
         for j, tid in enumerate(bank.task_ids):
             for i in range(7):
                 assert matrix.values[i, j] == predict(bank.models[tid],
@@ -45,14 +45,14 @@ class TestCrossPredictionMatrix:
     def test_empty_pool(self, small_collection):
         bank = stage1_train(small_collection, LearnerSpec.ridge(2.0),
                             TrainingScope.FULL_TASK)
-        matrix = cross_prediction_matrix(bank, np.empty((0, 3)))
+        matrix = cross_prediction_matrix(bank, np.empty((0, 3)), ())
         assert matrix.values.shape == (0, 3)
 
     def test_pool_of_wrong_width_is_a_validation_error(self, small_collection):
         bank = stage1_train(small_collection, LearnerSpec.ridge(2.0),
                             TrainingScope.FULL_TASK)
         with pytest.raises(ValidationError, match="4 feature columns"):
-            cross_prediction_matrix(bank, np.ones((5, 4)))
+            cross_prediction_matrix(bank, np.ones((5, 4)), tuple("abcde"))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_prediction_names_the_model_and_the_example(self, narrow_collection):
@@ -202,9 +202,8 @@ class TestReports:
     def test_assignments_tsv(self):
         result = ClusterResult(assignments=np.array([0, 1, 0]),
                                centroids=np.zeros((2, 2)), inertia=0.0,
-                               converged=True, n_iter=1, inertia_history=(0.0,),
-                               item_ids=("a", "b", "c"))
-        text = assignments_tsv(result)
+                               converged=True, n_iter=1, inertia_history=(0.0,))
+        text = assignments_tsv(result, ("a", "b", "c"))
         assert text.splitlines() == ["item_id\tcluster", "a\t0", "b\t1", "c\t0"]
 
     def test_distance_dump_symmetric_zero_diagonal(self):

@@ -317,6 +317,19 @@ class TestJsonDocument:
         with pytest.raises(IngestionError, match=message):
             json_field("f.json", doc, "k", kind)
 
+    def test_json_field_takes_an_enum_member_by_its_value(self):
+        assert json_field("f.json", {"k": "shared"}, "k", CollectionMode) \
+            is CollectionMode.SHARED_EXAMPLES
+        assert json_field("f.json", {"k": None}, "k", CollectionMode, None) is None
+
+    @pytest.mark.parametrize("value", ["Shared", "", 1, True, 1.5, None, ["shared"],
+                                       {"shared": 1}])
+    def test_json_field_rejects_a_value_outside_the_enum(self, value):
+        with pytest.raises(IngestionError) as info:
+            json_field("f.json", {"k": value}, "k", CollectionMode)
+        assert str(info.value) == (f"f.json: 'k' must be 'independent' or 'shared', "
+                                   f"got {value!r}")
+
 
 def test_json_is_decoded_in_one_place():
     """Only ``data.read_json`` and the ``--learner`` option decode JSON text."""

@@ -168,7 +168,7 @@ class TestWinCount:
 
 def _cv(task_id, score, rep, final):
     return CvResult(task_id=task_id, per_fold_rmse=(score,), representation=rep,
-                    final_learner=final)
+                    final=final.label, plan_digest="", reused_folds=0)
 
 
 class TestCompareRepresentations:
@@ -187,7 +187,7 @@ class TestCompareRepresentations:
     def test_single_learner_intrinsic_only(self):
         rows = compare_representations(
             [_cv("t0", 0.5, Representation.original(), self.FINAL),
-             _cv("t1", 0.3, Representation.original(), self.FINAL)]).rows
+             _cv("t1", 0.3, Representation.original(), self.FINAL)])
         assert len(rows) == 1
         assert rows[0].improvement is None
 
@@ -195,12 +195,12 @@ class TestCompareRepresentations:
         table = compare_representations(
             [_cv("t0", 0.1643, Representation.original(), self.FINAL),
              _cv("t0", 0.1478, Representation.transformed(self.TRANS), self.FINAL)])
-        tl_row = [r for r in table.rows if r.improvement is not None][0]
+        tl_row = [r for r in table if r.improvement is not None][0]
         assert tl_row.improvement == pytest.approx(10.04, abs=0.05)
 
     def test_win_counts_partition(self):
         table = compare_representations(self._results())
-        tl_row = [r for r in table.rows if r.improvement is not None][0]
+        tl_row = [r for r in table if r.improvement is not None][0]
         assert (tl_row.wins, tl_row.losses, tl_row.ties) == (1, 1, 1)
         assert tl_row.wins + tl_row.losses + tl_row.ties == tl_row.task_count
 

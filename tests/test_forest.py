@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from crossrep.errors import FitError
 from crossrep.learners import LearnerSpec, fit_forest, fit_learner, predict
+from crossrep.learners.forest import ROOT_FLOAT_MAX
 
 
 def test_constant_targets_predict_exactly():
@@ -150,3 +153,25 @@ def test_diagnostics_depth_is_longest_root_to_leaf_path():
     assert stump.diagnostics()["depth"] == 0
     state = fit_forest(X, y, n_trees=4, min_node_size=1, seed=0).state
     assert state.diagnostics()["depth"] == max(_walk_depth(t) for t in state.trees) > 1
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e307])
+def test_targets_too_large_for_the_split_sums_are_a_fit_error(scale):
+    rng = np.random.default_rng(7)
+    X, y = rng.normal(size=(20, 3)), rng.normal(size=20) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitError) as info:
+            fit_forest(X, y, n_trees=5, seed=0)
+    assert f"largest |target| {float(np.abs(y).max())!r} is too large" in str(info.value)
+
+
+def test_targets_at_the_bound_grow_trees_without_a_warning():
+    rng = np.random.default_rng(8)
+    n = 20
+    X = rng.normal(size=(n, 3))
+    y = np.resize([1.0, -1.0], n) * (ROOT_FLOAT_MAX / (2 * n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = fit_forest(X, y, n_trees=5, min_node_size=1, seed=0)
+        assert np.isfinite(predict(model, X)).all()

@@ -36,8 +36,8 @@ def config(collection, **overrides):
 class TestRunPipeline:
     def test_cardinality(self):
         result = run_pipeline(config(toy_collection()))
-        intrinsic = [r for r in result.results if r.representation.kind == "original"]
-        transformed = [r for r in result.results if r.representation.kind == "transformed"]
+        intrinsic = [r for r in result.results if r.representation.order == 0]
+        transformed = [r for r in result.results if r.representation.order > 0]
         assert len(intrinsic) == 4
         assert len(transformed) == 4
 
@@ -181,7 +181,7 @@ class TestRunPipeline:
         result = run_pipeline(config(col, transformer_spec=RIDGE,
                                      final_spec=RIDGE, order=2))
         orders = {r.representation.order for r in result.results
-                  if r.representation.kind == "transformed"}
+                  if r.representation.order > 0}
         assert orders == {1, 2}
 
     def test_normalize_targets_flag(self):
@@ -297,7 +297,7 @@ class TestSharedExamplesProtocol:
         assert len(audits) == 1
         assert "leakage audit: clean" in render_report(result).splitlines()
         assert len([r for r in result.results
-                    if r.representation.kind == "original"]) == 4
+                    if r.representation.order == 0]) == 4
 
     def test_kfold_with_split_scope_rejected(self, shared_collection):
         with pytest.raises(ConfigError, match="holdout"):

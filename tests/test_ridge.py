@@ -97,7 +97,24 @@ def test_overflowing_spread_maps_its_column_to_zero_without_a_warning():
     assert np.array_equal(Z[:, 0], np.zeros(12))
 
 
+def test_overflowing_solution_is_a_fit_error_without_a_warning():
+    X = np.random.default_rng(5).normal(size=(30, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitError, match=r"^ridge solution is not finite \(lam = 10\.0\)$"):
+            fit_ridge(X, np.full(30, 1.5e308), 10.0)
+
+
 class TestRidgeCv:
+    def test_overflowing_fold_error_is_a_fit_error_without_a_warning(self):
+        rng = np.random.default_rng(6)
+        X, y = rng.normal(size=(30, 3)), rng.normal(size=30) * 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError, match="^internal fold 0: squared prediction error "
+                                               "overflows$"):
+                fit_ridge_cv(X, y, (0.1, 1.0, 10.0), k=3, seed=0)
+
     def test_singleton_grid_equals_plain_ridge(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(20, 3))
