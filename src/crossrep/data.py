@@ -116,14 +116,19 @@ class Task:
 
 @dataclass(frozen=True)
 class TaskCollection:
-    """An ordered set of tasks sharing one intrinsic feature space."""
+    """A set of tasks sharing one intrinsic feature space, sorted by task id.
+
+    The order is lexical (``t10`` before ``t2``) whatever order the tasks
+    are given in, so the bank's columns, every view built from them and
+    every table that lists tasks do not depend on how a manifest lists them.
+    """
 
     tasks: tuple[Task, ...]
     mode: CollectionMode
     feature_space_id: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tasks", tuple(self.tasks))
+        object.__setattr__(self, "tasks", tuple(sorted(self.tasks, key=lambda t: t.task_id)))
         if len(self.tasks) < 2:
             raise ValidationError("a collection needs at least 2 tasks")
         ref = self.tasks[0]
@@ -469,12 +474,28 @@ def load_collection(manifest_path: str | Path) -> TaskCollection:
                                  f"{first_file[task_id]!r} and {f!r}")
         first_file[task_id] = f
     tasks: list[Task] = []
+    strings: dict[str, str] = {}
     for f in files:
-        task = load_task(path.parent / f, target=target)
-        if mode is CollectionMode.SHARED_EXAMPLES and tasks:
-            task = _share_rows(task, tasks[0])
+        first = tasks[0] if tasks else None
+        task = _share_strings(load_task(path.parent / f, target=target), first, strings)
+        if mode is CollectionMode.SHARED_EXAMPLES and first is not None:
+            task = _share_rows(task, first)
         tasks.append(task)
     return TaskCollection(tasks, mode, collection_id)
+
+
+def _share_strings(task: Task, first: Task | None, strings: dict[str, str]) -> Task:
+    """``task`` holding the collection's one copy of each example id and
+    feature name: ``strings`` maps each string the collection's task files
+    gave so far to its first copy, and a header equal to ``first``'s is
+    ``first``'s tuple. Many tasks over the same examples then hold one
+    string per id, not one per (task, row)."""
+    if first is not None and task.feature_names == first.feature_names:
+        names = first.feature_names
+    else:
+        names = tuple(strings.setdefault(s, s) for s in task.feature_names)
+    ids = tuple(strings.setdefault(s, s) for s in task.example_ids)
+    return Task(task.task_id, task.features, task.targets, names, ids)
 
 
 def _share_rows(task: Task, first: Task) -> Task:

@@ -214,9 +214,11 @@ class Standardizer:
     """Per-feature zero-mean unit-variance scaling; constant columns map to 0.
 
     A column whose spread overflows (one holding 1e300, say) gets an
-    infinite scale without a warning, and also maps to 0. Only numpy's
-    warning is silenced: a caller that has overflow raise still gets the
-    error, as clustering does to name items too far apart.
+    infinite scale without a warning, and also maps to 0. A column whose
+    mean overflows (same-sign values near the float range) is a FitError
+    naming the column. Only numpy's warning is silenced: a caller that has
+    overflow raise still gets the error, as clustering does to name items
+    too far apart.
     """
 
     mean: np.ndarray
@@ -224,10 +226,13 @@ class Standardizer:
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "Standardizer":
-        mean = X.mean(axis=0)
         quiet = {"over": "ignore"} if np.geterr()["over"] == "warn" else {}
         with np.errstate(**quiet):
+            mean = X.mean(axis=0)
             scale = X.std(axis=0)
+        if not np.isfinite(mean).all():
+            j = int(np.flatnonzero(~np.isfinite(mean))[0])
+            raise FitError(f"the mean of feature column {j} overflows")
         scale = np.where(scale == 0.0, 1.0, scale)
         return cls(mean=mean, scale=scale)
 

@@ -76,7 +76,7 @@ def predict_stacked(stack: RidgeStack, X: np.ndarray,
     subtract the mean, divide by the scale, multiply by the coefficients,
     sum along a C-contiguous last axis, add the intercept; so column i is
     bitwise ``predict`` of model i. Rows and models are taken in chunks of
-    at most ``STACK_CHUNK_FLOATS`` floats.
+    at most ``STACK_CHUNK_FLOATS`` floats, one chunk alive at a time.
     """
     rows, m, width = X.shape[0], stack.intercept.shape[0], stack.width
     out = np.empty((rows, m), dtype=np.float64)
@@ -94,6 +94,7 @@ def predict_stacked(stack: RidgeStack, X: np.ndarray,
             Z /= stack.scale[a:b]
             Z *= stack.coef[a:b]
             out[r:r + row_step, a:b] = Z.sum(axis=2) + stack.intercept[a:b]
+            del Z  # before the next chunk is built, not after
     return out
 
 

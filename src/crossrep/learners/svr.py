@@ -25,7 +25,7 @@ def rbf_gram(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
     so it does not depend on the other rows of A or B (bitwise row
     stability). B is taken up to 64 rows at a time, one 3-D difference
     each; a chunk holds about 2**15 differences (256 KiB) at most, which
-    keeps it in cache and peak memory flat.
+    keeps it in cache and peak memory flat, and only one chunk is alive.
     """
     K = np.empty((A.shape[0], B.shape[0]), dtype=np.float64)
     step = max(1, min(64, (1 << 15) // max(1, A.size)))
@@ -33,6 +33,7 @@ def rbf_gram(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
         d = A - B[j:j + step, None]
         d *= d
         K[:, j:j + step] = np.exp(-sigma * d.sum(axis=2)).T
+        del d  # before the next chunk is built, not after
     return K
 
 

@@ -341,19 +341,25 @@ EXTREME_RUNS = [
     *(("ridge", kind, scale, False) for kind in SMALL_LEARNERS if kind != "ridge"
       for scale in (1e160, 1e307)),
     ("ridge", "ridge", None, True),
+    *((kind, "ridge", "x0", False) for kind in SMALL_LEARNERS),
+    ("ridge", "svr", "x0", False),
 ]
 
 
 @pytest.mark.parametrize("transformer, final, scale, normalize", EXTREME_RUNS)
 def test_run_on_extreme_targets(transformer, final, scale, normalize):
     """Four independent tasks of 20 x 3; the first task's targets are scaled
-    by ``scale``, or alternate between 1e308 and -1e308 (``scale`` None)."""
+    by ``scale``, or alternate between 1e308 and -1e308 (``scale`` None),
+    or its feature x0 is drawn uniform in 5e307..1e308 (``scale`` "x0"), a
+    column whose mean overflows."""
     rng = np.random.default_rng(0)
     ids = tuple(f"e{i}" for i in range(20))
     tasks = []
     for t in range(4):
         X, y = rng.normal(size=(20, 3)), rng.normal(size=20)
-        if t == 0:
+        if t == 0 and scale == "x0":
+            X[:, 0] = rng.uniform(5e307, 1e308, size=20)
+        elif t == 0:
             y = np.resize([1e308, -1e308], 20) if scale is None else y * scale
         tasks.append(Task(f"t{t}", X, y, ("x0", "x1", "x2"), ids))
     with tempfile.TemporaryDirectory() as tmp:

@@ -11,6 +11,7 @@ from crossrep.data import (CollectionMode, Task, TaskCollection, json_field,
                            load_collection, load_task, make_fold_plan, make_holdout_plan,
                            normalize_targets, read_json, write_collection)
 from crossrep.errors import IngestionError, ValidationError
+from crossrep.synth import SynthSpec, generate_collection
 
 from helpers import denormalize_targets
 
@@ -137,6 +138,12 @@ class TestTaskCollection:
         with pytest.raises(ValidationError, match="^duplicate task id 'a' in collection$"):
             TaskCollection(tasks, CollectionMode.INDEPENDENT_EXAMPLES, "c")
 
+    def test_tasks_are_kept_in_lexical_task_id_order(self):
+        tasks = [make_task(t, seed=i) for i, t in enumerate(["t2", "t10", "b", "t1"])]
+        col = TaskCollection(tasks, CollectionMode.INDEPENDENT_EXAMPLES, "c")
+        assert col.task_ids == ("b", "t1", "t10", "t2")
+        assert col.task("t10") is tasks[1]
+
     def test_fewer_than_two_tasks(self):
         with pytest.raises(ValidationError, match="at least 2"):
             TaskCollection([make_task("a")], CollectionMode.INDEPENDENT_EXAMPLES, "c")
@@ -253,6 +260,16 @@ class TestManifestRoundTrip:
         for a, b in zip(loaded.tasks, small_collection.tasks):
             assert np.array_equal(a.features, b.features)
             assert np.array_equal(a.targets, b.targets)
+
+    def test_tasks_hold_one_copy_of_each_id_and_feature_name(self, tmp_path):
+        spec = SynthSpec(n_tasks=4, n_examples_per_task=15, n_features=3, relatedness=0.5,
+                         seed=2)
+        loaded = load_collection(write_collection(generate_collection(spec), tmp_path / "c"))
+        first = loaded.tasks[0]
+        for task in loaded.tasks[1:]:
+            assert task.feature_names is first.feature_names
+            assert len(task.example_ids) == len(first.example_ids)
+            assert all(a is b for a, b in zip(task.example_ids, first.example_ids))
 
     def test_shared_tasks_hold_the_first_tasks_rows(self, tmp_path, shared_collection):
         loaded = load_collection(write_collection(shared_collection, tmp_path / "coll"))

@@ -228,6 +228,10 @@ def _with_short_task(col):
     return TaskCollection([*col.tasks, short], col.mode, col.feature_space_id)
 
 
+# Each mode's collection's first task: 'short' sorts before 'task000'.
+FIRST_TASKS = (("independent", "'short' has 8"), ("shared", "'task000' has 30"))
+
+
 class TestSplitPlans:
     """The config makes each task's split plan once, and every score uses it."""
 
@@ -238,12 +242,13 @@ class TestSplitPlans:
          "task 'short' has 8 examples: test_fraction 0.05 leaves an empty train or test side"),
         ("shared", SplitProtocol(SplitKind.KFOLD, k=31),
          "task 'task000' has 30 examples: k (31) exceeds the number of examples (30)"),
+        # a split no task can take names the first task in task id order
         *((mode, SplitProtocol(SplitKind.KFOLD, k=1),
-           "task 'task000' has 30 examples: k must be at least 2, got 1")
-          for mode in ("independent", "shared")),
+           f"task {first} examples: k must be at least 2, got 1")
+          for mode, first in FIRST_TASKS),
         *((mode, SplitProtocol(SplitKind.HOLDOUT, test_fraction=f),
-           f"task 'task000' has 30 examples: test_fraction must be in (0, 1), got {f}")
-          for mode in ("independent", "shared") for f in (0.0, 1.0)),
+           f"task {first} examples: test_fraction must be in (0, 1), got {f}")
+          for mode, first in FIRST_TASKS for f in (0.0, 1.0)),
     ])
     def test_a_split_the_rows_cannot_take_names_the_task(self, mode, split, message):
         col = toy_collection(mode=CollectionMode(mode))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,23 @@ class TestRbfKernel:
             d = A - B[j]
             expected[:, j] = np.exp(-0.3 * (d * d).sum(axis=1))
         assert np.array_equal(rbf_gram(A, B, 0.3), expected)
+
+    def test_one_difference_chunk_is_alive_at_a_time(self):
+        """Above the Gram itself, peak memory stays within one chunk of 2**15
+        differences, the two buffers of numpy's iterator that builds it from
+        broadcast operands, and the chunk's three sums: the previous chunk is
+        freed before the next one is built. A is 512 x 8, so a chunk takes 8
+        rows of B and each sum is 8 x 512."""
+        rng = np.random.default_rng(4)
+        A, B = rng.normal(size=(512, 8)), rng.normal(size=(200, 8))
+        tracemalloc.start()
+        try:
+            K = rbf_gram(A, B, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        buffers = 2 * 8 * np.getbufsize()
+        assert peak <= K.nbytes + 8 * (1 << 15) + buffers + 3 * 8 * (8 * 512)
 
 
 class TestSvrFit:
