@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -395,12 +396,27 @@ def parse_value(path: Path, line: int, column: str, cell: str) -> float:
     return value
 
 
-def _example_table(path: Path, header: tuple[str, ...], rows: list[tuple[int, list[str]]]
+_Rows = list[tuple[int, list[str]]]
+
+
+def _example_table(path: Path, header: tuple[str, ...], rows: _Rows,
+                   like: tuple[_Rows, np.ndarray, int] | None = None
                    ) -> tuple[tuple[str, ...], np.ndarray]:
-    """Unique example ids (first column) and the values of every other column."""
+    """Unique example ids (first column) and the values of every other column.
+
+    ``like`` is an earlier file's rows and values, under the same header
+    and on the same lines, and the index of one column: a row whose other
+    cells are the same text as that file's row takes its values, and only
+    its cell in that column is parsed. The values and every error are
+    those of parsing each cell.
+    """
     if not rows:
         raise IngestionError(f"{path}: header only, zero examples")
-    values = np.empty((len(rows), len(header) - 1), dtype=np.float64)
+    if like is None:
+        values = np.empty((len(rows), len(header) - 1), dtype=np.float64)
+    else:
+        like_rows, like_values, keep = like
+        values = like_values.copy()
     first_row: dict[str, int] = {}
     for i, (line, row) in enumerate(rows):
         example_id = row[0].strip()
@@ -409,7 +425,11 @@ def _example_table(path: Path, header: tuple[str, ...], rows: list[tuple[int, li
                                  f"(first at row {first_row[example_id]})")
         first_row[example_id] = line
         try:
-            values[i] = [float(cell) for cell in row[1:]]
+            if like is not None and row[:keep] == like_rows[i][1][:keep] \
+                    and row[keep + 1:] == like_rows[i][1][keep + 1:]:
+                values[i, keep - 1] = float(row[keep])
+            else:
+                values[i] = [float(cell) for cell in row[1:]]
         except ValueError:
             for j in range(1, len(row)):
                 parse_value(path, line, header[j], row[j])
@@ -420,6 +440,28 @@ def _example_table(path: Path, header: tuple[str, ...], rows: list[tuple[int, li
     return tuple(first_row), values
 
 
+def _target_column(path: Path, header: tuple[str, ...], target: str) -> int:
+    """The header index of a task file's target column."""
+    if len(header) < 3:
+        raise IngestionError(f"{path}: need at least an id column, one feature, and a target")
+    if target not in header[1:]:
+        raise IngestionError(f"{path}: missing target column {target!r}")
+    return header.index(target)
+
+
+def _task(path: Path, header: tuple[str, ...], target_col: int, example_ids: tuple[str, ...],
+          values: np.ndarray) -> Task:
+    """The task of a parsed task file, named by the file's stem."""
+    feature_cols = [j for j in range(values.shape[1]) if j != target_col - 1]
+    return Task(
+        task_id=path.stem,
+        features=values[:, feature_cols],
+        targets=values[:, target_col - 1],
+        feature_names=tuple(header[j + 1] for j in feature_cols),
+        example_ids=example_ids,
+    )
+
+
 def load_task(path: str | Path, target: str) -> Task:
     """Load one task from a delimited text file, named by the file's stem.
 
@@ -428,20 +470,8 @@ def load_task(path: str | Path, target: str) -> Task:
     """
     path = Path(path)
     header, rows = read_table(path, "task file")
-    if len(header) < 3:
-        raise IngestionError(f"{path}: need at least an id column, one feature, and a target")
-    if target not in header[1:]:
-        raise IngestionError(f"{path}: missing target column {target!r}")
-    example_ids, values = _example_table(path, header, rows)
-    target_col = header.index(target) - 1
-    feature_cols = [j for j in range(values.shape[1]) if j != target_col]
-    return Task(
-        task_id=path.stem,
-        features=values[:, feature_cols],
-        targets=values[:, target_col],
-        feature_names=tuple(header[j + 1] for j in feature_cols),
-        example_ids=example_ids,
-    )
+    target_col = _target_column(path, header, target)
+    return _task(path, header, target_col, *_example_table(path, header, rows))
 
 
 def load_pool(path: str | Path) -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...]]:
@@ -475,62 +505,135 @@ def load_collection(manifest_path: str | Path) -> TaskCollection:
         first_file[task_id] = f
     tasks: list[Task] = []
     strings: dict[str, str] = {}
+    first_table = None  # a shared collection's first header, rows and values
     for f in files:
-        first = tasks[0] if tasks else None
-        task = _share_strings(load_task(path.parent / f, target=target), first, strings)
-        if mode is CollectionMode.SHARED_EXAMPLES and first is not None:
-            task = _share_rows(task, first)
-        tasks.append(task)
+        file = path.parent / f
+        header, rows = read_table(file, "task file")
+        target_col = _target_column(file, header, target)
+        like = None
+        if first_table is not None and header == first_table[0] \
+                and [line for line, _ in rows] == [line for line, _ in first_table[1]]:
+            like = (first_table[1], first_table[2], target_col)
+        example_ids, values = _example_table(file, header, rows, like)
+        if mode is CollectionMode.SHARED_EXAMPLES and first_table is None:
+            first_table = (header, rows, values)
+        tasks.append(_share(_task(file, header, target_col, example_ids, values),
+                            tasks[0] if tasks else None, mode, strings))
+        del rows, values  # so one later file's cells, not two, are alive as the next is read
     return TaskCollection(tasks, mode, collection_id)
 
 
-def _share_strings(task: Task, first: Task | None, strings: dict[str, str]) -> Task:
-    """``task`` holding the collection's one copy of each example id and
-    feature name: ``strings`` maps each string the collection's task files
-    gave so far to its first copy, and a header equal to ``first``'s is
-    ``first``'s tuple. Many tasks over the same examples then hold one
-    string per id, not one per (task, row)."""
+def _share(task: Task, first: Task | None, mode: CollectionMode,
+           strings: dict[str, str]) -> Task:
+    """``task`` holding the collection's one copy of what it shares.
+
+    ``strings`` maps each example id and feature name the collection's
+    task files gave so far to its first copy, and a header equal to
+    ``first``'s is ``first``'s tuple, so many tasks over the same examples
+    hold one string per id, not one per (task, row). In a shared collection
+    a task whose example ids and feature values equal ``first``'s takes
+    ``first``'s id tuple and feature array, so the collection holds one
+    copy of its rows; a task that differs keeps its own, for
+    ``TaskCollection`` to name.
+    """
     if first is not None and task.feature_names == first.feature_names:
         names = first.feature_names
     else:
         names = tuple(strings.setdefault(s, s) for s in task.feature_names)
     ids = tuple(strings.setdefault(s, s) for s in task.example_ids)
-    return Task(task.task_id, task.features, task.targets, names, ids)
+    features = task.features
+    if mode is CollectionMode.SHARED_EXAMPLES and first is not None \
+            and ids == first.example_ids and np.array_equal(features, first.features):
+        ids, features = first.example_ids, first.features
+    return Task(task.task_id, features, task.targets, names, ids)
 
 
-def _share_rows(task: Task, first: Task) -> Task:
-    """``task`` on ``first``'s feature array and id tuple when its own are
-    equal to them, so a shared collection holds one copy of its rows. A task
-    that differs is left as it is, for ``TaskCollection`` to name."""
-    if task.example_ids != first.example_ids or not np.array_equal(task.features,
-                                                                   first.features):
-        return task
-    return Task(task.task_id, first.features, task.targets, task.feature_names,
-                first.example_ids)
+def _check_cell(task: Task, what: str, value: str, header: bool = False) -> None:
+    """Raise a ValidationError naming ``task`` and ``value`` unless the
+    reader gives ``value`` back from a task file's cell: it splits the file
+    into lines as ``str.splitlines`` does, strips each id and header cell,
+    reads a header that holds a tab as tab-delimited, and decodes UTF-8."""
+    if value != value.strip():
+        problem = "has leading or trailing whitespace"
+    elif "".join(value.splitlines()) != value:
+        problem = "holds a line break"
+    elif header and "\t" in value:
+        problem = "holds a tab"
+    elif header and value == "id":
+        problem = "is the id column's name"
+    else:
+        try:
+            value.encode("utf-8")
+            return
+        except UnicodeEncodeError:
+            problem = "is not UTF-8 text"
+    raise ValidationError(f"task {task.task_id!r}: cannot write {what} {value!r}: it {problem}")
+
+
+def _row_prefixes(task: Task) -> list[str]:
+    """Each data row of ``task``'s file up to its target cell: the id and
+    feature cells as ``csv.writer`` writes them and the comma before the
+    target. CSV quotes each cell on its own, so a prefix plus ``repr`` of
+    the target is the row ``csv.writer`` writes."""
+    for name in task.feature_names:
+        _check_cell(task, "feature name", name, header=True)
+    for example_id in task.example_ids:
+        _check_cell(task, "example id", example_id)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [example_id, *map(repr, row), ""]
+        for example_id, row in zip(task.example_ids, task.features.tolist()))
+    return buf.getvalue().split("\n")[:-1]  # no checked cell holds a line break
+
+
+def _same_rows(a: Task, b: Task) -> bool:
+    """Whether two tasks' files have the same id and feature cells: the same
+    ids and names, and features of the same bits (``-0.0`` is not ``0.0``)."""
+    return (a.example_ids == b.example_ids and a.feature_names == b.feature_names
+            and (a.features is b.features or a.features.tobytes() == b.features.tobytes()))
+
+
+def _write_rows(task: Task, path: Path, target: str, prefixes: list[str]) -> None:
+    """Write ``task``'s file from its rows' prefixes (see ``_row_prefixes``)."""
+    if target in task.feature_names:
+        raise ValidationError(f"target column name {target!r} collides with a feature name")
+    _check_cell(task, "target column name", target, header=True)
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(["id", *task.feature_names, target])
+        fh.writelines(f"{prefix}{y!r}\n" for prefix, y in zip(prefixes, task.targets.tolist()))
 
 
 def write_task_file(task: Task, path: str | Path, target: str = "y") -> None:
-    """Write a task in the standard delimited format (comma-separated)."""
-    if target in task.feature_names:
-        raise ValidationError(f"target column name {target!r} collides with a feature name")
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=",", lineterminator="\n")
-        writer.writerow(["id", *task.feature_names, target])
-        for i, ex in enumerate(task.example_ids):
-            row = [ex] + [repr(float(v)) for v in task.features[i]] + [repr(float(task.targets[i]))]
-            writer.writerow(row)
+    """Write a task in the standard delimited format (comma-separated).
+
+    An id or name that a task file does not give back, such as one with
+    leading whitespace or a line break, is a ValidationError naming the
+    task and the value, raised before the file is opened.
+    """
+    _write_rows(task, Path(path), target, _row_prefixes(task))
 
 
 def write_collection(collection: TaskCollection, out_dir: str | Path,
                      target: str = "y") -> Path:
-    """Write all task files plus a manifest; returns the manifest path."""
+    """Write all task files plus a manifest; returns the manifest path.
+
+    A task with the same example ids, feature names and feature bits as
+    the task before it reuses that task's rendered rows, so a shared
+    collection formats its id and feature cells once.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
+    previous, prefixes = None, []
     for task in collection.tasks:
         fname = f"{task.task_id}.csv"
-        write_task_file(task, out_dir / fname, target=target)
+        if Path(fname).name != fname or Path(fname).stem != task.task_id or "\0" in fname:
+            raise ValidationError(f"task {task.task_id!r}: cannot write task id "
+                                  f"{task.task_id!r}: it is not the stem of a file name")
+        if previous is None or not _same_rows(task, previous):
+            prefixes = _row_prefixes(task)
+        _write_rows(task, out_dir / fname, target, prefixes)
+        previous = task
         files.append(fname)
     manifest = {
         "collection_id": collection.feature_space_id,

@@ -99,6 +99,7 @@ def generate_collection(spec: SynthSpec) -> TaskCollection:
     g_shared = _LatentFunction(spec.n_features, spec.nonlinearity,
                                rng_for(spec.seed, "latent", "shared"))
     feature_names = tuple(f"x{i}" for i in range(spec.n_features))
+    example_ids = tuple(f"ex{i:04d}" for i in range(spec.n_examples_per_task))
 
     shared_X = None
     if spec.mode is CollectionMode.SHARED_EXAMPLES:
@@ -118,8 +119,7 @@ def generate_collection(spec: SynthSpec) -> TaskCollection:
         y = spec.relatedness * g_shared(X) + (1.0 - spec.relatedness) * g_t(X)
         if spec.noise_sd > 0:
             y = y + spec.noise_sd * rng_for(spec.seed, "noise", t).normal(size=len(y))
-        ids = tuple(f"ex{i:04d}" for i in range(spec.n_examples_per_task))
         tasks.append(Task(task_id=task_id, features=X, targets=y,
-                          feature_names=feature_names, example_ids=ids))
+                          feature_names=feature_names, example_ids=example_ids))
     return TaskCollection(tasks, spec.mode, f"synth-{spec.seed}-{spec.n_tasks}")
 

@@ -1,4 +1,6 @@
 import ast
+import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 import crossrep
 from crossrep.data import (CollectionMode, Task, TaskCollection, json_field,
                            load_collection, load_task, make_fold_plan, make_holdout_plan,
-                           normalize_targets, read_json, write_collection)
+                           normalize_targets, read_json, write_collection,
+                           write_task_file)
 from crossrep.errors import IngestionError, ValidationError
 from crossrep.synth import SynthSpec, generate_collection
 
@@ -297,6 +300,185 @@ class TestManifestRoundTrip:
         bad.write_text('{"mode": "independent"}')
         with pytest.raises(IngestionError, match="missing key"):
             load_collection(bad)
+
+
+def load_per_cell(manifest, files, mode=CollectionMode.SHARED_EXAMPLES):
+    """The collection as parsing every cell of every file gives it: each
+    task by ``load_task``, in the manifest's order, then the collection's
+    checks."""
+    return TaskCollection([load_task(manifest.parent / f, "y") for f in files], mode, "c")
+
+
+def outcome(load):
+    try:
+        return load()
+    except (IngestionError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def shared_files(draw):
+    """Task files of one shared collection as text: comma or tab, the
+    target at any column, blank lines, feature cells written in two
+    equal forms and ids quoted or not, and at most one differing feature
+    value and one bad target cell in a later file."""
+    delim = draw(st.sampled_from([",", "\t"]))
+    n, p, n_tasks = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    number = st.floats(-1e6, 1e6).map(lambda v: v + 0.0)  # no -0.0: it equals 0.0
+    X = draw(st.lists(st.lists(number, min_size=p, max_size=p), min_size=n, max_size=n))
+    blanks = st.lists(st.sampled_from(["", "", delim * p, " "]), min_size=n + 1,
+                      max_size=n + 1)
+    first_blanks = draw(blanks)
+    differ = draw(st.none() | st.tuples(st.integers(1, n_tasks - 1), st.integers(0, n - 1),
+                                        st.integers(0, p - 1)))
+    bad = draw(st.none() | st.tuples(st.integers(1, n_tasks - 1), st.integers(0, n - 1),
+                                     st.sampled_from(["oops", "nan", "-inf", ""])))
+    files = {}
+    for k in range(n_tasks):
+        at = draw(st.integers(0, p))  # the target's place among the value columns
+        spaced = first_blanks if k == 0 or draw(st.booleans()) else draw(blanks)
+        lines = [delim.join(["id", *[f"x{j}" for j in range(p)][:at], "y",
+                             *[f"x{j}" for j in range(p)][at:]]), spaced[0]]
+        for i in range(n):
+            cells = [draw(st.sampled_from([repr, lambda v: format(v, ".17e")]))(v)
+                     for v in X[i]]
+            if differ is not None and differ[:2] == (k, i):
+                cells[differ[2]] = repr(X[i][differ[2]] + 1.0)
+            target = draw(st.sampled_from(["0.5", "-2.0"]) | st.floats(-10, 10).map(repr))
+            if bad is not None and bad[:2] == (k, i):
+                target = bad[2]
+            cells.insert(at, target)
+            example_id = draw(st.sampled_from([f"e{i}", f'"e{i}"']))
+            lines += [delim.join([example_id, *cells]), spaced[i + 1]]
+        files[f"t{k}.csv"] = "\n".join(lines) + "\n"
+    return files
+
+
+class TestSharedReader:
+    """A shared collection's later file takes the first file's parsed values
+    for each row whose id and feature cells are the same text at the same
+    line, and parses only the target cell there."""
+
+    def write(self, root, files):
+        for name, text in files.items():
+            (root / name).write_text(text, encoding="utf-8")
+        manifest = root / "manifest.json"
+        manifest.write_text(json.dumps({"collection_id": "c", "mode": "shared",
+                                        "target": "y", "tasks": list(files)}))
+        return manifest
+
+    @given(files=shared_files())
+    @settings(max_examples=150, deadline=None)
+    def test_loads_as_a_per_cell_parse_with_one_copy_of_the_rows(self, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest = self.write(Path(tmp), files)
+            got = outcome(lambda: load_collection(manifest))
+            expected = outcome(lambda: load_per_cell(manifest, files))
+        if isinstance(expected, tuple):
+            assert got == expected
+            return
+        assert isinstance(got, TaskCollection)
+        first = got.tasks[0]
+        for a, b in zip(got.tasks, expected.tasks):
+            assert a.task_id == b.task_id
+            assert (a.example_ids, a.feature_names) == (b.example_ids, b.feature_names)
+            assert a.features.tobytes() == b.features.tobytes()
+            assert a.targets.tobytes() == b.targets.tobytes()
+            assert a.features is first.features and a.example_ids is first.example_ids
+
+    @pytest.mark.parametrize("later, expected", [
+        ("e0,1.00,3\ne1,2.0,4\n", None),
+        ("e0,1.5,3\ne1,2.0,4\n",
+         (ValidationError, "shared-examples collection requires identical feature values; "
+                           "task 't1' differs from 't0' at example 'e0', column 'x0'")),
+        ("e0,1.0,3\ne1,2.0,oops\n",
+         (IngestionError, "{root}/t1.csv: non-numeric value 'oops' at row 3, column 'y'")),
+        ("e0,1.0,3\ne1,2.0,inf\n",
+         (IngestionError, "{root}/t1.csv: non-finite value 'inf' at row 3, column 'y'")),
+        ("e0,1.0,3\ne0,2.0,4\n",
+         (IngestionError, "{root}/t1.csv: duplicate example id 'e0' at row 3 (first at row 2)")),
+    ], ids=["equal_text_differs", "value_differs", "bad_target", "inf_target", "duplicate_id"])
+    def test_pinned_later_files(self, tmp_path, later, expected):
+        manifest = self.write(tmp_path, {"t0.csv": "id,x0,y\ne0,1.0,1\ne1,2.0,2\n",
+                                         "t1.csv": "id,x0,y\n" + later})
+        got = outcome(lambda: load_collection(manifest))
+        if expected is None:
+            assert got.tasks[1].features is got.tasks[0].features
+            assert got.tasks[1].targets.tolist() == [3.0, 4.0]
+        else:
+            assert got == (expected[0], expected[1].format(root=tmp_path))
+
+
+def two_tasks(ids=("e0", "e1"), names=("f0", "f1"), task_id="t1"):
+    tasks = [Task(t, np.arange(4.0).reshape(2, 2) + i, np.array([1.0, 2.0]), names, ids)
+             for i, t in enumerate(("t0", task_id))]
+    return TaskCollection(tasks, CollectionMode.INDEPENDENT_EXAMPLES, "c")
+
+
+class TestWriteRefusals:
+    """The writer refuses, before it opens the task's file, an id or name
+    that the reader would change or reject."""
+
+    @pytest.mark.parametrize("collection, target, message", [
+        (two_tasks(ids=(" e1", "e2")), "y",
+         "task 't0': cannot write example id ' e1': it has leading or trailing whitespace"),
+        (two_tasks(ids=("e0", "a\nb")), "y",
+         "task 't0': cannot write example id 'a\\nb': it holds a line break"),
+        (two_tasks(ids=("a\rb", "e1")), "y",
+         "task 't0': cannot write example id 'a\\rb': it holds a line break"),
+        (two_tasks(ids=("a\x0cb", "e1")), "y",
+         "task 't0': cannot write example id 'a\\x0cb': it holds a line break"),
+        (two_tasks(names=("f0", "a\tb")), "y",
+         "task 't0': cannot write feature name 'a\\tb': it holds a tab"),
+        (two_tasks(), " y",
+         "task 't0': cannot write target column name ' y': it has leading or trailing "
+         "whitespace"),
+        (two_tasks(names=("id", "f1")), "y",
+         "task 't0': cannot write feature name 'id': it is the id column's name"),
+        (two_tasks(), "id",
+         "task 't0': cannot write target column name 'id': it is the id column's name"),
+        (two_tasks(ids=("e0", "\udc80")), "y",
+         "task 't0': cannot write example id '\\udc80': it is not UTF-8 text"),
+        (two_tasks(task_id="a/b"), "y",
+         "task 'a/b': cannot write task id 'a/b': it is not the stem of a file name"),
+    ], ids=["id_space", "id_newline", "id_cr", "id_formfeed", "name_tab", "target_space",
+            "name_id", "target_id", "id_surrogate", "task_id_slash"])
+    def test_a_value_the_reader_would_not_give_back_is_refused(self, tmp_path, collection,
+                                                               target, message):
+        with pytest.raises(ValidationError) as exc:
+            write_collection(collection, tmp_path / "c", target=target)
+        assert str(exc.value) == message
+        assert not any((tmp_path / "c").iterdir())
+
+    def test_the_refusal_comes_before_the_file_is_opened(self, tmp_path):
+        task = two_tasks(ids=("e0", "e1 ")).tasks[0]
+        with pytest.raises(ValidationError, match="example id 'e1 '"):
+            write_task_file(task, tmp_path / "t.csv")
+        assert not (tmp_path / "t.csv").exists()
+
+    text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+
+    @given(ids=st.lists(text, min_size=2, max_size=3, unique=True),
+           names=st.lists(text, min_size=1, max_size=3, unique=True), target=text)
+    @settings(max_examples=300, deadline=None)
+    def test_what_the_writer_accepts_reads_back_as_itself(self, ids, names, target):
+        if target in names:
+            return
+        X = np.arange(len(ids) * len(names), dtype=float).reshape(len(ids), len(names))
+        tasks = [Task(f"t{i}", X + i, np.arange(len(ids)) - 0.5 * i, tuple(names), tuple(ids))
+                 for i in range(2)]
+        with tempfile.TemporaryDirectory() as tmp:
+            try:
+                manifest = write_collection(
+                    TaskCollection(tasks, CollectionMode.INDEPENDENT_EXAMPLES, "c"),
+                    Path(tmp) / "c", target=target)
+            except ValidationError:
+                return
+            loaded = load_collection(manifest)
+        for a, b in zip(loaded.tasks, tasks):
+            assert (a.example_ids, a.feature_names) == (b.example_ids, b.feature_names)
+            assert np.array_equal(a.features, b.features)
+            assert np.array_equal(a.targets, b.targets)
 
 
 class TestJsonDocument:

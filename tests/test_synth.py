@@ -73,6 +73,11 @@ class TestGenerateCollection:
             assert np.array_equal(task.features, base.features)
             assert task.example_ids == base.example_ids
 
+    @pytest.mark.parametrize("mode", list(CollectionMode))
+    def test_every_task_holds_one_id_tuple(self, mode):
+        col = generate_collection(spec(mode=mode))
+        assert all(task.example_ids is col.tasks[0].example_ids for task in col.tasks)
+
     def test_linear_mode(self):
         col = generate_collection(spec(nonlinearity=Nonlinearity.LINEAR,
                                        relatedness=1.0, noise_sd=0.0))
