@@ -101,14 +101,10 @@ CORNERS = [
 ]
 
 
-def drawn_case(config):
-    for corner in CORNERS:
-        config = example(config=corner)(config)
-    return config
-
-
-@drawn_case
 @given(config=configs())
+@example(config=CORNERS[0])
+@example(config=CORNERS[1])
+@example(config=CORNERS[2])
 @settings(max_examples=100, deadline=None)
 def test_drawn_configs_score_as_the_reference_does(config):
     kw = dict(config)
