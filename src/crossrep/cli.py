@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .clustering import (CrossPredictionMatrix, assignments_tsv, build_pool, cluster_examples,
-                         cluster_tasks, cross_prediction_matrix, pairwise_distances_tsv)
+                         cluster_tasks, cross_prediction_matrix, write_pairwise_distances)
 from .data import (CollectionMode, SplitKind, json_field, load_collection, load_pool,
                    load_task, read_json, write_collection)
 from .engine import TrainingScope, load_bank, save_bank, stage1_train
@@ -175,8 +175,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             print(f"{item} k-means: converged={res.converged} n_iter={res.n_iter}")
             wrote.append(f"{item}_clusters.tsv")
             if args.distances:
-                (out_dir / f"{item}_distances.tsv").write_text(
-                    pairwise_distances_tsv(values, item_ids), encoding="utf-8")
+                write_pairwise_distances(out_dir / f"{item}_distances.tsv", values, item_ids)
                 wrote.append(f"{item}_distances.tsv")
     except ValidationError as exc:
         raise ValidationError(f"{pool_path}: {exc}") from None

@@ -10,7 +10,9 @@ predict; clustering its rows groups examples by how they are predicted.
 from __future__ import annotations
 
 import contextlib
+from collections.abc import Iterator
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .learners import Standardizer
 
 KMEANS_MAX_ITER = 300
 KMEANS_TOL = 1e-6
+KMEANS_BLOCK = 2 ** 15  # floats of X that one k-means block holds
 
 
 def build_pool(collection: TaskCollection, cap: int | None = None,
@@ -116,11 +119,14 @@ def kmeans(X: np.ndarray, k: int, seed: int) -> ClusterResult:
     drops below ``KMEANS_TOL``, or ``KMEANS_MAX_ITER`` passes are made; a
     final centroid update keeps the mean-consistency invariant exact at
     termination.
+
+    A pass reads ``X`` a block of rows at a time, so k-means holds ``X``,
+    its result, two n-vectors and about two blocks, whatever ``X``'s size
+    and layout. Every field of the result keeps the bits of the
+    all-at-once broadcast on ``X``'s C-ordered copy.
     """
-    # C order makes the bits independent of the caller's layout: each
-    # distance is then one pairwise sum along a contiguous row.
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    n = X.shape[0]
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
     if not 1 <= k <= n:
         raise ValidationError(f"k must be in [1, {n}], got {k}")
 
@@ -137,41 +143,98 @@ def kmeans(X: np.ndarray, k: int, seed: int) -> ClusterResult:
             chosen.append(int(i))
         if len(chosen) == k:
             break
+    del seen_rows  # k rows' bytes: free them before the centroids are made
     pos = 0
     while len(chosen) < k:  # fewer distinct rows than k: reuse rows
         chosen.append(int(order[pos % n]))
         pos += 1
-    centroids = X[np.asarray(chosen)].copy()
+    centroids = np.empty((k, d))
+    for c, i in enumerate(chosen):  # row by row: np.take copies an F-ordered X whole
+        centroids[c] = X[i]
 
-    # Squared distances one centroid at a time through one n x d scratch
-    # buffer, so a pass allocates O(n d), not O(n k d). Subtract, square and
-    # a row sum are the steps of ``((X[:, None] - C[None]) ** 2).sum(axis=2)``
-    # and keep its bits.
-    scratch = np.empty_like(X)
-    d2 = np.empty((n, k), dtype=np.float64)
+    # A pass reads X in blocks of whole rows through one block-sized scratch
+    # buffer. A block holds at most KMEANS_BLOCK floats, and so does its
+    # (rows, k) table of squared distances.
+    step = max(1, KMEANS_BLOCK // max(d, k))
+    scratch = np.empty((min(step, n), d))
+    # Each distance and member sum must run along C-ordered rows to keep the
+    # bits; an input of another layout (the F-ordered task view ``values.T``)
+    # is copied to C order one block at a time.
+    c_block = None if X.flags.c_contiguous else np.empty_like(scratch)
+    d2 = np.empty((len(scratch), k))
+    dist = np.empty(n)
 
-    def costs(cents: np.ndarray) -> np.ndarray:
-        for c in range(k):
-            np.subtract(X, cents[c], out=scratch)
-            np.square(scratch, out=scratch)
-            d2[:, c] = scratch.sum(axis=1)
-        return d2
+    def block(lo: int) -> np.ndarray:
+        rows = X[lo:lo + step]
+        if c_block is None:
+            return rows
+        out = c_block[:len(rows)]
+        np.copyto(out, rows)
+        return out
+
+    def sweep(asg: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+        """Each item's nearest centroid (or the one ``asg`` names) and the sum
+        of the items' squared distances to it. Subtract, square and a row sum
+        are the steps of ``((X[:, None] - C[None]) ** 2).sum(axis=2)`` and keep
+        its bits; the sum over ``dist`` adds in the order of that broadcast's
+        ``d2[np.arange(n), asg].sum()``."""
+        nearest = asg is None
+        if nearest:
+            asg = np.empty(n, dtype=np.int64)
+        for lo in range(0, n, step):
+            rows = block(lo)
+            m = len(rows)
+            diff, costs = scratch[:m], d2[:m]
+            for c in range(k):
+                np.subtract(rows, centroids[c], out=diff)
+                np.square(diff, out=diff)
+                diff.sum(axis=1, out=costs[:, c])
+            if nearest:
+                costs.argmin(axis=1, out=asg[lo:lo + m])
+            dist[lo:lo + m] = costs[np.arange(m), asg[lo:lo + m]]
+        return asg, float(dist.sum())
 
     def refresh(asg: np.ndarray) -> None:
-        for c in range(k):
-            members = asg == c
-            if members.any():
-                centroids[c] = X[members].mean(axis=0)
-            # an empty cluster keeps its previous centroid
+        """Move each centroid to its members' mean, with the bits of
+        ``X[asg == c].mean(axis=0)``; an empty cluster keeps its centroid."""
+        counts = np.bincount(asg, minlength=k)
+        if d == 1:
+            # numpy sums one column pairwise, not row by row: keep its expression
+            for c in np.flatnonzero(counts):
+                centroids[c] = X[asg == c].mean(axis=0)
+            return
+        # For d >= 2 numpy adds the member rows one after another, from +0.0.
+        # Each block's rows are grouped by cluster in the scratch buffer, and
+        # a cluster's running sum is added into its first member row of the
+        # next block: the same additions in the same order. A running sum is
+        # never -0.0, so summing that row from +0.0 again leaves it as it is.
+        started = np.zeros(k, dtype=bool)
+        narrow = np.min_scalar_type(k - 1)  # numpy's stable sort of <= 16-bit ints is a radix sort
+        for lo in range(0, n, step):
+            labels = asg[lo:lo + step]
+            grouped = scratch[:len(labels)]
+            np.take(block(lo), np.argsort(labels.astype(narrow), kind="stable"), axis=0,
+                    out=grouped)
+            end = 0
+            for c, size in enumerate(np.bincount(labels, minlength=k)):
+                start, end = end, end + size
+                if size:
+                    if started[c]:
+                        grouped[start] += centroids[c]
+                    grouped[start:end].sum(axis=0, out=centroids[c])
+                    started[c] = True
+        for c in np.flatnonzero(counts):
+            centroids[c] /= counts[c]
 
     assignments = np.full(n, -1, dtype=np.int64)
     history: list[float] = []
     converged = False
     it = 0
+    # Each break below follows a sweep that measured the final assignments
+    # against the final centroids, so its total is the inertia.
     for it in range(1, KMEANS_MAX_ITER + 1):
-        d2 = costs(centroids)
-        new_assignments = np.argmin(d2, axis=1)
-        history.append(float(d2[np.arange(n), new_assignments].sum()))
+        new_assignments, inertia = sweep()
+        history.append(inertia)
         if np.array_equal(new_assignments, assignments):
             # Exact fixed point: centroids are already the member means and
             # every item sits with its nearest centroid.
@@ -181,15 +244,14 @@ def kmeans(X: np.ndarray, k: int, seed: int) -> ClusterResult:
         refresh(assignments)
         if len(history) >= 2 and history[-2] - history[-1] < KMEANS_TOL:
             # Stalled; one confirmation pass decides convergence.
-            d2 = costs(centroids)
-            confirm = np.argmin(d2, axis=1)
-            history.append(float(d2[np.arange(n), confirm].sum()))
+            confirm, inertia = sweep()
+            history.append(inertia)
             converged = bool(np.array_equal(confirm, assignments))
             assignments = confirm
             break
-
-    d2 = costs(centroids)
-    inertia = float(d2[np.arange(n), assignments].sum())
+    else:
+        # Out of passes: the last refresh moved the centroids after the last sweep.
+        _, inertia = sweep(assignments)
     return ClusterResult(assignments=assignments, centroids=centroids, inertia=inertia,
                          converged=converged, n_iter=it, inertia_history=tuple(history))
 
@@ -240,11 +302,31 @@ def assignments_tsv(result: ClusterResult, item_ids: tuple[str, ...]) -> str:
 
 
 @_overflow_is_an_error()
-def pairwise_distances_tsv(X: np.ndarray, ids: tuple[str, ...]) -> str:
-    """Euclidean distance matrix dump for external visualization."""
+def _distances_from(X: np.ndarray, i: int) -> np.ndarray:
+    return np.sqrt(((X - X[i]) ** 2).sum(axis=1))
+
+
+def _distance_lines(X: np.ndarray, ids: tuple[str, ...]) -> Iterator[str]:
     X = np.asarray(X, dtype=np.float64)
-    lines = ["\t".join(["item_id", *ids])]
+    yield "\t".join(["item_id", *ids]) + "\n"
     for i, item_id in enumerate(ids):
-        d = np.sqrt(((X - X[i]) ** 2).sum(axis=1))
-        lines.append("\t".join([item_id, *(repr(float(v)) for v in d)]))
-    return "\n".join(lines) + "\n"
+        yield "\t".join([item_id, *(repr(float(v)) for v in _distances_from(X, i))]) + "\n"
+
+
+def write_pairwise_distances(path: str | Path, X: np.ndarray, ids: tuple[str, ...]) -> None:
+    """Euclidean distance matrix dump for external visualization, written to
+    ``path`` one row at a time.
+
+    The rows go to ``path`` plus ``.partial``, renamed to ``path`` once
+    complete, so a row that fails (items too far apart) leaves no partial
+    table and an earlier table at ``path`` stays as it was.
+    """
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with partial.open("w", encoding="utf-8") as fh:
+            fh.writelines(_distance_lines(X, ids))
+        partial.replace(path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise

@@ -399,23 +399,31 @@ def parse_value(path: Path, line: int, column: str, cell: str) -> float:
 _Rows = list[tuple[int, list[str]]]
 
 
+def _row_key(row: list[str], skip: int) -> str | None:
+    """The cells of ``row`` but its ``skip``-th, joined by NUL; None when a
+    cell holds a NUL (the csv reader passes it through), so that two rows
+    with equal keys have equal cells."""
+    key = "\0".join(row[:skip] + row[skip + 1:])
+    return None if key.count("\0") != len(row) - 2 else key
+
+
 def _example_table(path: Path, header: tuple[str, ...], rows: _Rows,
-                   like: tuple[_Rows, np.ndarray, int] | None = None
+                   like: tuple[list[str | None], np.ndarray, int] | None = None
                    ) -> tuple[tuple[str, ...], np.ndarray]:
     """Unique example ids (first column) and the values of every other column.
 
-    ``like`` is an earlier file's rows and values, under the same header
-    and on the same lines, and the index of one column: a row whose other
-    cells are the same text as that file's row takes its values, and only
-    its cell in that column is parsed. The values and every error are
-    those of parsing each cell.
+    ``like`` is an earlier file's row keys (see ``_row_key``) and values,
+    under the same header and on the same lines, and the index of one
+    column: a row whose other cells are the same text as that file's row
+    takes its values, and only its cell in that column is parsed. The
+    values and every error are those of parsing each cell.
     """
     if not rows:
         raise IngestionError(f"{path}: header only, zero examples")
     if like is None:
         values = np.empty((len(rows), len(header) - 1), dtype=np.float64)
     else:
-        like_rows, like_values, keep = like
+        like_keys, like_values, keep = like
         values = like_values.copy()
     first_row: dict[str, int] = {}
     for i, (line, row) in enumerate(rows):
@@ -425,8 +433,8 @@ def _example_table(path: Path, header: tuple[str, ...], rows: _Rows,
                                  f"(first at row {first_row[example_id]})")
         first_row[example_id] = line
         try:
-            if like is not None and row[:keep] == like_rows[i][1][:keep] \
-                    and row[keep + 1:] == like_rows[i][1][keep + 1:]:
+            if like is not None and like_keys[i] is not None \
+                    and _row_key(row, keep) == like_keys[i]:
                 values[i, keep - 1] = float(row[keep])
             else:
                 values[i] = [float(cell) for cell in row[1:]]
@@ -450,16 +458,18 @@ def _target_column(path: Path, header: tuple[str, ...], target: str) -> int:
 
 
 def _task(path: Path, header: tuple[str, ...], target_col: int, example_ids: tuple[str, ...],
-          values: np.ndarray) -> Task:
-    """The task of a parsed task file, named by the file's stem."""
+          values: np.ndarray,
+          share: tuple[Task | None, CollectionMode, dict[str, str]] | None = None) -> Task:
+    """The task of a parsed task file, named by the file's stem. ``share``
+    is ``_share``'s first task, mode and strings: the task then holds what
+    it shares with the tasks loaded before it."""
     feature_cols = [j for j in range(values.shape[1]) if j != target_col - 1]
-    return Task(
-        task_id=path.stem,
-        features=values[:, feature_cols],
-        targets=values[:, target_col - 1],
-        feature_names=tuple(header[j + 1] for j in feature_cols),
-        example_ids=example_ids,
-    )
+    names = tuple(header[j + 1] for j in feature_cols)
+    features = values[:, feature_cols]
+    if share is not None:
+        names, example_ids, features = _share(names, example_ids, features, *share)
+    return Task(task_id=path.stem, features=features, targets=values[:, target_col - 1],
+                feature_names=names, example_ids=example_ids)
 
 
 def load_task(path: str | Path, target: str) -> Task:
@@ -505,27 +515,31 @@ def load_collection(manifest_path: str | Path) -> TaskCollection:
         first_file[task_id] = f
     tasks: list[Task] = []
     strings: dict[str, str] = {}
-    first_table = None  # a shared collection's first header, rows and values
+    # a shared collection's first header, line numbers, row keys and values
+    first_table = None
     for f in files:
         file = path.parent / f
         header, rows = read_table(file, "task file")
         target_col = _target_column(file, header, target)
         like = None
         if first_table is not None and header == first_table[0] \
-                and [line for line, _ in rows] == [line for line, _ in first_table[1]]:
-            like = (first_table[1], first_table[2], target_col)
+                and [line for line, _ in rows] == first_table[1]:
+            like = (first_table[2], first_table[3], target_col)
         example_ids, values = _example_table(file, header, rows, like)
         if mode is CollectionMode.SHARED_EXAMPLES and first_table is None:
-            first_table = (header, rows, values)
-        tasks.append(_share(_task(file, header, target_col, example_ids, values),
-                            tasks[0] if tasks else None, mode, strings))
+            first_table = (header, [line for line, _ in rows],
+                           [_row_key(row, target_col) for _, row in rows], values)
+        tasks.append(_task(file, header, target_col, example_ids, values,
+                           (tasks[0] if tasks else None, mode, strings)))
         del rows, values  # so one later file's cells, not two, are alive as the next is read
     return TaskCollection(tasks, mode, collection_id)
 
 
-def _share(task: Task, first: Task | None, mode: CollectionMode,
-           strings: dict[str, str]) -> Task:
-    """``task`` holding the collection's one copy of what it shares.
+def _share(names: tuple[str, ...], ids: tuple[str, ...], features: np.ndarray,
+           first: Task | None, mode: CollectionMode, strings: dict[str, str]
+           ) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """A loaded task's feature names, example ids and features, holding the
+    collection's one copy of what they share.
 
     ``strings`` maps each example id and feature name the collection's
     task files gave so far to its first copy, and a header equal to
@@ -536,16 +550,15 @@ def _share(task: Task, first: Task | None, mode: CollectionMode,
     copy of its rows; a task that differs keeps its own, for
     ``TaskCollection`` to name.
     """
-    if first is not None and task.feature_names == first.feature_names:
+    if first is not None and names == first.feature_names:
         names = first.feature_names
     else:
-        names = tuple(strings.setdefault(s, s) for s in task.feature_names)
-    ids = tuple(strings.setdefault(s, s) for s in task.example_ids)
-    features = task.features
+        names = tuple(strings.setdefault(s, s) for s in names)
+    ids = tuple(strings.setdefault(s, s) for s in ids)
     if mode is CollectionMode.SHARED_EXAMPLES and first is not None \
             and ids == first.example_ids and np.array_equal(features, first.features):
         ids, features = first.example_ids, first.features
-    return Task(task.task_id, features, task.targets, names, ids)
+    return names, ids, features
 
 
 def _check_cell(task: Task, what: str, value: str, header: bool = False) -> None:

@@ -6,7 +6,9 @@ step size, the extrinsic matrix model by model and row by row, and forest
 predictions node by node. The scalar RBF kernel, the SVR dual objective
 and the inverse of target normalization are checks the library itself
 never calls. K-means keeps the all-centroids-at-once broadcast distances
-the library computed before it went one centroid at a time.
+the library computed before it went one centroid and one block of rows at
+a time, and the distance table is built whole, as the library did before
+it streamed the table to its file.
 """
 
 import numpy as np
@@ -228,3 +230,13 @@ def broadcast_kmeans(X, k, seed, max_iter=300, tol=1e-6):
     inertia = float(d2[np.arange(n), assignments].sum())
     return ClusterResult(assignments=assignments, centroids=centroids, inertia=inertia,
                          converged=converged, n_iter=it, inertia_history=tuple(history))
+
+
+def distance_table(X, ids):
+    """The ``--distances`` table as one string, built whole."""
+    X = np.asarray(X, dtype=np.float64)
+    lines = ["\t".join(["item_id", *ids])]
+    for i, item_id in enumerate(ids):
+        d = np.sqrt(((X - X[i]) ** 2).sum(axis=1))
+        lines.append("\t".join([item_id, *(repr(float(v)) for v in d)]))
+    return "\n".join(lines) + "\n"

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from crossrep.clustering import (ClusterResult, CrossPredictionMatrix,
                                  assignments_tsv, cluster_examples, cluster_tasks,
                                  cross_prediction_matrix, kmeans,
-                                 pairwise_distances_tsv)
+                                 write_pairwise_distances)
 from crossrep.engine import TrainingScope, stage1_train
 from crossrep.errors import ValidationError
 from crossrep.learners import LearnerSpec, predict
+
+from helpers import distance_table
 
 
 def brute_force_inertia(X, assignments, centroids):
@@ -206,22 +208,43 @@ class TestReports:
         text = assignments_tsv(result, ("a", "b", "c"))
         assert text.splitlines() == ["item_id\tcluster", "a\t0", "b\t1", "c\t0"]
 
-    def test_distance_dump_symmetric_zero_diagonal(self):
+    def test_distance_dump_symmetric_zero_diagonal(self, tmp_path):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(4, 3))
-        text = pairwise_distances_tsv(X, ("a", "b", "c", "d"))
-        lines = text.splitlines()
+        write_pairwise_distances(tmp_path / "d.tsv", X, ("a", "b", "c", "d"))
+        lines = (tmp_path / "d.tsv").read_text().splitlines()
         assert lines[0].split("\t") == ["item_id", "a", "b", "c", "d"]
         first = lines[1].split("\t")
         assert float(first[1]) == 0.0
 
-    def test_distance_dump_of_items_too_far_apart(self):
+    def test_distance_dump_of_items_too_far_apart(self, tmp_path):
         X = np.array([[1e200, 1.0], [-1e200, 2.0], [0.0, 3.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="items too far apart"):
-                pairwise_distances_tsv(X, ("a", "b", "c"))
-            assert "2e+150" in pairwise_distances_tsv(X / 1e50, ("a", "b", "c"))
+                write_pairwise_distances(tmp_path / "d.tsv", X, ("a", "b", "c"))
+            write_pairwise_distances(tmp_path / "d.tsv", X / 1e50, ("a", "b", "c"))
+            assert "2e+150" in (tmp_path / "d.tsv").read_text()
+
+    @pytest.mark.parametrize("case", ["normal", "far_apart", "task_view"])
+    def test_streamed_distances_have_the_bytes_of_the_whole_table(self, tmp_path, case):
+        X = {"normal": np.random.default_rng(9).normal(size=(4, 3)),
+             "far_apart": np.array([[1e200, 1.0], [-1e200, 2.0], [0.0, 3.0]]) / 1e50,
+             "task_view": np.random.default_rng(3).normal(size=(6, 4)).T}[case]
+        ids = tuple("abcdef"[:len(X)])
+        path = tmp_path / "d.tsv"
+        write_pairwise_distances(path, X, ids)
+        assert path.read_bytes() == distance_table(X, ids).encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["d.tsv"]
+
+    def test_a_failing_row_leaves_no_table(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_text("earlier table\n")
+        X = np.array([[1e200, 1.0], [-1e200, 2.0], [0.0, 3.0]])
+        with pytest.raises(ValidationError, match="items too far apart"):
+            write_pairwise_distances(path, X, ("a", "b", "c"))
+        assert [p.name for p in tmp_path.iterdir()] == ["d.tsv"]
+        assert path.read_text() == "earlier table\n"
 
 
 class TestBuildPool:

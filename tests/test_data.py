@@ -295,6 +295,21 @@ class TestManifestRoundTrip:
                            "example 'row0', column 'f1'"):
             load_collection(manifest)
 
+    @pytest.mark.parametrize("fixture", ["small_collection", "shared_collection"])
+    def test_each_loaded_task_is_built_once(self, tmp_path, monkeypatch, request, fixture):
+        """Each Task checks its rows once: the loader decides what a task
+        shares before it builds the task."""
+        manifest = write_collection(request.getfixturevalue(fixture), tmp_path / "coll")
+        real, built = Task.__post_init__, []
+
+        def spy(task):
+            built.append(task.task_id)
+            real(task)
+
+        monkeypatch.setattr(Task, "__post_init__", spy)
+        loaded = load_collection(manifest)
+        assert sorted(built) == list(loaded.task_ids)
+
     def test_manifest_missing_key(self, tmp_path):
         bad = tmp_path / "manifest.json"
         bad.write_text('{"mode": "independent"}')
@@ -407,6 +422,16 @@ class TestSharedReader:
             assert got.tasks[1].targets.tolist() == [3.0, 4.0]
         else:
             assert got == (expected[0], expected[1].format(root=tmp_path))
+
+    def test_a_first_file_cell_holding_a_nul_is_parsed_again(self, tmp_path):
+        """The csv reader passes NUL through, so NUL-joined cells can be equal
+        text for different cells: here the later file's feature cell is not a
+        number, and the load fails as parsing every cell does."""
+        files = {"t0.csv": "id,x0,x1,y\ne0\0,1,2,1\n", "t1.csv": "id,x0,x1,y\ne0,\x001,2,3\n"}
+        manifest = self.write(tmp_path, files)
+        expected = outcome(lambda: load_per_cell(manifest, files))
+        assert expected[0] is IngestionError and "non-numeric value" in expected[1]
+        assert outcome(lambda: load_collection(manifest)) == expected
 
 
 def two_tasks(ids=("e0", "e1"), names=("f0", "f1"), task_id="t1"):

@@ -1,10 +1,11 @@
 """K-means in bounded memory, with the bits of the broadcast distances.
 
-``kmeans`` takes its squared distances one centroid at a time through one
-n x d scratch buffer. The oracle is the broadcast k-means of
-``tests/helpers.py``, which builds an n x k x d temporary per pass: every
-field of the result must match it bit for bit. ``crossrep cluster``
-keeps only the prediction matrix alive while it clusters.
+``kmeans`` reads its input a block of rows at a time: squared distances one
+centroid at a time through one block-sized scratch buffer, and member means
+as running sums carried from block to block. The oracle is the broadcast
+k-means of ``tests/helpers.py``, which builds an n x k x d temporary per
+pass: every field of the result must match it bit for bit. ``crossrep
+cluster`` keeps only the prediction matrix alive while it clusters.
 """
 
 import tracemalloc
@@ -14,9 +15,9 @@ import weakref
 import numpy as np
 import pytest
 
-from crossrep import cli
-from crossrep.clustering import (CrossPredictionMatrix, cluster_examples, cluster_tasks,
-                                 kmeans)
+from crossrep import cli, clustering
+from crossrep.clustering import (KMEANS_BLOCK, CrossPredictionMatrix, cluster_examples,
+                                 cluster_tasks, kmeans)
 from crossrep.errors import ValidationError
 from crossrep.learners import Standardizer
 
@@ -96,19 +97,101 @@ def test_overflow_names_the_square():
             cluster_examples(matrix, 2, seed=0)
 
 
-def test_temporaries_stay_within_three_inputs():
-    """The broadcast distances held n x k x d temporaries: at k = 8 that is
-    8 to 16 inputs' worth, depending on numpy's temporary elision."""
-    X = np.random.default_rng(0).normal(size=(4000, 20))
+def layouts(X):
+    """``X`` as C-ordered, F-ordered and negative-stride arrays of the same values."""
+    return {"c": np.ascontiguousarray(X), "f": np.asfortranarray(X),
+            "reversed": np.ascontiguousarray(X[::-1, ::-1])[::-1, ::-1]}
+
+
+# rows of (5000, 13) fill blocks of 2520 and 2480; rows of (9, 4001) blocks
+# of 8 and 1
+@pytest.mark.parametrize("n, d", [(5000, 13), (9, 4001)])
+@pytest.mark.parametrize("layout", ["c", "f", "reversed"])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_blocks_keep_the_broadcast_bits(n, d, layout, zeros):
+    """Inputs of several blocks with a ragged last one, in every layout. With
+    ``zeros`` two columns hold only -0.0 and a third holds some: a member
+    mean sums from +0.0 (numpy's order), so those columns' means are +0.0."""
+    X = blobs(n, d, seed=n + d, centres=3)
+    if zeros:
+        X[:, :2] = -0.0
+        X[::3, 2] = -0.0
+    assert n * d > KMEANS_BLOCK and (KMEANS_BLOCK // d) * 2 > n > KMEANS_BLOCK // d
+    items = layouts(X)[layout]
+    assert np.array_equal(items, X)
+    oracle = broadcast_kmeans(np.ascontiguousarray(X), 3, seed=4)
+    result = kmeans(items, 3, seed=4)
+    assert_same_bits(result, oracle)
+    if zeros:
+        assert not np.signbit(result.centroids[:, :2]).any()
+
+
+@pytest.mark.parametrize("layout", ["c", "f", "reversed"])
+def test_an_empty_cluster_keeps_its_centroid(layout):
+    """Three distinct rows and k = 5: the reused rows' centroids stay empty."""
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(3, 6))[rng.integers(0, 3, size=3000)]
+    result = kmeans(layouts(X)[layout], 5, seed=0)
+    assert len(set(result.assignments.tolist())) == 3
+    assert_same_bits(result, broadcast_kmeans(X, 5, seed=0))
+
+
+@pytest.mark.parametrize("n", [50, 40000])
+@pytest.mark.parametrize("k", [1, 4])
+def test_one_column(n, k):
+    """d = 1: numpy sums a column pairwise, so member means keep its expression;
+    40000 rows fill two blocks."""
+    X = blobs(n, 1, seed=n + k)
+    X[::7] = -0.0
+    for items in layouts(X).values():
+        assert_same_bits(kmeans(items, k, seed=5), broadcast_kmeans(X, k, seed=5))
+
+
+@pytest.mark.parametrize("d, k", [(2, 40), (1, 70)])
+def test_more_clusters_than_columns(d, k):
+    """A block's table of squared distances, rows x k, is held to the block
+    bound too, so k > d makes blocks of fewer rows."""
+    X = blobs(5000, d, seed=k)
+    assert_same_bits(kmeans(X, k, seed=1), broadcast_kmeans(X, k, seed=1))
+
+
+def test_out_of_passes(monkeypatch):
+    """A run that stops at the pass limit measures its inertia after the last
+    centroid update."""
+    X = np.random.default_rng(8).normal(size=(3000, 17))  # no clusters: many passes
+    for passes in (1, 2, 5):
+        monkeypatch.setattr(clustering, "KMEANS_MAX_ITER", passes)
+        result = kmeans(X, 6, seed=0)
+        assert result.n_iter == passes and not result.converged
+        assert_same_bits(result, broadcast_kmeans(X, 6, seed=0, max_iter=passes))
+
+
+def traced_peak(call):
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        kmeans(X, 8, seed=0)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * X.nbytes
+
+
+@pytest.mark.parametrize("view", ["examples", "tasks", "cluster_tasks"])
+def test_temporaries_do_not_grow_with_the_input(view):
+    """A 20000 x 200 matrix (30.5 MiB) clusters within 4 MiB of temporaries,
+    result included, either way round: the F-ordered task view is copied to
+    C order a block at a time, not whole. The broadcast distances held
+    n x k x d temporaries, and a whole-input scratch buffer and C copy
+    peaked at 74.8 MiB on the task view."""
+    values = blobs(20000, 200, seed=1, centres=8)
+    matrix = CrossPredictionMatrix(values=values,
+                                   example_ids=tuple(f"e{i}" for i in range(20000)),
+                                   task_ids=tuple(f"t{j}" for j in range(200)))
+    call = {"examples": lambda: kmeans(matrix.values, 8, seed=0),
+            "tasks": lambda: kmeans(matrix.values.T, 8, seed=0),
+            "cluster_tasks": lambda: cluster_tasks(matrix, 8, seed=0)}[view]
+    assert traced_peak(call) < 4 * 2 ** 20
 
 
 def test_cluster_frees_bank_and_pool_before_clustering(tmp_path, monkeypatch):
