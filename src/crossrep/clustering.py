@@ -10,7 +10,6 @@ predict; clustering its rows groups examples by how they are predicted.
 from __future__ import annotations
 
 import contextlib
-from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -306,13 +305,6 @@ def _distances_from(X: np.ndarray, i: int) -> np.ndarray:
     return np.sqrt(((X - X[i]) ** 2).sum(axis=1))
 
 
-def _distance_lines(X: np.ndarray, ids: tuple[str, ...]) -> Iterator[str]:
-    X = np.asarray(X, dtype=np.float64)
-    yield "\t".join(["item_id", *ids]) + "\n"
-    for i, item_id in enumerate(ids):
-        yield "\t".join([item_id, *(repr(float(v)) for v in _distances_from(X, i))]) + "\n"
-
-
 def write_pairwise_distances(path: str | Path, X: np.ndarray, ids: tuple[str, ...]) -> None:
     """Euclidean distance matrix dump for external visualization, written to
     ``path`` one row at a time.
@@ -321,11 +313,15 @@ def write_pairwise_distances(path: str | Path, X: np.ndarray, ids: tuple[str, ..
     complete, so a row that fails (items too far apart) leaves no partial
     table and an earlier table at ``path`` stays as it was.
     """
+    X = np.asarray(X, dtype=np.float64)
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
     try:
         with partial.open("w", encoding="utf-8") as fh:
-            fh.writelines(_distance_lines(X, ids))
+            fh.write("\t".join(["item_id", *ids]) + "\n")
+            for i, item_id in enumerate(ids):
+                d = _distances_from(X, i)
+                fh.write("\t".join([item_id, *(repr(float(v)) for v in d)]) + "\n")
         partial.replace(path)
     except BaseException:
         partial.unlink(missing_ok=True)

@@ -175,8 +175,8 @@ def loop_second_order_extrinsic(target_task_id, bank, stage2_models, stage2_sour
 def broadcast_kmeans(X, k, seed, max_iter=300, tol=1e-6):
     """Lloyd's algorithm as ``clustering.kmeans``, with each pass's squared
     distances taken at once as ``((X[:, None, :] - C[None]) ** 2).sum(axis=2)``,
-    an n x k x d temporary. ``X`` should be C-ordered, as ``kmeans`` makes it:
-    on another layout the broadcast sum may add in a different order."""
+    an n x k x d temporary. ``X`` should be C-ordered, as each block ``kmeans``
+    reads is: on another layout the broadcast sum may add in a different order."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if not 1 <= k <= n:
