@@ -23,6 +23,7 @@ from .learners import Standardizer
 KMEANS_MAX_ITER = 300
 KMEANS_TOL = 1e-6
 KMEANS_BLOCK = 2 ** 15  # floats of X that one k-means block holds
+DISTANCE_BLOCK = 2 ** 15  # floats of differences that one distance block holds
 
 
 def build_pool(collection: TaskCollection, cap: int | None = None,
@@ -301,27 +302,52 @@ def assignments_tsv(result: ClusterResult, item_ids: tuple[str, ...]) -> str:
 
 
 @_overflow_is_an_error()
-def _distances_from(X: np.ndarray, i: int) -> np.ndarray:
-    return np.sqrt(((X - X[i]) ** 2).sum(axis=1))
+def _distances_from(X: np.ndarray, i: int, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.sqrt(((X - X[i]) ** 2).sum(axis=1))`` with its bits, written to
+    ``out`` a block of ``len(buf)`` rows at a time through ``buf``.
+
+    The whole-input expression sums each row's squares along a row-major X
+    pairwise, but column after column along a column-major X (the task view
+    ``values.T``). ``buf`` has X's order and at least two rows (or X's
+    one), so each block sums as the whole input does: a column-major block
+    of one row would sum pairwise, so a last block of one row takes the row
+    before it too.
+    """
+    n, step = X.shape[0], buf.shape[0]
+    for lo in range(0, n, step):
+        lo = min(lo, max(0, n - 2))
+        block = buf[:min(step, n - lo)]
+        np.subtract(X[lo:lo + step], X[i], out=block)
+        np.square(block, out=block)
+        block.sum(axis=1, out=out[lo:lo + step])
+    return np.sqrt(out, out=out)
 
 
 def write_pairwise_distances(path: str | Path, X: np.ndarray, ids: tuple[str, ...]) -> None:
     """Euclidean distance matrix dump for external visualization, written to
     ``path`` one row at a time.
 
-    The rows go to ``path`` plus ``.partial``, renamed to ``path`` once
-    complete, so a row that fails (items too far apart) leaves no partial
-    table and an earlier table at ``path`` stays as it was.
+    Each row's distances are taken over blocks of at most
+    ``DISTANCE_BLOCK`` floats (two rows when one row is more), so the
+    writer holds one block and one row whatever the size of X. The rows go
+    to ``path`` plus ``.partial``, renamed to ``path`` once complete, so a
+    row that fails (items too far apart) leaves no partial table and an
+    earlier table at ``path`` stays as it was.
     """
     X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    column_major = X.flags.f_contiguous and not X.flags.c_contiguous
+    step = max(2, DISTANCE_BLOCK // max(1, d))
+    buf = np.empty((min(step, n), d), order="F" if column_major else "C")
+    dist = np.empty(n)
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
     try:
         with partial.open("w", encoding="utf-8") as fh:
             fh.write("\t".join(["item_id", *ids]) + "\n")
             for i, item_id in enumerate(ids):
-                d = _distances_from(X, i)
-                fh.write("\t".join([item_id, *(repr(float(v)) for v in d)]) + "\n")
+                row = _distances_from(X, i, buf, dist)
+                fh.write("\t".join([item_id, *(repr(float(v)) for v in row)]) + "\n")
         partial.replace(path)
     except BaseException:
         partial.unlink(missing_ok=True)

@@ -7,6 +7,7 @@ source model, the task's own model always excluded.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
@@ -22,6 +23,8 @@ from .errors import FitError, IngestionError, ValidationError
 from .learners import (EMPTY_FINGERPRINT, FittedModel, LearnerKind, LearnerSpec,
                        TrainFingerprint, fit_learner, load_model, predict, save_model)
 from .learners.ridge import RidgeStack, predict_stacked
+from .learners.svr import SvrKernel, SvrStack
+from .learners.svr import predict_stacked as predict_svr_stacked
 from .seeding import derive_seed
 
 
@@ -78,13 +81,16 @@ class ModelBank:
         return cols
 
     @cached_property
-    def _ridge_stack(self) -> RidgeStack | None:
-        """Every model's parameters stacked, when all are ridge models of one
-        width: ``cross_predict`` then predicts them in one product. The
-        models of any other kind are not read here."""
-        if self.learner_spec.kind not in (LearnerKind.RIDGE, LearnerKind.RIDGE_CV):
-            return None
-        return RidgeStack.of(self.models.values())
+    def _stack(self) -> RidgeStack | SvrStack | None:
+        """Every model's parameters stacked, for ``cross_predict`` to predict
+        them all at once: ridge models of one width, or SVR models of one
+        standardization and sigma. The models of any other kind are not read
+        here; an SVR bank is read up to the first model that does not stack."""
+        if self.learner_spec.kind in (LearnerKind.RIDGE, LearnerKind.RIDGE_CV):
+            return RidgeStack.of(self.models.values())
+        if self.learner_spec.kind is LearnerKind.SVR:
+            return SvrStack.of(self.models.values())
+        return None
 
 
 @dataclass(frozen=True)
@@ -166,14 +172,24 @@ def stage1_train(collection: TaskCollection, spec: LearnerSpec, scope: TrainingS
                 )
 
     models: dict[str, FittedModel] = {}
+    # An SVR fit shares the kernel of the task before it when their training
+    # matrices have the same bits, as every task of a shared collection does;
+    # a kernel whose build fails is built again, and fails, for each task.
+    X_prev, shared = None, {}
     for task in collection.tasks:
         rows = training_rows(task, scope, plans.get(task.task_id))
         fp = TrainFingerprint(task_id=task.task_id,
                               row_ids=tuple(task.example_ids[i] for i in rows))
         seed = derive_seed(spec.seed, "stage1", task.task_id)
+        X = task.features[rows]
+        if spec.kind is LearnerKind.SVR and not (
+                X_prev is not None and X.shape == X_prev.shape
+                and X.tobytes() == X_prev.tobytes()):
+            X_prev, shared = X, {"kernel": functools.cache(
+                functools.partial(SvrKernel.of, X, spec.hyperparams["sigma"]))}
         try:
-            models[task.task_id] = fit_learner(spec, task.features[rows], task.targets[rows],
-                                               fingerprint=fp, seed=seed)
+            models[task.task_id] = fit_learner(spec, X, task.targets[rows],
+                                               fingerprint=fp, seed=seed, **shared)
         except FitError as exc:
             err = FitError(f"stage-1 fit failed for task {task.task_id!r}: {exc}")
             if on_failure is None:
@@ -192,9 +208,12 @@ def cross_predict(bank: ModelBank, X: np.ndarray) -> np.ndarray:
     order-1 view, the stage-2 inputs of order 2 and the clustering matrix
     are all slices of this one matrix, so each block of rows is predicted
     once per model however many views read it. A bank of ridge models of
-    X's width predicts finite X in one stacked product with the same bits;
-    any other bank or input goes model by model, and the first model that
-    fails names the error. Model by model, a saved bank holds at most two
+    X's width predicts finite X in one stacked product, and a bank of SVR
+    models of one standardization and sigma from one Gram of each row block
+    against all their support rows, with the same bits. The stack is built
+    once per bank: a saved bank reads each archive once for it. Any other
+    bank or input goes model by model, and the first model that fails
+    names the error. Model by model, a saved bank holds at most two
     models (with what their predictions cache): the previous one stays
     alive until the next archive has been read. A finite row far outside
     a model's training range may overflow its arithmetic: numpy's warning
@@ -205,9 +224,11 @@ def cross_predict(bank: ModelBank, X: np.ndarray) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValidationError("cross-prediction input must be a 2-d matrix")
-    stack = bank._ridge_stack
-    if stack is not None and stack.width == X.shape[1] and np.isfinite(X).all():
-        out = predict_stacked(stack, X)
+    # X is checked before the stack is built: an input the loop would refuse
+    # at its first model reads no other archive of a saved bank.
+    stack = bank._stack if X.shape[1] == bank.feature_count and np.isfinite(X).all() else None
+    if stack is not None and stack.width == X.shape[1]:
+        out = (predict_stacked if isinstance(stack, RidgeStack) else predict_svr_stacked)(stack, X)
     else:
         out = np.empty((X.shape[0], len(bank.models)), dtype=np.float64)
         # A saved bank reads each model here, outside the ``try``: a bad

@@ -288,10 +288,12 @@ def predict(model: FittedModel, X: np.ndarray) -> np.ndarray:
 
 def fit_learner(spec: LearnerSpec, X: np.ndarray, y: np.ndarray,
                 fingerprint: TrainFingerprint = EMPTY_FINGERPRINT,
-                seed: int | None = None) -> FittedModel:
+                seed: int | None = None, **shared: Any) -> FittedModel:
     """Fit any learner kind from its spec; ``seed`` overrides spec.seed.
 
-    Only the kinds in SEEDED_KINDS are given a seed. The fitted model
+    Only the kinds in SEEDED_KINDS are given a seed. ``shared`` is passed
+    on to the fit: fits of one training matrix share work through it (an
+    SVR fit's ``kernel``, see ``fit_svr``). The fitted model
     carries ``spec`` and ``fingerprint``, whatever seed was used. The fit
     functions are looked up per call, so a rebound module attribute is the
     one called.
@@ -299,7 +301,7 @@ def fit_learner(spec: LearnerSpec, X: np.ndarray, y: np.ndarray,
     fit = {LearnerKind.RIDGE: ridge.fit_ridge, LearnerKind.RIDGE_CV: ridge.fit_ridge_cv,
            LearnerKind.FOREST: forest.fit_forest, LearnerKind.SVR: svr.fit_svr}[spec.kind]
     seeded = {"seed": spec.seed if seed is None else seed} if spec.kind in SEEDED_KINDS else {}
-    model = fit(X, y, **spec.hyperparams, **seeded)
+    model = fit(X, y, **spec.hyperparams, **seeded, **shared)
     return replace(model, spec=spec, train_fingerprint=fingerprint)
 
 

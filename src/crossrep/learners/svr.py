@@ -10,6 +10,7 @@ the iteration cap raises instead of returning silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -17,23 +18,32 @@ from ..errors import ConvergenceError
 from .base import (FittedModel, LearnerKind, LearnerSpec, Standardizer, check_fit_input,
                    check_hyperparams)
 
+# floats in one chunk of differences of ``rbf_gram``, and in one row block
+# of the Gram that ``predict_stacked`` builds. A chunk is alive next to the
+# Gram it fills, so it sets most of a fit's transient memory.
+GRAM_CHUNK_FLOATS = 1 << 14
+
 
 def rbf_gram(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
     """Gram matrix K[i, j] = exp(-sigma * ||A_i - B_j||^2).
 
     Each entry is one sum along the contiguous feature axis of A_i - B_j,
     so it does not depend on the other rows of A or B (bitwise row
-    stability). B is taken up to 64 rows at a time, one 3-D difference
-    each; a chunk holds about 2**15 differences (256 KiB) at most, which
-    keeps it in cache and peak memory flat, and only one chunk is alive.
+    stability). B is taken up to 64 rows at a time: each row's differences
+    with A are written into one preallocated chunk of about
+    ``GRAM_CHUNK_FLOATS`` differences (128 KiB) at most, reused for every
+    chunk, which keeps it in cache and peak memory flat.
     """
     K = np.empty((A.shape[0], B.shape[0]), dtype=np.float64)
-    step = max(1, min(64, (1 << 15) // max(1, A.size)))
+    step = max(1, min(64, GRAM_CHUNK_FLOATS // max(1, A.size)))
+    buf = np.empty((min(step, B.shape[0]), *A.shape), dtype=np.float64)
     for j in range(0, B.shape[0], step):
-        d = A - B[j:j + step, None]
+        rows = B[j:j + step]
+        d = buf[:len(rows)]
+        for r, b in enumerate(rows):
+            np.subtract(A, b, out=d[r])
         d *= d
         K[:, j:j + step] = np.exp(-sigma * d.sum(axis=2)).T
-        del d  # before the next chunk is built, not after
     return K
 
 
@@ -57,13 +67,88 @@ def predict_state(state: SvrState, X: np.ndarray) -> np.ndarray:
     return (K * state.dual_coef).sum(axis=1) + state.bias
 
 
+@dataclass(frozen=True)
+class SvrStack:
+    """m SVR models of one standardization and sigma: the distinct support
+    rows of them all, and each model's support rows as positions among them."""
+
+    standardization: Standardizer
+    sigma: float
+    support: np.ndarray                 # u x width, distinct by bytes
+    columns: tuple[np.ndarray, ...]     # m index vectors into ``support``
+    dual_coef: tuple[np.ndarray, ...]   # m
+    bias: tuple[float, ...]             # m
+
+    @property
+    def width(self) -> int:
+        return self.support.shape[1]
+
+    @classmethod
+    def of(cls, models) -> "SvrStack | None":
+        """Stack ``models``; None unless all are SVR models whose standardization
+        has the bits of the first one's, and whose sigma is the first one's.
+        The models are read in order, and none after the first that differs.
+        Support rows are told apart by their bytes, so -0.0 is not 0.0."""
+        rows: dict[bytes, int] = {}
+        columns, coefs, biases = [], [], []
+        first = None
+        for m in models:
+            if m.kind is not LearnerKind.SVR or m.standardization is None:
+                return None
+            if first is None:
+                first = m
+            elif (m.state.sigma != first.state.sigma
+                  or m.standardization.mean.tobytes() != first.standardization.mean.tobytes()
+                  or m.standardization.scale.tobytes() != first.standardization.scale.tobytes()):
+                return None
+            columns.append(np.array([rows.setdefault(r.tobytes(), len(rows))
+                                     for r in m.state.support], dtype=np.intp))
+            coefs.append(m.state.dual_coef)
+            biases.append(m.state.bias)
+        if first is None:
+            return None
+        width = first.standardization.mean.shape[0]
+        support = np.frombuffer(b"".join(rows), dtype=np.float64).reshape(len(rows), width)
+        return cls(standardization=first.standardization, sigma=first.state.sigma,
+                   support=support, columns=tuple(columns), dual_coef=tuple(coefs),
+                   bias=tuple(biases))
+
+
+def predict_stacked(stack: SvrStack, X: np.ndarray) -> np.ndarray:
+    """Every stacked model's predictions on the rows of X: a rows x m matrix.
+
+    X must be finite and of the stack's width. Each block of rows is
+    standardized once and its Gram against all the distinct support rows is
+    built once; model i reads its own columns of it. A Gram entry depends
+    only on its two rows, and each model sums its columns as
+    ``predict_state`` does, so column i is bitwise ``predict`` of model i.
+    A block's Gram holds at most ``GRAM_CHUNK_FLOATS`` floats (one row when
+    the support rows alone are more).
+    """
+    out = np.empty((X.shape[0], len(stack.bias)), dtype=np.float64)
+    step = max(1, GRAM_CHUNK_FLOATS // max(1, stack.support.shape[0]))
+    for r in range(0, X.shape[0], step):
+        K = rbf_gram(stack.standardization.transform(X[r:r + step]), stack.support,
+                     stack.sigma)
+        for i, (cols, coef, bias) in enumerate(zip(stack.columns, stack.dual_coef, stack.bias)):
+            if len(cols):
+                Ki = K.take(cols, axis=1)  # model i's Gram
+                Ki *= coef
+                np.add(Ki.sum(axis=1), bias, out=out[r:r + step, i])
+                del Ki  # before the next model's is taken, not after
+            else:
+                out[r:r + step, i] = bias
+        del K  # before the next block's Gram is built, not after
+    return out
+
+
 def _smo(K: np.ndarray, y: np.ndarray, c: float, epsilon: float, tol: float,
          max_iter: int) -> tuple[np.ndarray, float, int, float]:
     """Returns (a, bias, n_iter, kkt_gap) for the 2l-variable dual.
 
     Variable k < l is alpha_k (u_k = +1), variable l + k is alpha*_k
-    (u_k = -1). Each iteration refreshes the gradient and the violation
-    values in preallocated buffers and updates the up/low index sets only
+    (u_k = -1). Each iteration writes the violation values -u * gradient
+    straight into a preallocated buffer and updates the up/low index sets only
     at the two variables it moves; the pair update runs on Python floats.
     ``K`` must be exactly symmetric: the Kbeta update reads rows of K in
     place of its columns.
@@ -71,11 +156,9 @@ def _smo(K: np.ndarray, y: np.ndarray, c: float, epsilon: float, tol: float,
     l = len(y)
     a = [0.0] * (2 * l)
     diag = K.diagonal().tolist()
-    neg_u = np.concatenate([-np.ones(l), np.ones(l)])
     Kbeta = np.zeros(l, dtype=np.float64)
-    g = np.empty(2 * l, dtype=np.float64)
-    g_alpha, g_star = g[:l], g[l:]
     vals = np.empty(2 * l, dtype=np.float64)
+    v_alpha, v_star = vals[:l], vals[l:]
     # up: alpha below c or alpha* above 0; low: alpha above 0 or alpha* below c.
     zeros = np.zeros(l)
     up = np.concatenate([zeros < c, zeros > 0])
@@ -92,13 +175,12 @@ def _smo(K: np.ndarray, y: np.ndarray, c: float, epsilon: float, tol: float,
     m = M = 0.0
     it = 0
     while True:
-        # g = [(Kbeta + eps) - y, ((-Kbeta) + eps) + y], vals = -u * g
-        np.add(Kbeta, epsilon, out=g_alpha)
-        np.subtract(g_alpha, y, out=g_alpha)
-        np.negative(Kbeta, out=g_star)
-        np.add(g_star, epsilon, out=g_star)
-        np.add(g_star, y, out=g_star)
-        np.multiply(neg_u, g, out=vals)
+        # vals = -u * g for the gradient g = [(Kbeta + eps) - y, (eps - Kbeta) + y]
+        np.add(Kbeta, epsilon, out=v_alpha)
+        np.subtract(v_alpha, y, out=v_alpha)
+        np.negative(v_alpha, out=v_alpha)
+        np.subtract(epsilon, Kbeta, out=v_star)
+        np.add(v_star, y, out=v_star)
         if n_up == 0 or n_low == 0:
             gap = 0.0
             break
@@ -187,21 +269,40 @@ def _smo(K: np.ndarray, y: np.ndarray, c: float, epsilon: float, tol: float,
     return a, bias, it, gap
 
 
+@dataclass(frozen=True)
+class SvrKernel:
+    """A training matrix's standardizer, its standardized rows and their Gram."""
+
+    scaler: Standardizer
+    Z: np.ndarray
+    K: np.ndarray
+
+    @classmethod
+    def of(cls, X: np.ndarray, sigma: float) -> "SvrKernel":
+        scaler = Standardizer.fit(X)
+        Z = scaler.transform(X)
+        return cls(scaler=scaler, Z=Z, K=rbf_gram(Z, Z, sigma))
+
+
 def fit_svr(X: np.ndarray, y: np.ndarray, *, c: float = 1.0, epsilon: float = 0.1,
-            sigma: float = 0.2, tol: float = 1e-3, max_iter: int = 200_000) -> FittedModel:
-    """Solve the dual on the standardized X; the support rows are kept standardized."""
+            sigma: float = 0.2, tol: float = 1e-3, max_iter: int = 200_000,
+            kernel: Callable[[], SvrKernel] | None = None) -> FittedModel:
+    """Solve the dual on the standardized X; the support rows are kept standardized.
+
+    Fits of one X and sigma may share its kernel: ``kernel`` then returns
+    ``SvrKernel.of(X, sigma)``, built once for all of them. It is called
+    after the input checks, so a bad input fails as it does without it.
+    """
     X, y = check_fit_input(X, y, min_rows=2)
     check_hyperparams(LearnerKind.SVR, {"c": c, "epsilon": epsilon, "sigma": sigma,
                                         "tol": tol, "max_iter": max_iter})
-    scaler = Standardizer.fit(X)
-    Z = scaler.transform(X)
-    K = rbf_gram(Z, Z, sigma)
-    a, bias, n_iter, gap = _smo(K, y, float(c), float(epsilon), float(tol), int(max_iter))
+    kern = SvrKernel.of(X, sigma) if kernel is None else kernel()
+    a, bias, n_iter, gap = _smo(kern.K, y, float(c), float(epsilon), float(tol), int(max_iter))
     l = len(y)
     beta = a[:l] - a[l:]
     sv = beta != 0.0
     spec = LearnerSpec.svr(c=c, epsilon=epsilon, sigma=sigma, tol=tol, max_iter=max_iter)
-    state = SvrState(support=Z[sv].copy(), dual_coef=beta[sv].copy(), bias=bias,
+    state = SvrState(support=kern.Z[sv].copy(), dual_coef=beta[sv].copy(), bias=bias,
                      sigma=float(sigma), n_iter=n_iter, kkt_gap=gap)
     return FittedModel(spec=spec, state=state, feature_count=X.shape[1],
-                       standardization=scaler)
+                       standardization=kern.scaler)

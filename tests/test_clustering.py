@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossrep import clustering
 from crossrep.clustering import (ClusterResult, CrossPredictionMatrix,
                                  assignments_tsv, cluster_examples, cluster_tasks,
                                  cross_prediction_matrix, kmeans,
@@ -236,6 +238,53 @@ class TestReports:
         write_pairwise_distances(path, X, ids)
         assert path.read_bytes() == distance_table(X, ids).encode("utf-8")
         assert [p.name for p in tmp_path.iterdir()] == ["d.tsv"]
+
+    # (rows, columns, DISTANCE_BLOCK): blocks of 7 rows ending in one of 1
+    # row, of 2 rows when one row exceeds the block, sums of 8 and of more
+    # than 128 squares (numpy's pairwise sum unrolls by 8 and splits blocks
+    # above 128), one block, and inputs of one and two rows
+    @pytest.mark.parametrize("n, d, block", [(22, 9, 64), (15, 4097, 2 ** 15),
+                                             (5, 300, 100), (9, 8, 2 ** 15),
+                                             (1, 40, 64), (2, 129, 64)])
+    @pytest.mark.parametrize("view", ["examples", "tasks"])
+    def test_row_blocks_keep_the_bits_of_the_whole_table(self, tmp_path, monkeypatch, n, d,
+                                                         block, view):
+        """The example view is row-major and the task view ``values.T``
+        column-major, so their whole-table sums add in different orders;
+        each block keeps its view's order."""
+        monkeypatch.setattr(clustering, "DISTANCE_BLOCK", block)
+        rng = np.random.default_rng(n * d)
+        values = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0, size=d)
+        X = values if view == "examples" else np.ascontiguousarray(values.T).T
+        assert X.flags.c_contiguous == (view == "examples" or d == 1 or n == 1)
+        ids = tuple(f"i{k}" for k in range(n))
+        path = tmp_path / "d.tsv"
+        write_pairwise_distances(path, X, ids)
+        assert path.read_bytes() == distance_table(X, ids).encode("utf-8")
+
+    # view -> the (items, columns) of its two sizes
+    SIZES = {"examples": ((300, 400), (900, 400)), "tasks": ((30, 9000), (90, 9000))}
+
+    @pytest.mark.parametrize("view", sorted(SIZES))
+    def test_temporaries_do_not_grow_with_the_items(self, tmp_path, view):
+        """Above its input, writing a table holds one block of differences and
+        one row: 0.35 MiB at either size of either view, within 1 MiB. A
+        whole-input difference per row peaked at 2.8 MiB on the 900-row
+        example view and 6.3 MiB on the 90-row task view, which is
+        ``values.T`` and so column-major."""
+        for items, columns in self.SIZES[view]:
+            rng = np.random.default_rng(items)
+            X = (rng.normal(size=(items, columns)) if view == "examples"
+                 else rng.normal(size=(columns, items)).T)
+            ids = tuple(f"i{k}" for k in range(items))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                write_pairwise_distances(tmp_path / "d.tsv", X, ids)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 ** 20
 
     def test_a_failing_row_leaves_no_table(self, tmp_path):
         path = tmp_path / "d.tsv"

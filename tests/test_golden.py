@@ -11,6 +11,9 @@ both stages that model is reused, and with different hyperparameters or a
 seeded learner the fold is refitted. ``holdout_augment_order2_ridge`` adds
 augmentation at order 2: its transformed fold trains on the rows and spec
 of the task's stage-2 model, but on more columns, so it must be refitted.
+The ``kfold_shared_full_*`` cases fit every stage-1 SVR model of a shared
+collection on the same rows, and so does the ``train-bank`` (SVR) and
+``cluster`` run at the end, which pins the cluster and distance tables.
 A changed digest is a change of behaviour and must be named in CHANGES.md.
 """
 
@@ -19,6 +22,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from crossrep import cli
 from crossrep.data import CollectionMode, SplitKind, Task, TaskCollection
 from crossrep.engine import TrainingScope
 from crossrep.learners import LearnerSpec
@@ -107,6 +111,18 @@ CASES = {
              stage1_scope=TrainingScope.TRAIN_SPLIT_ONLY),
         (),
         "af58e1387c1981f89f4497795739d1c11acff64ce09e379959745fc1d2f9d3e3"),
+    "kfold_shared_full_svr": (
+        dict(collection=_collection(5, 30, 4, seed=23, shared=True),
+             transformer_spec=SVR, final_spec=SVR, split=KFOLD3,
+             stage1_scope=TrainingScope.FULL_TASK),
+        (),
+        "5ade52b399615cb8b50ceb38bf4bdc8a5ba8b31aa1379ba5a7db09ab8f20fce3"),
+    "kfold_shared_full_order2_svr_ridge": (
+        dict(collection=_collection(5, 30, 4, seed=25, shared=True),
+             transformer_spec=SVR, final_spec=RIDGE, split=KFOLD3, order=2,
+             stage1_scope=TrainingScope.FULL_TASK),
+        (),
+        "c1fe9169ecabc9b989e293f6f973ca6e930eec59efc7265b81480003c192743f"),
     "holdout_augment_order2_ridge": (
         dict(collection=_collection(5, 26, 4, seed=21),
              transformer_spec=RIDGE, final_spec=RIDGE, split=HOLDOUT, order=2, augment=True,
@@ -126,3 +142,22 @@ def test_pipeline_golden_digest(name, tmp_path):
     for fname in (SCORES_NAME, COMPARISON_NAME):
         h.update((out / fname).read_bytes())
     assert h.hexdigest() == digest
+
+
+def test_svr_bank_cluster_golden_digest(tmp_path):
+    """``train-bank`` (SVR) over a shared collection, then ``cluster --items
+    both --distances`` over its rows: every stage-1 model trains on the same
+    rows, and the pool of 300 rows is predicted in several row blocks."""
+    coll, bank, out = tmp_path / "coll", tmp_path / "bank", tmp_path / "out"
+    assert cli.main(["synth", "--tasks", "6", "--examples", "300", "--features", "5",
+                     "--mode", "shared", "--seed", "27", "--out", str(coll)]) == 0
+    assert cli.main(["train-bank", "--collection", str(coll / "manifest.json"),
+                     "--learner", '{"kind": "svr", "c": 2.0, "epsilon": 0.05, "sigma": 0.3}',
+                     "--out", str(bank)]) == 0
+    assert cli.main(["cluster", "--bank", str(bank), "--pool", str(coll / "manifest.json"),
+                     "--k", "3", "--items", "both", "--distances", "--out", str(out)]) == 0
+    h = hashlib.sha256()
+    for fname in ("task_clusters.tsv", "example_clusters.tsv", "task_distances.tsv",
+                  "example_distances.tsv"):
+        h.update((out / fname).read_bytes())
+    assert h.hexdigest() == "9c812d20ac70e8ac393250c8ecef2402e98178098aba34ca33883e36e49a7bcc"

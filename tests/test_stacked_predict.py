@@ -1,11 +1,12 @@
-"""Stacked ridge prediction against the model-by-model loop, bit for bit.
+"""Stacked ridge and SVR prediction against the model-by-model loop, bit for bit.
 
 ``cross_predict`` and ``second_order_extrinsic`` predict a bank or a set of
-stage-2 models of ridge kind in one stacked product. The references in
-``helpers`` call ``predict`` once per model. Views are 8 or more columns
-wide: numpy's pairwise sum unrolls from 8 elements on, so a narrower view
-would sum the same way in any memory layout and could not show a layout
-difference.
+stage-2 models of ridge kind in one stacked product, and ``cross_predict``
+predicts a bank of SVR models of one standardization and sigma from one
+Gram against all their support rows. The references in ``helpers`` call
+``predict`` once per model. Ridge views are 8 or more columns wide: numpy's
+pairwise sum unrolls from 8 elements on, so a narrower view would sum the
+same way in any memory layout and could not show a layout difference.
 """
 
 import tracemalloc
@@ -13,13 +14,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from crossrep import engine
 from crossrep.data import CollectionMode, Task, TaskCollection
 from crossrep.engine import (ModelBank, TrainingScope, build_extrinsic, cross_predict,
-                             second_order_extrinsic, select_descriptors, stage1_train,
-                             stage2_train)
+                             load_bank, save_bank, second_order_extrinsic, select_descriptors,
+                             stage1_train, stage2_train)
 from crossrep.errors import FitError
-from crossrep.learners import LearnerSpec
+from crossrep.learners import LearnerSpec, svr
 from crossrep.learners.ridge import STACK_CHUNK_FLOATS, RidgeStack, predict_stacked
+from crossrep.learners.svr import GRAM_CHUNK_FLOATS, SvrStack
 
 from helpers import loop_cross_predict, loop_second_order_extrinsic
 
@@ -162,7 +165,7 @@ def test_first_failing_model_in_bank_order_is_named(bank_of):
     models = dict(stage1_train(narrow_col, SPECS["ridge"], TrainingScope.FULL_TASK).models)
     models["t02"] = wide
     mixed = ModelBank(models, SPECS["ridge"], "mixed", TrainingScope.FULL_TASK)
-    assert mixed._ridge_stack is None
+    assert mixed._stack is None
     with pytest.raises(FitError) as info:
         cross_predict(mixed, col.tasks[0].features[:, :7])
     assert str(info.value) == ("prediction failed for source model 't02': "
@@ -185,3 +188,130 @@ def test_one_temporary_of_at_most_2_to_the_15_floats_is_alive(bank_of):
         tracemalloc.stop()
     assert out.shape == (2000, N_TASKS)
     assert peak <= out.nbytes + 8 * STACK_CHUNK_FLOATS + 2 * 8 * len(X)
+
+
+SVR = LearnerSpec.svr(c=2.0, epsilon=0.1, sigma=0.3)
+SVR_ROWS, SVR_WIDTH = 60, 6
+
+
+def svr_collection(mode=CollectionMode.SHARED_EXAMPLES):
+    """9 tasks of 60 rows and 6 features. Column 0 holds the integers -29 to
+    29 and a signed zero: rows 0 and 1 differ only in its sign, and the
+    column's mean is 0.0, so the standardized rows differ the same way.
+    Their targets are far apart, so both are support rows. Task ``flat``'s
+    targets lie within epsilon of 0: its model has no support vectors.
+    Shared, every task has the same rows; independent, each has its own."""
+    rng = np.random.default_rng(11)
+    col0 = np.array([0.0, -0.0, *range(1, 30), *range(-1, -30, -1)])
+    tasks = []
+    for i in range(9):
+        if i == 0 or mode is CollectionMode.INDEPENDENT_EXAMPLES:
+            X = rng.normal(size=(SVR_ROWS, SVR_WIDTH))
+            X[:, 0] = col0
+            X[1, 1:] = X[0, 1:]
+        task_id = "flat" if i == 4 else f"s{i}"
+        y = 0.01 * rng.normal(size=SVR_ROWS) if task_id == "flat" else (
+            np.sin(X @ rng.normal(size=SVR_WIDTH)) + 0.1 * rng.normal(size=SVR_ROWS))
+        if task_id != "flat":
+            y[0], y[1] = 3.0, -3.0
+        ids = tuple(f"{task_id}-r{r}" if mode is CollectionMode.INDEPENDENT_EXAMPLES
+                    else f"r{r}" for r in range(SVR_ROWS))
+        tasks.append(Task(task_id, X, y, tuple(f"f{j}" for j in range(SVR_WIDTH)), ids))
+    return TaskCollection(tasks, mode, "svr")
+
+
+def svr_pool(rows):
+    rng = np.random.default_rng(rows)
+    pool = rng.normal(size=(rows, SVR_WIDTH)) * 2.0
+    pool[::5, 0] = -0.0
+    return pool
+
+
+@pytest.fixture(scope="module", params=["memory", "saved"])
+def svr_bank(request, tmp_path_factory):
+    bank = stage1_train(svr_collection(), SVR, TrainingScope.FULL_TASK)
+    if request.param == "saved":
+        bank = load_bank(save_bank(bank, tmp_path_factory.mktemp("svr_bank")).parent)
+    return bank
+
+
+def test_the_svr_stack_keeps_signed_zeros_apart_and_skips_no_model(svr_bank):
+    stack = svr_bank._stack
+    assert isinstance(stack, SvrStack)
+    supports = [svr_bank.models[t].state.support for t in svr_bank.task_ids]
+    assert [len(c) for c in stack.columns] == [len(s) for s in supports]
+    assert [len(s) == 0 for s in supports] == [t == "flat" for t in svr_bank.task_ids]
+    distinct = {row.tobytes() for s in supports for row in s}
+    assert len(stack.support) == len(distinct)
+    zero_rows = [row for row in stack.support if row[0] == 0.0]
+    assert len(zero_rows) == 2 and np.array_equal(zero_rows[0], zero_rows[1])
+    assert sorted(np.signbit(row[0]) for row in zero_rows) == [False, True]
+
+
+# 1500 rows against at most 60 support rows take several row blocks
+@pytest.mark.parametrize("rows", [0, 1, 7, 1500])
+def test_svr_cross_predict_matches_the_loop(svr_bank, rows):
+    X = svr_pool(rows)
+    assert rows < 1500 or rows > GRAM_CHUNK_FLOATS // len(svr_bank._stack.support)
+    out = cross_predict(svr_bank, X)
+    assert out.tobytes() == loop_cross_predict(svr_bank, X).tobytes()
+
+
+def test_svr_cross_predict_builds_one_gram_per_row_block(svr_bank, monkeypatch):
+    calls = []
+
+    def counted(A, B, sigma, _gram=svr.rbf_gram):
+        calls.append(len(A))
+        return _gram(A, B, sigma)
+
+    distinct = {row.tobytes() for model in svr_bank.models.values()
+                for row in model.state.support}
+    monkeypatch.setattr(svr, "rbf_gram", counted)
+    cross_predict(svr_bank, svr_pool(1500))
+    step = GRAM_CHUNK_FLOATS // len(distinct)
+    assert calls == [min(step, 1500 - lo) for lo in range(0, 1500, step)]
+    assert 1 < len(calls) < len(svr_bank.models) - 1
+
+
+def test_stage1_of_a_shared_svr_run_builds_one_gram(monkeypatch):
+    """Every task trains on the same rows: one Gram, still one fit per task."""
+    grams, fits = [], []
+
+    def gram(A, B, sigma, _gram=svr.rbf_gram):
+        grams.append(A is B)
+        return _gram(A, B, sigma)
+
+    def fit(*args, _fit=svr.fit_svr, **kwargs):
+        fits.append(kwargs.get("kernel"))
+        return _fit(*args, **kwargs)
+
+    monkeypatch.setattr(svr, "rbf_gram", gram)
+    monkeypatch.setattr(svr, "fit_svr", fit)
+    col = svr_collection()
+    bank = stage1_train(col, SVR, TrainingScope.FULL_TASK)
+    assert grams == [True] and len(fits) == col.n_tasks == len(bank.models)
+    monkeypatch.undo()
+    for task in col.tasks:
+        alone = svr.fit_svr(task.features, task.targets, **SVR.hyperparams)
+        model = bank.models[task.task_id]
+        for name in ("support", "dual_coef"):
+            assert getattr(model.state, name).tobytes() == getattr(alone.state, name).tobytes()
+        assert (model.state.bias, model.state.n_iter) == (alone.state.bias, alone.state.n_iter)
+
+
+def test_a_bank_of_other_standardizations_falls_back_after_two_archives(tmp_path,
+                                                                         monkeypatch):
+    col = svr_collection(CollectionMode.INDEPENDENT_EXAMPLES)
+    bank = load_bank(save_bank(stage1_train(col, SVR, TrainingScope.FULL_TASK),
+                               tmp_path).parent)
+    reads = []
+
+    def counted(path, _load=engine.load_model):
+        reads.append(path.name)
+        return _load(path)
+
+    monkeypatch.setattr(engine, "load_model", counted)
+    assert bank._stack is None
+    assert reads == ["flat.model.json", "s0.model.json"]
+    X = svr_pool(40)
+    assert cross_predict(bank, X).tobytes() == loop_cross_predict(bank, X).tobytes()

@@ -5,7 +5,7 @@ import pytest
 
 from crossrep.errors import ConvergenceError, FitError, ValidationError
 from crossrep.learners import fit_svr, predict, rbf_gram
-from crossrep.learners.svr import _smo
+from crossrep.learners.svr import GRAM_CHUNK_FLOATS, _smo
 
 from helpers import dual_objective, projected_gradient_svr_dual, rbf_kernel
 
@@ -37,7 +37,7 @@ class TestRbfKernel:
     @pytest.mark.parametrize("a_rows, b_rows, p", [(1, 1, 1), (10, 130, 7), (168, 168, 12),
                                                    (40, 130, 30), (3000, 3, 12)])
     def test_gram_matches_column_loop_bitwise(self, a_rows, b_rows, p):
-        # Chunks of 64, 16 and 27 rows of B, and one row at a time for the last shape.
+        # Chunks of 64, 8 and 13 rows of B, and one row at a time for the last shape.
         rng = np.random.default_rng(a_rows + b_rows)
         A, B = rng.normal(size=(a_rows, p)), rng.normal(size=(b_rows, p))
         expected = np.empty((a_rows, b_rows))
@@ -47,11 +47,11 @@ class TestRbfKernel:
         assert np.array_equal(rbf_gram(A, B, 0.3), expected)
 
     def test_one_difference_chunk_is_alive_at_a_time(self):
-        """Above the Gram itself, peak memory stays within one chunk of 2**15
-        differences, the two buffers of numpy's iterator that builds it from
-        broadcast operands, and the chunk's three sums: the previous chunk is
-        freed before the next one is built. A is 512 x 8, so a chunk takes 8
-        rows of B and each sum is 8 x 512."""
+        """Above the Gram itself, peak memory stays within one chunk of 2**14
+        differences and the chunk's three sums: every chunk is written into
+        one preallocated buffer, one row of B at a time, so numpy's iterator
+        needs no buffers of its own. A is 512 x 8, so a chunk takes 4 rows of
+        B and each sum is 4 x 512."""
         rng = np.random.default_rng(4)
         A, B = rng.normal(size=(512, 8)), rng.normal(size=(200, 8))
         tracemalloc.start()
@@ -60,8 +60,8 @@ class TestRbfKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        buffers = 2 * 8 * np.getbufsize()
-        assert peak <= K.nbytes + 8 * (1 << 15) + buffers + 3 * 8 * (8 * 512)
+        assert GRAM_CHUNK_FLOATS == 1 << 14
+        assert peak <= K.nbytes + 8 * GRAM_CHUNK_FLOATS + 3 * 8 * (4 * 512)
 
 
 class TestSvrFit:
