@@ -148,49 +148,72 @@ def _smo(K: np.ndarray, y: np.ndarray, c: float, epsilon: float, tol: float,
 
     Variable k < l is alpha_k (u_k = +1), variable l + k is alpha*_k
     (u_k = -1). Each iteration writes the violation values -u * gradient
-    straight into a preallocated buffer and updates the up/low index sets only
-    at the two variables it moves; the pair update runs on Python floats.
-    ``K`` must be exactly symmetric: the Kbeta update reads rows of K in
-    place of its columns.
+    straight into a preallocated buffer and picks the maximal violating pair
+    through two penalty vectors: ``up_pen`` is 0.0 on the up set and -inf
+    off it, ``low_pen`` 0.0 on the low set and +inf off it. ``vals + up_pen``
+    is vals on the up set (x + 0.0 == x) and -inf elsewhere, so its argmax
+    is the first maximal index of the set; ``low_pen`` gives the argmin over
+    the low set in the same way. A penalty changes only at the two variables
+    a step moves. Only values that overflowed to +-inf can meet the opposite
+    infinity and give nan; a step whose gap is not below +inf then takes its
+    picks over the sets alone, as a masked copy would. The pair update runs
+    on Python floats, and the numpy calls take 0-d float64 operands and a
+    list of K's row views, which cost less per call than Python floats and
+    ``K[r]``. ``K`` must be exactly symmetric: the Kbeta update reads rows
+    of K in place of its columns.
     """
     l = len(y)
     a = [0.0] * (2 * l)
     diag = K.diagonal().tolist()
+    rows = list(K)
     Kbeta = np.zeros(l, dtype=np.float64)
     vals = np.empty(2 * l, dtype=np.float64)
     v_alpha, v_star = vals[:l], vals[l:]
+    eps = np.array(epsilon, dtype=np.float64)
     # up: alpha below c or alpha* above 0; low: alpha above 0 or alpha* below c.
+    inf = np.inf
     zeros = np.zeros(l)
     up = np.concatenate([zeros < c, zeros > 0])
     low = np.concatenate([zeros > 0, zeros < c])
     n_up, n_low = int(up.sum()), int(low.sum())
-    # vals on up (low), -inf (+inf) elsewhere: argmax (argmin) is the first
-    # maximal (minimal) index of the set, as over vals[up] (vals[low]).
-    up_vals = np.full(2 * l, -np.inf)
-    low_vals = np.full(2 * l, np.inf)
+    up_pen = np.where(up, 0.0, -inf)
+    low_pen = np.where(low, 0.0, inf)
+    up_vals = np.empty(2 * l, dtype=np.float64)
+    low_vals = np.empty(2 * l, dtype=np.float64)
+    scale_i = np.empty((), dtype=np.float64)
+    scale_j = np.empty((), dtype=np.float64)
     step_i = np.empty(l, dtype=np.float64)
     step_j = np.empty(l, dtype=np.float64)
 
-    gap = np.inf
+    gap = inf
     m = M = 0.0
     it = 0
     while True:
         # vals = -u * g for the gradient g = [(Kbeta + eps) - y, (eps - Kbeta) + y]
-        np.add(Kbeta, epsilon, out=v_alpha)
+        np.add(Kbeta, eps, out=v_alpha)
         np.subtract(v_alpha, y, out=v_alpha)
         np.negative(v_alpha, out=v_alpha)
-        np.subtract(epsilon, Kbeta, out=v_star)
+        np.subtract(eps, Kbeta, out=v_star)
         np.add(v_star, y, out=v_star)
         if n_up == 0 or n_low == 0:
             gap = 0.0
             break
-        np.copyto(up_vals, vals, where=up)
-        np.copyto(low_vals, vals, where=low)
+        np.add(vals, up_pen, out=up_vals)
+        np.add(vals, low_pen, out=low_vals)
         i = int(up_vals.argmax())
         j = int(low_vals.argmin())
         m = vals.item(i)
         M = vals.item(j)
         gap = m - M
+        if not gap < inf:
+            # Only an overflowed vals gets here: +inf (-inf) off the up (low)
+            # set plus its penalty is nan, which argmax (argmin) would pick.
+            # Take the picks over the sets alone.
+            i = int(np.where(up_pen == 0.0, vals, -inf).argmax())
+            j = int(np.where(low_pen == 0.0, vals, inf).argmin())
+            m = vals.item(i)
+            M = vals.item(j)
+            gap = m - M
         if gap <= tol:
             break
         if it >= max_iter:
@@ -244,18 +267,16 @@ def _smo(K: np.ndarray, y: np.ndarray, c: float, epsilon: float, tol: float,
             else:  # alpha*: up <=> a > 0, low <=> a < c
                 was_up, was_low, in_up, in_low = old > 0, old < c, new > 0, new < c
             if in_up != was_up:
-                up[k] = in_up
+                up_pen[k] = 0.0 if in_up else -inf
                 n_up += 1 if in_up else -1
-                if not in_up:
-                    up_vals[k] = -np.inf
             if in_low != was_low:
-                low[k] = in_low
+                low_pen[k] = 0.0 if in_low else inf
                 n_low += 1 if in_low else -1
-                if not in_low:
-                    low_vals[k] = np.inf
         # Kbeta += K[:, ri] * (u_i * (ai - old_i)) + K[:, rj] * (u_j * (aj - old_j))
-        np.multiply(K[ri], (ai - old_i) if i_alpha else -(ai - old_i), out=step_i)
-        np.multiply(K[rj], (aj - old_j) if j_alpha else -(aj - old_j), out=step_j)
+        scale_i[()] = (ai - old_i) if i_alpha else -(ai - old_i)
+        scale_j[()] = (aj - old_j) if j_alpha else -(aj - old_j)
+        np.multiply(rows[ri], scale_i, out=step_i)
+        np.multiply(rows[rj], scale_j, out=step_j)
         np.add(step_i, step_j, out=step_i)
         np.add(Kbeta, step_i, out=Kbeta)
         it += 1

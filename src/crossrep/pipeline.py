@@ -25,6 +25,7 @@ from .data import (CollectionMode, SplitKind, SplitPlan, Task, TaskCollection,
 from .engine import (ExtrinsicMatrix, TrainingScope, audit_no_leakage, build_extrinsic,
                      cross_predict, second_order_extrinsic, select_descriptors,
                      stage1_train, stage2_train, training_rows)
+from .environment import environment_record
 from .errors import ConfigError, CrossrepError, FitError, IngestionError, ValidationError
 from .evaluation import (ComparisonRow, CvResult, Representation, compare_representations,
                          comparison_tsv, cross_validate, render_comparison)
@@ -369,7 +370,10 @@ def render_report(result: ExperimentResult) -> str:
 
 
 def write_result(result: ExperimentResult, out_dir: str | Path) -> Path:
-    """Persist score tables, the comparison, the report, and a manifest."""
+    """Persist score tables, the comparison, the report, and a manifest.
+
+    The manifest also holds the numeric environment (``environment_record``),
+    outside the byte-identical tables, as ``completed_at`` is."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / SCORES_NAME).write_text(scores_tsv(result), encoding="utf-8")
@@ -380,6 +384,7 @@ def write_result(result: ExperimentResult, out_dir: str | Path) -> Path:
         "version": __version__,
         "completed_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         "outputs": [SCORES_NAME, COMPARISON_NAME, REPORT_NAME],
+        "environment": environment_record(),
     }
     (out_dir / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                                          encoding="utf-8")

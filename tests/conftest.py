@@ -1,7 +1,26 @@
+import json
+
 import numpy as np
 import pytest
 
 from crossrep.data import CollectionMode, Task, TaskCollection
+from crossrep.environment import environment_record
+
+
+def _environment_line():
+    return f"crossrep environment: {json.dumps(environment_record(), sort_keys=True)}"
+
+
+def pytest_report_header(config):
+    """The record each run writes to its manifest: a byte-identity gate that
+    fails at one BLAS thread count shows the count it ran at."""
+    return _environment_line()
+
+
+def pytest_terminal_summary(terminalreporter):
+    # -q hides the header, so a quiet run prints the record at its end.
+    if terminalreporter.verbosity < 0:
+        terminalreporter.write_line(_environment_line())
 
 
 def make_task(task_id, n=10, p=3, seed=0, targets=None, mode_shared_ids=False):

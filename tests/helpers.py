@@ -8,13 +8,14 @@ and the inverse of target normalization are checks the library itself
 never calls. K-means keeps the all-centroids-at-once broadcast distances
 the library computed before it went one centroid and one block of rows at
 a time, and the distance table is built whole, as the library did before
-it streamed the table to its file.
+it streamed the table to its file. The SMO loop keeps the masked copies of
+the violation values that the solver took before it kept penalty vectors.
 """
 
 import numpy as np
 
 from crossrep.clustering import ClusterResult
-from crossrep.errors import ValidationError
+from crossrep.errors import ConvergenceError, ValidationError
 from crossrep.learners import predict
 
 
@@ -240,3 +241,126 @@ def distance_table(X, ids):
         d = np.sqrt(((X - X[i]) ** 2).sum(axis=1))
         lines.append("\t".join([item_id, *(repr(float(v)) for v in d)]))
     return "\n".join(lines) + "\n"
+
+
+def masked_smo(K, y, c, epsilon, tol, max_iter):
+    """The SVR solver's SMO loop as it was before it kept penalty vectors:
+    each step copies the violation values onto the up and low sets with
+    ``np.copyto(..., where=mask)`` and takes the first maximal (minimal)
+    index there. ``_smo`` must return the same bits, iteration count and
+    gap, or raise the same error. Returns (a, bias, n_iter, kkt_gap).
+    """
+    l = len(y)
+    a = [0.0] * (2 * l)
+    diag = K.diagonal().tolist()
+    Kbeta = np.zeros(l, dtype=np.float64)
+    vals = np.empty(2 * l, dtype=np.float64)
+    v_alpha, v_star = vals[:l], vals[l:]
+    # up: alpha below c or alpha* above 0; low: alpha above 0 or alpha* below c.
+    zeros = np.zeros(l)
+    up = np.concatenate([zeros < c, zeros > 0])
+    low = np.concatenate([zeros > 0, zeros < c])
+    n_up, n_low = int(up.sum()), int(low.sum())
+    # vals on up (low), -inf (+inf) elsewhere: argmax (argmin) is the first
+    # maximal (minimal) index of the set, as over vals[up] (vals[low]).
+    up_vals = np.full(2 * l, -np.inf)
+    low_vals = np.full(2 * l, np.inf)
+    step_i = np.empty(l, dtype=np.float64)
+    step_j = np.empty(l, dtype=np.float64)
+
+    gap = np.inf
+    m = M = 0.0
+    it = 0
+    while True:
+        # vals = -u * g for the gradient g = [(Kbeta + eps) - y, (eps - Kbeta) + y]
+        np.add(Kbeta, epsilon, out=v_alpha)
+        np.subtract(v_alpha, y, out=v_alpha)
+        np.negative(v_alpha, out=v_alpha)
+        np.subtract(epsilon, Kbeta, out=v_star)
+        np.add(v_star, y, out=v_star)
+        if n_up == 0 or n_low == 0:
+            gap = 0.0
+            break
+        np.copyto(up_vals, vals, where=up)
+        np.copyto(low_vals, vals, where=low)
+        i = int(up_vals.argmax())
+        j = int(low_vals.argmin())
+        m = vals.item(i)
+        M = vals.item(j)
+        gap = m - M
+        if gap <= tol:
+            break
+        if it >= max_iter:
+            raise ConvergenceError(
+                f"SVR solver exhausted {max_iter} iterations; KKT gap {gap:.3e} > tol {tol:.1e}"
+            )
+        i_alpha, j_alpha = i < l, j < l
+        ri, rj = (i if i_alpha else i - l), (j if j_alpha else j - l)
+        gi, gj = (-m if i_alpha else m), (-M if j_alpha else M)
+        sign = 1.0 if i_alpha == j_alpha else -1.0
+        quad = diag[ri] + diag[rj] - 2.0 * sign * K.item(ri, rj)
+        if quad <= 0.0:
+            quad = 1e-12
+        old_i, old_j = a[i], a[j]
+        if i_alpha != j_alpha:
+            delta = (-gi - gj) / quad
+            diff = old_i - old_j
+            ai, aj = old_i + delta, old_j + delta
+            if diff > 0:
+                if aj < 0:
+                    aj, ai = 0.0, diff
+            else:
+                if ai < 0:
+                    ai, aj = 0.0, -diff
+            if diff > 0:
+                if ai > c:
+                    ai, aj = c, c - diff
+            else:
+                if aj > c:
+                    aj, ai = c, c + diff
+        else:
+            delta = (gi - gj) / quad
+            total = old_i + old_j
+            ai, aj = old_i - delta, old_j + delta
+            if total > c:
+                if ai > c:
+                    ai, aj = c, total - c
+                elif aj > c:
+                    aj, ai = c, total - c
+            else:
+                if aj < 0:
+                    aj, ai = 0.0, total
+                elif ai < 0:
+                    ai, aj = 0.0, total
+        a[i], a[j] = ai, aj
+        # i == j only if a zero gap exceeds tol (tol < 0); a[i] then ends at aj.
+        for k, old in ((i, old_i), (j, old_j)) if i != j else ((j, old_j),):
+            new = a[k]
+            if k < l:  # alpha: up <=> a < c, low <=> a > 0
+                was_up, was_low, in_up, in_low = old < c, old > 0, new < c, new > 0
+            else:  # alpha*: up <=> a > 0, low <=> a < c
+                was_up, was_low, in_up, in_low = old > 0, old < c, new > 0, new < c
+            if in_up != was_up:
+                up[k] = in_up
+                n_up += 1 if in_up else -1
+                if not in_up:
+                    up_vals[k] = -np.inf
+            if in_low != was_low:
+                low[k] = in_low
+                n_low += 1 if in_low else -1
+                if not in_low:
+                    low_vals[k] = np.inf
+        # Kbeta += K[:, ri] * (u_i * (ai - old_i)) + K[:, rj] * (u_j * (aj - old_j))
+        np.multiply(K[ri], (ai - old_i) if i_alpha else -(ai - old_i), out=step_i)
+        np.multiply(K[rj], (aj - old_j) if j_alpha else -(aj - old_j), out=step_j)
+        np.add(step_i, step_j, out=step_i)
+        np.add(Kbeta, step_i, out=Kbeta)
+        it += 1
+
+    a = np.array(a)
+    free = (a > 0) & (a < c)
+    if free.any():
+        bias = float(np.mean(vals[free]))
+    else:
+        bias = float(0.5 * (m + M))
+    return a, bias, it, gap

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -454,6 +457,32 @@ class TestResultFiles:
         report = (out / "result.txt").read_text()
         assert "Original rep." in report
         assert "fingerprints" in report
+
+    def test_manifest_records_the_environment(self, tmp_path):
+        result = run_pipeline(config(toy_collection(), transformer_spec=RIDGE,
+                                     final_spec=RIDGE))
+        before = dict(os.environ)
+        out = write_result(result, tmp_path / "run")
+        record = json.loads((out / "run_manifest.json").read_text())["environment"]
+        assert set(record) == {"numpy", "blas", "blas_threads", "cpu_count"}
+        assert set(record["blas"]) == {"name", "version"}
+        assert record["numpy"] == np.__version__
+        assert record["cpu_count"] == os.cpu_count()
+        assert record["blas_threads"] is None or record["blas_threads"] >= 1
+        assert dict(os.environ) == before  # read, never set
+
+    def test_blas_thread_count_is_read_from_the_loaded_library(self):
+        code = ("import json; from crossrep.environment import environment_record; "
+                "print(json.dumps(environment_record()))")
+        src = os.path.dirname(os.path.dirname(pipeline.__file__))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        record = json.loads(out)
+        if record["blas_threads"] is None:
+            pytest.skip("no OpenBLAS thread count readable in this process")
+        assert record["blas_threads"] == 1
 
     def test_scores_sorted_and_parseable(self, tmp_path):
         result = run_pipeline(config(toy_collection(), transformer_spec=RIDGE,
