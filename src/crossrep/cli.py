@@ -19,8 +19,7 @@ from .clustering import (CrossPredictionMatrix, assignments_tsv, build_pool, clu
 from .data import (CollectionMode, SplitKind, json_field, load_collection, load_pool,
                    load_task, read_json, write_collection)
 from .engine import TrainingScope, load_bank, save_bank, stage1_train
-from .errors import (ConfigError, ConvergenceError, CrossrepError, FitError,
-                     IngestionError, ValidationError)
+from .errors import ConfigError, CrossrepError, IngestionError, ValidationError
 from .evaluation import compare_scores, render_comparison
 from .learners import parse_learner_spec
 from .pipeline import (PipelineConfig, SCORES_NAME, SplitProtocol, load_scores,
@@ -288,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValidationError, IngestionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (FitError, ConvergenceError, CrossrepError) as exc:
+    except CrossrepError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as exc:  # an output path that cannot be created or written

@@ -626,6 +626,11 @@ def write_task_file(task: Task, path: str | Path, target: str = "y") -> None:
     _write_rows(task, Path(path), target, _row_prefixes(task))
 
 
+def is_file_name(name: str) -> bool:
+    """Whether ``name`` names a file directly inside a directory."""
+    return Path(name).name == name and name not in ("", "..") and "\0" not in name
+
+
 def write_collection(collection: TaskCollection, out_dir: str | Path,
                      target: str = "y") -> Path:
     """Write all task files plus a manifest; returns the manifest path.
@@ -640,7 +645,7 @@ def write_collection(collection: TaskCollection, out_dir: str | Path,
     previous, prefixes = None, []
     for task in collection.tasks:
         fname = f"{task.task_id}.csv"
-        if Path(fname).name != fname or Path(fname).stem != task.task_id or "\0" in fname:
+        if not is_file_name(fname) or Path(fname).stem != task.task_id:
             raise ValidationError(f"task {task.task_id!r}: cannot write task id "
                                   f"{task.task_id!r}: it is not the stem of a file name")
         if previous is None or not _same_rows(task, previous):

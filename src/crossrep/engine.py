@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import CollectionMode, SplitPlan, Task, TaskCollection, json_field, read_json
+from .data import TaskCollection, is_file_name, json_field, read_json
 from .errors import FitError, IngestionError, ValidationError
 from .learners import (EMPTY_FINGERPRINT, FittedModel, LearnerKind, LearnerSpec,
                        TrainFingerprint, fit_learner, load_model, predict, save_model)
@@ -62,23 +62,10 @@ class ModelBank:
     def task_ids(self) -> tuple[str, ...]:
         return tuple(self.models.keys())
 
-    @cached_property
-    def _columns_memo(self) -> dict[tuple[str, ...], np.ndarray]:
-        return {}
-
     def columns(self, task_ids: tuple[str, ...]) -> np.ndarray:
-        """Positions of ``task_ids`` among the columns of ``cross_predict``.
-
-        Memoized per tuple: order 2 reads the same source tuples once per
-        target task.
-        """
-        cols = self._columns_memo.get(task_ids)
-        if cols is None:
-            column_of = {task_id: j for j, task_id in enumerate(self.models)}
-            cols = np.array([column_of[t] for t in task_ids], dtype=np.intp)
-            cols.setflags(write=False)
-            self._columns_memo[task_ids] = cols
-        return cols
+        """Positions of ``task_ids`` among the columns of ``cross_predict``."""
+        column_of = {task_id: j for j, task_id in enumerate(self.models)}
+        return np.array([column_of[t] for t in task_ids], dtype=np.intp)
 
     @cached_property
     def _stack(self) -> RidgeStack | SvrStack | None:
@@ -127,68 +114,35 @@ class ExtrinsicMatrix:
         return self.values.shape[1]
 
 
-def training_rows(task: Task, scope: TrainingScope, plan: SplitPlan | None) -> np.ndarray:
-    """The rows of ``task`` a model under ``scope`` trains on: all of them, or
-    the training side of its holdout ``plan``."""
-    if scope is TrainingScope.FULL_TASK:
-        return np.arange(task.n_examples)
-    if plan is None:
-        raise ValidationError(
-            f"train-split-only scope requires a split plan for task {task.task_id!r}"
-        )
-    if plan.n != task.n_examples:
-        raise ValidationError(
-            f"split plan covers {plan.n} examples, task {task.task_id!r} has {task.n_examples}"
-        )
-    if plan.n_splits != 1:
-        raise ValidationError(
-            "train-split-only scope requires a holdout plan (k-fold would need one bank per fold)"
-        )
-    train, _ = plan.split(0)
-    return train
-
-
 def stage1_train(collection: TaskCollection, spec: LearnerSpec, scope: TrainingScope,
-                 split_plans: dict[str, SplitPlan] | None = None,
+                 rows: Mapping[str, np.ndarray] | None = None,
                  on_failure: Callable[[str, FitError], None] | None = None) -> ModelBank:
     """Fit one model per task on its intrinsic features, each task once.
 
-    Under TRAIN_SPLIT_ONLY only the training side of each task's holdout
-    plan is used; shared-example collections must then share one plan.
-    A task whose fit fails raises its FitError, unless ``on_failure`` is
-    given: it is then called with the task id and the error, and the task
-    is left out of the bank.
+    Task t is fitted on its rows ``rows[t]``, or on all its rows when
+    ``rows`` is None; ``scope`` only labels the bank. A task whose fit
+    fails raises its FitError, unless ``on_failure`` is given: it is then
+    called with the task id and the error, and the task is left out of
+    the bank.
     """
-    plans = split_plans or {}
-    if scope is TrainingScope.TRAIN_SPLIT_ONLY:
-        missing = [t.task_id for t in collection.tasks if t.task_id not in plans]
-        if missing:
-            raise ValidationError(f"no split plan for tasks: {', '.join(missing)}")
-        if collection.mode is CollectionMode.SHARED_EXAMPLES:
-            digests = {plans[t.task_id].digest for t in collection.tasks}
-            if len(digests) != 1:
-                raise ValidationError(
-                    "shared-examples collections must use one split plan for all tasks"
-                )
-
     models: dict[str, FittedModel] = {}
     # An SVR fit shares the kernel of the task before it when their training
     # matrices have the same bits, as every task of a shared collection does;
     # a kernel whose build fails is built again, and fails, for each task.
     X_prev, shared = None, {}
     for task in collection.tasks:
-        rows = training_rows(task, scope, plans.get(task.task_id))
+        idx = np.arange(task.n_examples) if rows is None else rows[task.task_id]
         fp = TrainFingerprint(task_id=task.task_id,
-                              row_ids=tuple(task.example_ids[i] for i in rows))
+                              row_ids=tuple(task.example_ids[i] for i in idx))
         seed = derive_seed(spec.seed, "stage1", task.task_id)
-        X = task.features[rows]
+        X = task.features[idx]
         if spec.kind is LearnerKind.SVR and not (
                 X_prev is not None and X.shape == X_prev.shape
                 and X.tobytes() == X_prev.tobytes()):
             X_prev, shared = X, {"kernel": functools.cache(
                 functools.partial(SvrKernel.of, X, spec.hyperparams["sigma"]))}
         try:
-            models[task.task_id] = fit_learner(spec, X, task.targets[rows],
+            models[task.task_id] = fit_learner(spec, X, task.targets[idx],
                                                fingerprint=fp, seed=seed, **shared)
         except FitError as exc:
             err = FitError(f"stage-1 fit failed for task {task.task_id!r}: {exc}")
@@ -290,14 +244,15 @@ def stage2_train(extrinsic: ExtrinsicMatrix, y: np.ndarray, spec: LearnerSpec,
 
 def second_order_extrinsic(target_task_id: str, bank: ModelBank,
                            stage2_models: dict[str, FittedModel],
-                           stage2_sources: dict[str, tuple[str, ...]],
+                           stage2_columns: dict[str, np.ndarray],
                            predictions: np.ndarray) -> ExtrinsicMatrix:
     """Order-2 representation: other tasks' stage-2 models on the target's rows.
 
     ``predictions`` is ``cross_predict(bank, X)`` for the target's rows X.
     There is one column per task of ``stage2_models`` other than the target,
     in bank order. Column j applies task j's stage-2 model to task j's own
-    view of those rows: the columns of its stage-1 sources (post-capping).
+    view of those rows: the columns ``stage2_columns[j]`` of the block, the
+    ``bank.columns`` of its stage-1 sources (post-capping).
     When every such model is a ridge model as wide as its view and the
     block is finite, all columns come from one stacked product with the
     bits of the model-by-model loop.
@@ -308,14 +263,14 @@ def second_order_extrinsic(target_task_id: str, bank: ModelBank,
     other_ids = tuple(t for t in bank.task_ids if t in stage2_models and t != target_task_id)
 
     stack = RidgeStack.of(stage2_models[j] for j in other_ids)
-    if (stack is not None and all(len(stage2_sources[j]) == stack.width for j in other_ids)
+    if (stack is not None and all(len(stage2_columns[j]) == stack.width for j in other_ids)
             and np.isfinite(predictions).all()):
-        cols = np.stack([bank.columns(stage2_sources[j]) for j in other_ids])
+        cols = np.stack([stage2_columns[j] for j in other_ids])
         values = predict_stacked(stack, np.asarray(predictions, dtype=np.float64), cols)
         return ExtrinsicMatrix(values, other_ids, target_task_id)
     values = np.empty((predictions.shape[0], len(other_ids)), dtype=np.float64)
     for c, j in enumerate(other_ids):
-        view = predictions.take(bank.columns(stage2_sources[j]), axis=1)
+        view = predictions.take(stage2_columns[j], axis=1)
         try:
             values[:, c] = predict(stage2_models[j], view)
         except Exception as exc:
@@ -344,14 +299,20 @@ BANK_INDEX_NAME = "bank_index.json"
 
 
 def save_bank(bank: ModelBank, out_dir: str | Path) -> Path:
-    """One archive per model plus an index manifest; returns the index path."""
+    """One archive per model plus an index manifest; returns the index path.
+
+    A task id whose archive name is not a plain file name is a
+    ValidationError naming the task, raised before any file is written.
+    """
+    files = {task_id: f"{task_id}.model.json" for task_id in bank.task_ids}
+    for task_id, fname in files.items():
+        if not is_file_name(fname):
+            raise ValidationError(f"task {task_id!r}: cannot save its model as {fname!r}: "
+                                  f"it is not a file name")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = {}
     for task_id, model in bank.models.items():
-        fname = f"{task_id}.model.json"
-        save_model(model, out_dir / fname)
-        files[task_id] = fname
+        save_model(model, out_dir / files[task_id])
     index = {
         "collection_id": bank.collection_id,
         "learner_spec": bank.learner_spec.to_dict(),
@@ -426,6 +387,11 @@ def load_bank(bank_dir: str | Path) -> ModelBank:
     if not all(isinstance(t, str) and isinstance(files.get(t), str) for t in order):
         raise IngestionError(f"{index_path}: 'task_order' must list task ids whose "
                              f"'models' entry is an archive file name")
+    for i, task_id in enumerate(order):
+        if not is_file_name(files[task_id]):
+            raise IngestionError(f"{index_path}: 'task_order'[{i}] {task_id!r} has 'models' "
+                                 f"entry {files[task_id]!r}, which is not a file name in "
+                                 f"the bank directory")
     if names is not None and not all(isinstance(name, str) for name in names):
         raise IngestionError(f"{index_path}: 'feature_names' must list column names, "
                              f"got {names!r}")

@@ -24,7 +24,7 @@ from .data import (CollectionMode, SplitKind, SplitPlan, Task, TaskCollection,
                    read_table)
 from .engine import (ExtrinsicMatrix, TrainingScope, audit_no_leakage, build_extrinsic,
                      cross_predict, second_order_extrinsic, select_descriptors,
-                     stage1_train, stage2_train, training_rows)
+                     stage1_train, stage2_train)
 from .environment import environment_record
 from .errors import ConfigError, CrossrepError, FitError, IngestionError, ValidationError
 from .evaluation import (ComparisonRow, CvResult, Representation, compare_representations,
@@ -96,6 +96,14 @@ class PipelineConfig:
         if self.collection.mode is CollectionMode.SHARED_EXAMPLES:
             return TrainingScope.TRAIN_SPLIT_ONLY
         return TrainingScope.FULL_TASK
+
+    def training_rows(self, task: Task) -> np.ndarray:
+        """The rows of ``task`` its stage-1 model trains on: all of them under
+        ``full_task``, the train side of its holdout plan under ``train_split_only``."""
+        if self.resolved_scope is TrainingScope.FULL_TASK:
+            return np.arange(task.n_examples)
+        train, _ = self.plans[task.task_id].split(0)
+        return train
 
     def echo(self) -> dict:
         return {
@@ -196,8 +204,8 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
                 record("normalize", task.task_id, exc)
         collection = survivors(normalized, "target normalization")
 
-    bank = stage1_train(collection, config.transformer_spec, config.resolved_scope,
-                        split_plans=config.plans,
+    train_rows = {t.task_id: config.training_rows(t) for t in collection.tasks}
+    bank = stage1_train(collection, config.transformer_spec, config.resolved_scope, train_rows,
                         on_failure=lambda t, exc: record("stage1", t, exc))
     if len(bank.models) < collection.n_tasks:
         collection = survivors([t for t in collection.tasks if t.task_id in bank.models],
@@ -228,7 +236,7 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
     # Only tasks scored under both order-1 representations get an order-2
     # column; their stage-1 models may still feed the other tasks' views.
     evaluated: list[tuple[Task, Callable[..., CvResult]]] = []
-    stage2_models, stage2_sources = {}, {}
+    stage2_models, stage2_columns = {}, {}
     results: list[CvResult] = []
     order1 = Representation.transformed(config.transformer_spec, 1)
 
@@ -251,7 +259,7 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
             stage2 = ()
             if config.order == 2:
                 # the rows of the stage-1 fit, so its fingerprint is stage 2's too
-                rows = training_rows(task, config.resolved_scope, plan)
+                rows = train_rows[task.task_id]
                 view = ExtrinsicMatrix(ext.values[rows], ext.source_model_ids, task.task_id)
                 try:
                     stage2 = (stage2_train(view, task.targets[rows], config.final_spec,
@@ -266,14 +274,14 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
         evaluated.append((task, score))
         if stage2:
             stage2_models[task.task_id] = stage2[0]
-            stage2_sources[task.task_id] = ext.source_model_ids
+            stage2_columns[task.task_id] = bank.columns(ext.source_model_ids)
         results.extend((intrinsic, transformed))
 
     if config.order == 2:
         order2 = Representation.transformed(config.transformer_spec, 2)
         for task, score in evaluated:
             try:
-                ext2 = second_order_extrinsic(task.task_id, bank, stage2_models, stage2_sources,
+                ext2 = second_order_extrinsic(task.task_id, bank, stage2_models, stage2_columns,
                                               block_of(task))
                 if config.descriptor_cap is not None:
                     ext2 = select_descriptors(ext2, config.descriptor_cap,

@@ -2,15 +2,15 @@
 
 It predicts model by model, shares no prediction block, reuses no model
 and fits every fold, built only from ``fit_learner``, ``predict``,
-``rmse``, ``select_descriptors``, ``training_rows``, ``derive_seed`` and
-the config's split plans. It covers runs in which no task fails and
+``rmse``, ``select_descriptors``, ``derive_seed`` and the config's
+split plans and training rows. It covers runs in which no task fails and
 targets are not normalized. ``run_pipeline`` must score every such config
 as this does, byte for byte.
 """
 
 import numpy as np
 
-from crossrep.engine import ExtrinsicMatrix, select_descriptors, training_rows
+from crossrep.engine import ExtrinsicMatrix, select_descriptors
 from crossrep.evaluation import CvResult, Representation
 from crossrep.learners import fit_learner, predict, rmse
 from crossrep.pipeline import ExperimentResult
@@ -37,8 +37,7 @@ def _capped(config, columns, sources, task_id, tag):
 
 def reference_result(config) -> ExperimentResult:
     tasks, spec = config.collection.tasks, config.transformer_spec
-    rows = {t.task_id: training_rows(t, config.resolved_scope, config.plans[t.task_id])
-            for t in tasks}
+    rows = {t.task_id: config.training_rows(t) for t in tasks}
     stage1 = {t.task_id: fit_learner(spec, t.features[rows[t.task_id]],
                                      t.targets[rows[t.task_id]],
                                      seed=derive_seed(spec.seed, "stage1", t.task_id))

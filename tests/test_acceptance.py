@@ -70,8 +70,9 @@ def test_criterion_2_oracle_equivalence():
             assert np.array_equal(ext.values, oracle), f"{name}: first order differs"
             stage2_models[task.task_id] = stage2_train(ext, task.targets, spec)
             stage2_sources[task.task_id] = ext.source_model_ids
+        stage2_columns = {t: bank.columns(ids) for t, ids in stage2_sources.items()}
         for task in col.tasks:
-            ext2 = second_order_extrinsic(task.task_id, bank, stage2_models, stage2_sources,
+            ext2 = second_order_extrinsic(task.task_id, bank, stage2_models, stage2_columns,
                                           cross_predict(bank, task.features))
             # manual chaining oracle, one example and one source at a time
             for j, src in enumerate(ext2.source_model_ids):
@@ -260,8 +261,9 @@ def test_criterion_7_determinism_and_no_leakage(tmp_path):
     plan = cfg.split.make_plan(30, derive_seed(23, "split"))
     _, test_idx = plan.split(0)
     heldout = [shared.tasks[0].example_ids[i] for i in test_idx]
+    train, _ = plan.split(0)
     bank = stage1_train(shared, LearnerSpec.ridge(5.0), TrainingScope.TRAIN_SPLIT_ONLY,
-                        split_plans={t: plan for t in shared.task_ids})
+                        {t: train for t in shared.task_ids})
     assert audit_no_leakage(bank, heldout) == []
     report(7, "score tables byte-identical across two runs of one config; "
               "shared-examples fingerprint audit clean on a 6-task collection")

@@ -437,6 +437,21 @@ class TestBankAndCluster:
         assert "bank_index.json" in err and repr(key) in err
         assert "Traceback" not in err
 
+    def test_models_entry_outside_the_bank_is_validation_error(self, bank_dir, capsys):
+        """An archive that reads back fine is refused when its 'models' entry
+        leads out of the bank directory."""
+        outside = bank_dir.parent / "task001.model.json"
+        outside.write_bytes((bank_dir / "task001.model.json").read_bytes())
+        index_path = bank_dir / "bank_index.json"
+        index = json.loads(index_path.read_text())
+        index["models"]["task001"] = "../task001.model.json"
+        index_path.write_text(json.dumps(index))
+        capsys.readouterr()
+        assert run_cli("inspect-bank", "--bank", str(bank_dir)) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {index_path}: 'task_order'[1] 'task001' has 'models' entry "
+            "'../task001.model.json', which is not a file name in the bank directory"]
+
     @pytest.mark.parametrize("learner, k, digest", [
         ('{"kind": "ridge", "lam": 10}', "2",
          "fc03fb9f2a5e60b4725dcc15dfc9464b8f801875a6c538f4473b37124191d15c"),

@@ -1,14 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
-from crossrep.data import CollectionMode, make_holdout_plan
+from crossrep.data import CollectionMode, make_fold_plan, make_holdout_plan
 from crossrep.engine import (ExtrinsicMatrix, TrainingScope,
                              audit_no_leakage, build_extrinsic, cross_predict, load_bank,
                              save_bank, second_order_extrinsic, select_descriptors,
                              stage1_train, stage2_train)
 from crossrep.errors import FitError, IngestionError, ValidationError
 from crossrep.evaluation import rmse
-from crossrep.learners import LearnerSpec, predict
+from crossrep.learners import LearnerSpec, fit_learner, predict
+from crossrep.seeding import derive_seed
 from crossrep.synth import Nonlinearity, SynthSpec, generate_collection
 
 from helpers import oracle_extrinsic
@@ -31,22 +34,32 @@ class TestStage1:
 
     def test_train_split_only_covers_train_rows(self, shared_collection):
         plan = make_holdout_plan(20, 0.3, seed=2)
-        plans = {t: plan for t in shared_collection.task_ids}
-        bank = stage1_train(shared_collection, RIDGE, TrainingScope.TRAIN_SPLIT_ONLY,
-                            split_plans=plans)
         train, test = plan.split(0)
+        bank = stage1_train(shared_collection, RIDGE, TrainingScope.TRAIN_SPLIT_ONLY,
+                            {t: train for t in shared_collection.task_ids})
         expected = tuple(shared_collection.tasks[0].example_ids[i] for i in train)
         for model in bank.models.values():
             assert model.train_fingerprint.row_ids == expected
         assert not audit_no_leakage(
             bank, [shared_collection.tasks[0].example_ids[i] for i in test])
 
-    def test_shared_mode_requires_single_plan(self, shared_collection):
-        plans = {t: make_holdout_plan(20, 0.3, seed=i)
-                 for i, t in enumerate(shared_collection.task_ids)}
-        with pytest.raises(ValidationError, match="one split plan"):
-            stage1_train(shared_collection, RIDGE, TrainingScope.TRAIN_SPLIT_ONLY,
-                         split_plans=plans)
+    @pytest.mark.parametrize("spec", [RIDGE, LearnerSpec.svr(), LearnerSpec.forest(n_trees=3)])
+    def test_one_bank_per_fold_trains_on_the_fold_rows(self, shared_collection, spec):
+        """Each fold's bank trains every model on exactly that fold's train
+        rows, and predicts as ``fit_learner`` on those rows, bit for bit."""
+        plan = make_fold_plan(20, 4, seed=3)
+        X = shared_collection.tasks[0].features
+        for f in range(plan.n_splits):
+            train, _ = plan.split(f)
+            bank = stage1_train(shared_collection, spec, TrainingScope.TRAIN_SPLIT_ONLY,
+                                {t: train for t in shared_collection.task_ids})
+            for task in shared_collection.tasks:
+                model = bank.models[task.task_id]
+                ids = tuple(task.example_ids[i] for i in train)
+                assert model.train_fingerprint.row_ids == ids
+                alone = fit_learner(spec, task.features[train], task.targets[train],
+                                    seed=derive_seed(spec.seed, "stage1", task.task_id))
+                assert np.array_equal(predict(model, X), predict(alone, X))
 
     def test_rerun_is_identical(self, small_collection):
         spec = LearnerSpec.forest(n_trees=5, seed=3)
@@ -174,40 +187,41 @@ class TestSecondOrder:
                          noise_sd=0.05, seed=11)
         col = generate_collection(spec)
         bank = stage1_train(col, RIDGE, TrainingScope.FULL_TASK)
-        stage2_models, stage2_sources = {}, {}
+        stage2_models, stage2_columns = {}, {}
         for task in col.tasks:
             ext = build_extrinsic(task.task_id, bank, cross_predict(bank, task.features))
             stage2_models[task.task_id] = stage2_train(ext, task.targets,
                                                        LearnerSpec.ridge(2.0))
-            stage2_sources[task.task_id] = ext.source_model_ids
-        return col, bank, stage2_models, stage2_sources
+            stage2_columns[task.task_id] = bank.columns(ext.source_model_ids)
+        return col, bank, stage2_models, stage2_columns
 
     def test_width_law(self, setup):
-        col, bank, models, sources = setup
+        col, bank, models, columns = setup
         for task in col.tasks:
-            ext2 = second_order_extrinsic(task.task_id, bank, models, sources,
+            ext2 = second_order_extrinsic(task.task_id, bank, models, columns,
                                           cross_predict(bank, task.features))
             assert ext2.n_columns == col.n_tasks - 1
 
     def test_matches_manual_chaining(self, setup):
-        col, bank, models, sources = setup
+        col, bank, models, columns = setup
         target = col.tasks[0]
-        ext2 = second_order_extrinsic(target.task_id, bank, models, sources,
+        ext2 = second_order_extrinsic(target.task_id, bank, models, columns,
                                       cross_predict(bank, target.features))
         for j, src in enumerate(ext2.source_model_ids):
+            sources = [t for t in bank.task_ids if t != src]
             view_cols = [predict(bank.models[s], target.features)
-                         for s in sources[src]]
+                         for s in sources]
             view = np.column_stack(view_cols)
             expected = predict(models[src], view)
             assert np.array_equal(ext2.values[:, j], expected)
 
     def test_task_without_stage2_model_gets_no_column(self, setup):
-        col, bank, models, sources = setup
+        col, bank, models, columns = setup
         target, dropped, kept = col.task_ids
         block = cross_predict(bank, col.tasks[0].features)
-        full = second_order_extrinsic(target, bank, models, sources, block)
+        full = second_order_extrinsic(target, bank, models, columns, block)
         without = {t: m for t, m in models.items() if t != dropped}
-        ext2 = second_order_extrinsic(target, bank, without, sources, block)
+        ext2 = second_order_extrinsic(target, bank, without, columns, block)
         assert ext2.source_model_ids == (kept,)
         assert np.array_equal(ext2.values[:, 0], full.values[:, 1])
 
@@ -224,6 +238,34 @@ class TestBankPersistence:
         for tid in bank.task_ids:
             assert np.array_equal(predict(bank.models[tid], X),
                                   predict(loaded.models[tid], X))
+
+    def test_task_id_that_is_not_a_file_name_is_refused_before_writing(self, tmp_path):
+        from conftest import make_task
+        from crossrep.data import TaskCollection
+        col = TaskCollection([make_task("ok"), make_task("../escaped")],
+                             CollectionMode.INDEPENDENT_EXAMPLES, "c")
+        bank = stage1_train(col, RIDGE, TrainingScope.FULL_TASK)
+        with pytest.raises(ValidationError, match="task '../escaped'"):
+            save_bank(bank, tmp_path / "bank")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("where", ["parent", "absolute", "dotdot"])
+    def test_models_entry_outside_the_bank_directory_is_refused(self, tmp_path,
+                                                                small_collection, where):
+        bank_dir = tmp_path / "bank"
+        save_bank(stage1_train(small_collection, RIDGE, TrainingScope.FULL_TASK), bank_dir)
+        outside = tmp_path / "t1.model.json"
+        outside.write_bytes((bank_dir / "t1.model.json").read_bytes())
+        entry = {"parent": "../t1.model.json", "absolute": str(outside), "dotdot": ".."}[where]
+        index_path = bank_dir / "bank_index.json"
+        index = json.loads(index_path.read_text())
+        index["models"]["t1"] = entry
+        index_path.write_text(json.dumps(index))
+        with pytest.raises(IngestionError) as info:
+            dict(load_bank(bank_dir).models)
+        assert str(info.value) == (
+            f"{index_path}: 'task_order'[1] 't1' has 'models' entry {entry!r}, which is "
+            f"not a file name in the bank directory")
 
     def test_truncated_archive_names_the_file(self, tmp_path, small_collection):
         bank = stage1_train(small_collection, RIDGE, TrainingScope.FULL_TASK)

@@ -12,7 +12,7 @@ from crossrep.data import (CollectionMode, SplitKind, Task, TaskCollection,
                            normalize_targets)
 from crossrep.engine import TrainingScope
 from crossrep.errors import ConfigError, FitError
-from crossrep.learners import LearnerSpec
+from crossrep.learners import LearnerSpec, TrainFingerprint
 from crossrep.pipeline import (PipelineConfig, SplitProtocol, render_report, run_pipeline,
                                scores_tsv, write_result)
 from crossrep.synth import Nonlinearity, SynthSpec, generate_collection
@@ -281,6 +281,20 @@ class TestSplitPlans:
             assert r.plan_digest == cfg.plans[r.task_id].digest
         digests = {plan.digest for plan in cfg.plans.values()}
         assert len(digests) == (1 if case == "shared_holdout" else col.n_tasks)
+
+    @pytest.mark.parametrize("scope", list(TrainingScope), ids=lambda s: s.value)
+    @pytest.mark.parametrize("mode", list(CollectionMode), ids=lambda m: m.value)
+    def test_training_rows_are_the_stage1_rows(self, mode, scope):
+        col = toy_collection(mode=mode)
+        cfg = config(col, transformer_spec=RIDGE, final_spec=RIDGE, stage1_scope=scope,
+                     split=SplitProtocol(SplitKind.HOLDOUT, test_fraction=0.3))
+        result = run_pipeline(cfg)
+        for task in col.tasks:
+            rows = cfg.training_rows(task)
+            assert len(rows) == (30 if scope is TrainingScope.FULL_TASK else 21)
+            ids = tuple(task.example_ids[i] for i in rows)
+            assert (result.bank_fingerprints[task.task_id]
+                    == TrainFingerprint(task.task_id, ids).digest)
 
 
 def _spy(monkeypatch, name):

@@ -61,6 +61,11 @@ def stage2(col, bank, cap=None):
     return models, sources
 
 
+def columns(bank, sources):
+    """Each stage-2 model's source columns, as ``run_pipeline`` stores them."""
+    return {t: bank.columns(ids) for t, ids in sources.items()}
+
+
 def inputs(col):
     """The inputs each test predicts: a task's rows, a pool large enough to
     be taken in several chunks, its Fortran-ordered copy and a strided slice."""
@@ -99,7 +104,7 @@ def test_second_order_matches_the_loop(bank_of, cap, kind):
     models, sources = stage2(col, bank, cap)
     block = cross_predict(bank, inputs(col)[kind])
     for target in (col.task_ids[0], col.task_ids[11]):
-        ext2 = second_order_extrinsic(target, bank, models, sources, block)
+        ext2 = second_order_extrinsic(target, bank, models, columns(bank, sources), block)
         assert np.array_equal(
             ext2.values, loop_second_order_extrinsic(target, bank, models, sources, block))
 
@@ -129,7 +134,7 @@ def test_mixed_stage2_kinds_and_widths_keep_the_loop(bank_of):
     narrow_sources[odd] = narrow_view.source_model_ids
     for ms, ss in ((forest, sources), (narrow, narrow_sources)):
         assert RidgeStack.of(ms[t] for t in col.task_ids if t != target) is None
-        ext2 = second_order_extrinsic(target, bank, ms, ss, block)
+        ext2 = second_order_extrinsic(target, bank, ms, columns(bank, ss), block)
         assert np.array_equal(ext2.values,
                               loop_second_order_extrinsic(target, bank, ms, ss, block))
 
@@ -150,7 +155,7 @@ def test_non_finite_block_raises_as_predict_does(bank_of):
     block = cross_predict(bank, col.tasks[0].features).copy()
     block[2, 4] = np.inf
     with pytest.raises(FitError) as info:
-        second_order_extrinsic(col.task_ids[0], bank, models, sources, block)
+        second_order_extrinsic(col.task_ids[0], bank, models, columns(bank, sources), block)
     assert str(info.value) == ("stage-2 prediction failed for model 't01': "
                                "predict: input contains non-finite values")
 
