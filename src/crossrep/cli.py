@@ -18,12 +18,12 @@ from .clustering import (CrossPredictionMatrix, assignments_tsv, build_pool, clu
                          cluster_tasks, cross_prediction_matrix, write_pairwise_distances)
 from .data import (CollectionMode, SplitKind, json_field, load_collection, load_pool,
                    load_task, read_json, write_collection)
-from .engine import TrainingScope, load_bank, save_bank, stage1_train
+from .engine import load_bank, save_bank, stage1_train
 from .errors import ConfigError, CrossrepError, IngestionError, ValidationError
 from .evaluation import compare_scores, render_comparison
 from .learners import parse_learner_spec
-from .pipeline import (PipelineConfig, SCORES_NAME, SplitProtocol, load_scores,
-                       run_pipeline, write_result)
+from .pipeline import (PipelineConfig, SCORES_NAME, SplitProtocol, TrainingScope,
+                       load_scores, run_pipeline, write_result)
 from .synth import Nonlinearity, SynthSpec, generate_collection
 
 EXIT_OK = 0
@@ -106,8 +106,7 @@ def cmd_train_bank(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--learner: invalid JSON at line {exc.lineno}, column "
                           f"{exc.colno}: {exc.msg}") from None
-    bank = stage1_train(collection, parse_learner_spec(doc, "--learner"),
-                        TrainingScope.FULL_TASK)
+    bank = stage1_train(collection, parse_learner_spec(doc, "--learner"))
     index = save_bank(bank, Path(args.out))
     print(f"wrote {index}")
     return EXIT_OK
@@ -198,7 +197,6 @@ def cmd_inspect_bank(args: argparse.Namespace) -> int:
     hyperparams = json.dumps(bank.learner_spec.to_dict()["hyperparams"], sort_keys=True)
     lines = [f"collection: {bank.collection_id}",
              f"learner: {bank.learner_spec.label} {hyperparams}",
-             f"scope: {bank.training_scope.value}",
              f"models: {len(bank.models)}"]
     # at most two models alive at a time; nothing is printed until every
     # archive has been read

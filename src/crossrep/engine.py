@@ -11,7 +11,6 @@ import functools
 import json
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
@@ -28,11 +27,6 @@ from .learners.svr import predict_stacked as predict_svr_stacked
 from .seeding import derive_seed
 
 
-class TrainingScope(Enum):
-    FULL_TASK = "full_task"
-    TRAIN_SPLIT_ONLY = "train_split_only"
-
-
 @dataclass(frozen=True)
 class ModelBank:
     """One frozen stage-1 model per task, in collection order.
@@ -44,7 +38,6 @@ class ModelBank:
     models: Mapping[str, FittedModel]
     learner_spec: LearnerSpec
     collection_id: str
-    training_scope: TrainingScope
     # The collection's feature names, in the column order the models read;
     # None for a bank index written before the names were recorded.
     feature_names: tuple[str, ...] | None = None
@@ -114,16 +107,16 @@ class ExtrinsicMatrix:
         return self.values.shape[1]
 
 
-def stage1_train(collection: TaskCollection, spec: LearnerSpec, scope: TrainingScope,
+def stage1_train(collection: TaskCollection, spec: LearnerSpec,
                  rows: Mapping[str, np.ndarray] | None = None,
                  on_failure: Callable[[str, FitError], None] | None = None) -> ModelBank:
     """Fit one model per task on its intrinsic features, each task once.
 
     Task t is fitted on its rows ``rows[t]``, or on all its rows when
-    ``rows`` is None; ``scope`` only labels the bank. A task whose fit
-    fails raises its FitError, unless ``on_failure`` is given: it is then
-    called with the task id and the error, and the task is left out of
-    the bank.
+    ``rows`` is None; each model's train fingerprint records those rows.
+    A task whose fit fails raises its FitError, unless ``on_failure`` is
+    given: it is then called with the task id and the error, and the task
+    is left out of the bank.
     """
     models: dict[str, FittedModel] = {}
     # An SVR fit shares the kernel of the task before it when their training
@@ -150,7 +143,7 @@ def stage1_train(collection: TaskCollection, spec: LearnerSpec, scope: TrainingS
                 raise err from exc
             on_failure(task.task_id, err)
     return ModelBank(models=models, learner_spec=spec,
-                     collection_id=collection.feature_space_id, training_scope=scope,
+                     collection_id=collection.feature_space_id,
                      feature_names=collection.tasks[0].feature_names)
 
 
@@ -181,7 +174,7 @@ def cross_predict(bank: ModelBank, X: np.ndarray) -> np.ndarray:
     # X is checked before the stack is built: an input the loop would refuse
     # at its first model reads no other archive of a saved bank.
     stack = bank._stack if X.shape[1] == bank.feature_count and np.isfinite(X).all() else None
-    if stack is not None and stack.width == X.shape[1]:
+    if stack is not None:
         out = (predict_stacked if isinstance(stack, RidgeStack) else predict_svr_stacked)(stack, X)
     else:
         out = np.empty((X.shape[0], len(bank.models)), dtype=np.float64)
@@ -316,7 +309,6 @@ def save_bank(bank: ModelBank, out_dir: str | Path) -> Path:
     index = {
         "collection_id": bank.collection_id,
         "learner_spec": bank.learner_spec.to_dict(),
-        "training_scope": bank.training_scope.value,
         "task_order": list(bank.task_ids),
         "models": files,
     }
@@ -380,18 +372,26 @@ def load_bank(bank_dir: str | Path) -> ModelBank:
     files = json_field(index_path, index, "models", dict)
     spec_doc = json_field(index_path, index, "learner_spec", dict)
     collection_id = json_field(index_path, index, "collection_id", str)
-    scope = json_field(index_path, index, "training_scope", TrainingScope)
     order = json_field(index_path, index, "task_order", list, list(files))
     names = json_field(index_path, index, "feature_names", list, None)
     spec = LearnerSpec.from_dict(spec_doc, f"{index_path}: 'learner_spec'")
     if not all(isinstance(t, str) and isinstance(files.get(t), str) for t in order):
         raise IngestionError(f"{index_path}: 'task_order' must list task ids whose "
                              f"'models' entry is an archive file name")
+    listed: set[str] = set()
     for i, task_id in enumerate(order):
+        if task_id in listed:
+            raise IngestionError(f"{index_path}: 'task_order'[{i}] lists {task_id!r} again; "
+                                 f"it must list each 'models' entry once")
+        listed.add(task_id)
         if not is_file_name(files[task_id]):
             raise IngestionError(f"{index_path}: 'task_order'[{i}] {task_id!r} has 'models' "
                                  f"entry {files[task_id]!r}, which is not a file name in "
                                  f"the bank directory")
+    left_out = [t for t in files if t not in listed]
+    if left_out:
+        raise IngestionError(f"{index_path}: 'task_order' leaves out {left_out[0]!r}; "
+                             f"it must list each 'models' entry once")
     if names is not None and not all(isinstance(name, str) for name in names):
         raise IngestionError(f"{index_path}: 'feature_names' must list column names, "
                              f"got {names!r}")
@@ -401,4 +401,4 @@ def load_bank(bank_dir: str | Path) -> ModelBank:
         raise IngestionError(f"{index_path}: 'feature_names' lists {len(names)} names, but "
                              f"{bank_dir / files[order[0]]} has {width} features")
     return ModelBank(models=models, learner_spec=spec, collection_id=collection_id,
-                     training_scope=scope, feature_names=None if names is None else tuple(names))
+                     feature_names=None if names is None else tuple(names))

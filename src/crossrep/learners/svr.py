@@ -79,10 +79,6 @@ class SvrStack:
     dual_coef: tuple[np.ndarray, ...]   # m
     bias: tuple[float, ...]             # m
 
-    @property
-    def width(self) -> int:
-        return self.support.shape[1]
-
     @classmethod
     def of(cls, models) -> "SvrStack | None":
         """Stack ``models``; None unless all are SVR models whose standardization
@@ -117,7 +113,7 @@ class SvrStack:
 def predict_stacked(stack: SvrStack, X: np.ndarray) -> np.ndarray:
     """Every stacked model's predictions on the rows of X: a rows x m matrix.
 
-    X must be finite and of the stack's width. Each block of rows is
+    X must be finite and as wide as the support rows. Each block of rows is
     standardized once and its Gram against all the distinct support rows is
     built once; model i reads its own columns of it. A Gram entry depends
     only on its two rows, and each model sums its columns as

@@ -12,6 +12,7 @@ from __future__ import annotations
 import datetime as _dt
 import json
 from dataclasses import dataclass, field
+from enum import Enum
 from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable
@@ -22,15 +23,22 @@ from . import __version__
 from .data import (CollectionMode, SplitKind, SplitPlan, Task, TaskCollection,
                    make_fold_plan, make_holdout_plan, normalize_targets, parse_value,
                    read_table)
-from .engine import (ExtrinsicMatrix, TrainingScope, audit_no_leakage, build_extrinsic,
-                     cross_predict, second_order_extrinsic, select_descriptors,
-                     stage1_train, stage2_train)
+from .engine import (ExtrinsicMatrix, audit_no_leakage, build_extrinsic, cross_predict,
+                     second_order_extrinsic, select_descriptors, stage1_train, stage2_train)
 from .environment import environment_record
 from .errors import ConfigError, CrossrepError, FitError, IngestionError, ValidationError
 from .evaluation import (ComparisonRow, CvResult, Representation, compare_representations,
                          comparison_tsv, cross_validate, render_comparison)
 from .learners import LearnerSpec
 from .seeding import derive_seed
+
+
+class TrainingScope(Enum):
+    """The rows each stage-1 model trains on: all of its task's, or the
+    train side of the task's holdout plan."""
+
+    FULL_TASK = "full_task"
+    TRAIN_SPLIT_ONLY = "train_split_only"
 
 
 @dataclass(frozen=True)
@@ -61,6 +69,8 @@ class PipelineConfig:
     seed: int
     descriptor_cap: int | None = None
     order: int = 1
+    # None takes the mode's default: train_split_only for shared examples,
+    # full_task for independent ones; ``__post_init__`` sets it
     stage1_scope: TrainingScope | None = None
     strict: bool = False
     augment: bool = False
@@ -81,26 +91,21 @@ class PipelineConfig:
                     f"descriptor_cap {self.descriptor_cap} exceeds the {n - 1} "
                     "available source models"
                 )
-        scope = self.resolved_scope
-        if (scope is TrainingScope.TRAIN_SPLIT_ONLY
+        if self.stage1_scope is None:
+            shared = self.collection.mode is CollectionMode.SHARED_EXAMPLES
+            object.__setattr__(self, "stage1_scope", TrainingScope.TRAIN_SPLIT_ONLY if shared
+                               else TrainingScope.FULL_TASK)
+        if (self.stage1_scope is TrainingScope.TRAIN_SPLIT_ONLY
                 and self.split.kind is not SplitKind.HOLDOUT):
             raise ConfigError(
                 "train-split-only stage-1 scope requires a holdout split protocol"
             )
         object.__setattr__(self, "plans", _make_plans(self.collection, self.split, self.seed))
 
-    @property
-    def resolved_scope(self) -> TrainingScope:
-        if self.stage1_scope is not None:
-            return self.stage1_scope
-        if self.collection.mode is CollectionMode.SHARED_EXAMPLES:
-            return TrainingScope.TRAIN_SPLIT_ONLY
-        return TrainingScope.FULL_TASK
-
     def training_rows(self, task: Task) -> np.ndarray:
         """The rows of ``task`` its stage-1 model trains on: all of them under
         ``full_task``, the train side of its holdout plan under ``train_split_only``."""
-        if self.resolved_scope is TrainingScope.FULL_TASK:
+        if self.stage1_scope is TrainingScope.FULL_TASK:
             return np.arange(task.n_examples)
         train, _ = self.plans[task.task_id].split(0)
         return train
@@ -116,7 +121,7 @@ class PipelineConfig:
             "seed": self.seed,
             "descriptor_cap": self.descriptor_cap,
             "order": self.order,
-            "stage1_scope": self.resolved_scope.value,
+            "stage1_scope": self.stage1_scope.value,
             "strict": self.strict,
             "augment": self.augment,
             "normalize_targets": self.normalize,
@@ -136,6 +141,8 @@ class ExperimentResult:
     results: tuple[CvResult, ...]
     failures: tuple[TaskFailure, ...]
     bank_fingerprints: dict[str, str]
+    # the report's leakage audit line: "clean", or why no audit ran
+    leakage_audit: str
 
     @cached_property
     def table(self) -> tuple[ComparisonRow, ...]:
@@ -151,13 +158,6 @@ class ExperimentResult:
     def reused_stage2(self) -> int:
         """Order-1 transformed folds scored with the stage-2 model."""
         return sum(r.reused_folds for r in self.results if r.representation.order == 1)
-
-
-def _audits_leakage(echo: dict) -> bool:
-    """Whether a run audits its bank: only shared-example tasks hold one set
-    of held-out rows; independent tasks may reuse each other's example ids."""
-    return (echo.get("mode") == CollectionMode.SHARED_EXAMPLES.value
-            and echo.get("stage1_scope") == TrainingScope.TRAIN_SPLIT_ONLY.value)
 
 
 def _make_plans(collection: TaskCollection, split: SplitProtocol,
@@ -205,19 +205,25 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
         collection = survivors(normalized, "target normalization")
 
     train_rows = {t.task_id: config.training_rows(t) for t in collection.tasks}
-    bank = stage1_train(collection, config.transformer_spec, config.resolved_scope, train_rows,
+    bank = stage1_train(collection, config.transformer_spec, train_rows,
                         on_failure=lambda t, exc: record("stage1", t, exc))
     if len(bank.models) < collection.n_tasks:
         collection = survivors([t for t in collection.tasks if t.task_id in bank.models],
                                "stage-1 training")
 
-    echo = config.echo()
-    if _audits_leakage(echo):
+    # Only shared-example tasks hold one set of held-out rows; independent
+    # tasks may reuse each other's example ids, so their ids are not audited.
+    if config.stage1_scope is TrainingScope.FULL_TASK:
+        leakage_audit = "not applicable (full-task stage-1 scope)"
+    elif collection.mode is not CollectionMode.SHARED_EXAMPLES:
+        leakage_audit = "not applicable (independent examples)"
+    else:
         _, test_idx = config.plans[collection.tasks[0].task_id].split(0)
         heldout = [collection.tasks[0].example_ids[i] for i in test_idx]
         violations = audit_no_leakage(bank, heldout)
         if violations:
             raise ValidationError("leakage audit failed: " + "; ".join(violations))
+        leakage_audit = "clean"
 
     # The tasks of a shared-examples collection hold equal rows and share one
     # cross-prediction block. An independent task's block lives only while
@@ -299,10 +305,11 @@ def run_pipeline(config: PipelineConfig) -> ExperimentResult:
     results = [r for r in results if r.task_id in common]
     fingerprints = {tid: bank.models[tid].train_fingerprint.digest for tid in bank.task_ids}
     return ExperimentResult(
-        config_echo=echo,
+        config_echo=config.echo(),
         results=tuple(results),
         failures=tuple(failures),
         bank_fingerprints=fingerprints,
+        leakage_audit=leakage_audit,
     )
 
 
@@ -364,12 +371,7 @@ def render_report(result: ExperimentResult) -> str:
     ]
     for f in result.failures:
         parts.append(f"  {f.task_id} [{f.stage}]: {f.message}")
-    if _audits_leakage(result.config_echo):
-        parts.append("leakage audit: clean")
-    elif result.config_echo.get("stage1_scope") == TrainingScope.TRAIN_SPLIT_ONLY.value:
-        parts.append("leakage audit: not applicable (independent examples)")
-    else:
-        parts.append("leakage audit: not applicable (full-task stage-1 scope)")
+    parts.append(f"leakage audit: {result.leakage_audit}")
     parts.append("")
     parts.append("stage-1 train fingerprints:")
     for task_id in sorted(result.bank_fingerprints):

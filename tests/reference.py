@@ -62,4 +62,4 @@ def reference_result(config) -> ExperimentResult:
                    for s in others]
         ext2 = _capped(config, columns, others, t.task_id, "cap2")
         results.append(_cv(config, t, ext2.values, Representation.transformed(spec, 2)))
-    return ExperimentResult(config.echo(), tuple(results), (), {})
+    return ExperimentResult(config.echo(), tuple(results), (), {}, "not run")

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from crossrep.data import CollectionMode, SplitKind
-from crossrep.engine import (TrainingScope, audit_no_leakage, build_extrinsic,
-                             cross_predict, second_order_extrinsic, select_descriptors,
-                             stage1_train, stage2_train)
+from crossrep.engine import (audit_no_leakage, build_extrinsic, cross_predict,
+                             second_order_extrinsic, select_descriptors, stage1_train,
+                             stage2_train)
 from crossrep.evaluation import improvement_pct, rmse, win_count
 from crossrep.learners import (LearnerSpec, Standardizer, fit_forest, fit_ridge, fit_svr,
                                predict, rbf_gram)
@@ -62,7 +62,7 @@ def test_criterion_2_oracle_equivalence():
         n_tasks=4, n_examples_per_task=10, n_features=5, relatedness=0.7,
         nonlinearity=Nonlinearity.NONLINEAR, noise_sd=0.1, seed=21))
     for name, spec in LEARNERS.items():
-        bank = stage1_train(col, spec, TrainingScope.FULL_TASK)
+        bank = stage1_train(col, spec)
         stage2_models, stage2_sources = {}, {}
         for task in col.tasks:
             ext = build_extrinsic(task.task_id, bank, cross_predict(bank, task.features))
@@ -211,7 +211,7 @@ def test_criterion_6_width_laws():
         col = generate_collection(SynthSpec(
             n_tasks=n_tasks, n_examples_per_task=12, n_features=4, relatedness=0.6,
             nonlinearity=Nonlinearity.LINEAR, noise_sd=0.05, seed=31))
-        bank = stage1_train(col, LearnerSpec.ridge(5.0), TrainingScope.FULL_TASK)
+        bank = stage1_train(col, LearnerSpec.ridge(5.0))
         for task in col.tasks:
             ext = build_extrinsic(task.task_id, bank, cross_predict(bank, task.features))
             assert ext.n_columns == n_tasks - 1
@@ -262,7 +262,7 @@ def test_criterion_7_determinism_and_no_leakage(tmp_path):
     _, test_idx = plan.split(0)
     heldout = [shared.tasks[0].example_ids[i] for i in test_idx]
     train, _ = plan.split(0)
-    bank = stage1_train(shared, LearnerSpec.ridge(5.0), TrainingScope.TRAIN_SPLIT_ONLY,
+    bank = stage1_train(shared, LearnerSpec.ridge(5.0),
                         {t: train for t in shared.task_ids})
     assert audit_no_leakage(bank, heldout) == []
     report(7, "score tables byte-identical across two runs of one config; "

@@ -240,7 +240,8 @@ class TestBankAndCluster:
     def test_inspect_bank(self, bank_dir, capsys):
         assert run_cli("inspect-bank", "--bank", str(bank_dir)) == 0
         out = capsys.readouterr().out
-        assert "models: 4" in out
+        assert out.splitlines()[:3] == ["collection: synth-1-4", 'learner: Ridge {"lam": 10.0}',
+                                        "models: 4"]
         assert "fingerprint=" in out
         assert sum(line.endswith(" lam=10") for line in out.splitlines()) == 4
 
@@ -411,11 +412,11 @@ class TestBankAndCluster:
 
     @pytest.mark.parametrize("key, value", [
         ("models", None), ("learner_spec", None), ("collection_id", None),
-        ("training_scope", None), ("models", []), ("learner_spec", "ridge"),
+        ("models", []), ("learner_spec", "ridge"),
         ("learner_spec", {"kind": "ridge"}), ("collection_id", 5),
         ("learner_spec", {"kind": "ridge", "hyperparams": {"lam": 10.0, "mu": 1}, "seed": 0}),
         ("learner_spec", {"kind": "ridge", "hyperparams": {"lam": "x"}, "seed": 0}),
-        ("training_scope", "everything"), ("task_order", ["task000", 1]),
+        ("task_order", ["task000", 1]),
     ])
     @pytest.mark.parametrize("command", ["inspect-bank", "cluster"])
     def test_malformed_bank_index_is_validation_error(self, command, key, value, tmp_path,
@@ -436,6 +437,55 @@ class TestBankAndCluster:
         err = capsys.readouterr().err
         assert "bank_index.json" in err and repr(key) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("order, problem", [
+        (["task000", "task000", "task001", "task002"], "'task_order'[1] lists 'task000' again"),
+        (["task000", "task001", "task002"], "'task_order' leaves out 'task003'"),
+    ])
+    @pytest.mark.parametrize("command", ["inspect-bank", "cluster"])
+    def test_task_order_lists_each_model_once(self, command, order, problem, tmp_path,
+                                              bank_dir, synth_dir, capsys):
+        """A task listed twice or left out would drop an archive from the bank."""
+        index_path = bank_dir / "bank_index.json"
+        index = json.loads(index_path.read_text())
+        index_path.write_text(json.dumps({**index, "task_order": order}))
+        argv = ["--bank", str(bank_dir)]
+        if command == "cluster":
+            argv += ["--pool", str(synth_dir / "manifest.json"), "--k", "2",
+                     "--out", str(tmp_path / "x")]
+        capsys.readouterr()
+        assert run_cli(command, *argv) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {index_path}: {problem}; it must list each 'models' entry once"]
+
+    def test_a_saved_index_holds_no_training_scope(self, bank_dir):
+        index = json.loads((bank_dir / "bank_index.json").read_text())
+        assert sorted(index) == ["collection_id", "feature_names", "learner_spec", "models",
+                                 "task_order"]
+
+    @pytest.mark.parametrize("value", ["full_task", "train_split_only", "everything", 7])
+    @pytest.mark.parametrize("command", ["inspect-bank", "cluster"])
+    def test_an_index_with_a_training_scope_reads_as_one_without(self, command, value,
+                                                                tmp_path, bank_dir,
+                                                                synth_dir, capsys):
+        """Older indexes hold "training_scope": "full_task". The key is not read,
+        whatever its value: the bank prints and clusters as without it."""
+        index_path = bank_dir / "bank_index.json"
+        index = json.loads(index_path.read_text())
+        outputs = []
+        for doc in (index, {**index, "training_scope": value}):
+            index_path.write_text(json.dumps(doc))
+            out_dir = tmp_path / f"x{len(outputs)}"
+            argv = ["--bank", str(bank_dir)]
+            if command == "cluster":
+                argv += ["--pool", str(synth_dir / "manifest.json"), "--k", "2",
+                         "--out", str(out_dir)]
+            capsys.readouterr()
+            assert run_cli(command, *argv) == 0
+            outputs.append([(out_dir / name).read_bytes()
+                            for name in ("task_clusters.tsv", "example_clusters.tsv")]
+                           if command == "cluster" else capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_models_entry_outside_the_bank_is_validation_error(self, bank_dir, capsys):
         """An archive that reads back fine is refused when its 'models' entry
@@ -1107,7 +1157,6 @@ class TestEnumKeys:
     valid names and the value found."""
 
     NAMES = {"mode": "'independent' or 'shared'",
-             "training_scope": "'full_task' or 'train_split_only'",
              "stage1_scope": "'full_task' or 'train_split_only'",
              "split": "'kfold' or 'holdout'",
              "transformer": "'ridge', 'ridge_cv', 'forest' or 'svr'"}
@@ -1115,14 +1164,11 @@ class TestEnumKeys:
     @pytest.mark.parametrize("value", ["everything", 7, ["kfold"]])
     @pytest.mark.parametrize("key", list(NAMES))
     def test_value_outside_the_names(self, key, value, tmp_path, run_config, synth_dir,
-                                     bank_dir, capsys):
+                                     capsys):
         path, where, name = run_config, str(run_config), key
         argv = ["run", "--config", str(run_config), "--out", str(tmp_path / "x")]
         if key == "mode":
             path = where = synth_dir / "manifest.json"
-        elif key == "training_scope":
-            path = where = bank_dir / "bank_index.json"
-            argv = ["inspect-bank", "--bank", str(bank_dir)]
         doc = json.loads(path.read_text())
         if key in ("split", "transformer"):
             doc[key] = {**doc[key], "kind": value}

@@ -11,7 +11,7 @@ from crossrep.clustering import (ClusterResult, CrossPredictionMatrix,
                                  assignments_tsv, cluster_examples, cluster_tasks,
                                  cross_prediction_matrix, kmeans,
                                  write_pairwise_distances)
-from crossrep.engine import TrainingScope, stage1_train
+from crossrep.engine import stage1_train
 from crossrep.errors import ValidationError
 from crossrep.learners import LearnerSpec, predict
 
@@ -27,8 +27,7 @@ def brute_force_inertia(X, assignments, centroids):
 
 class TestCrossPredictionMatrix:
     def test_shape_is_pool_by_tasks(self, small_collection):
-        bank = stage1_train(small_collection, LearnerSpec.ridge(2.0),
-                            TrainingScope.FULL_TASK)
+        bank = stage1_train(small_collection, LearnerSpec.ridge(2.0))
         rng = np.random.default_rng(0)
         pool = rng.normal(size=(5, 3))
         matrix = cross_prediction_matrix(bank, pool, tuple("abcde"))
@@ -36,8 +35,7 @@ class TestCrossPredictionMatrix:
         assert matrix.task_ids == small_collection.task_ids
 
     def test_entries_match_direct_predict(self, small_collection):
-        bank = stage1_train(small_collection, LearnerSpec.forest(n_trees=4, seed=0),
-                            TrainingScope.FULL_TASK)
+        bank = stage1_train(small_collection, LearnerSpec.forest(n_trees=4, seed=0))
         rng = np.random.default_rng(1)
         pool = rng.normal(size=(7, 3))
         matrix = cross_prediction_matrix(bank, pool, tuple("abcdefg"))
@@ -47,20 +45,18 @@ class TestCrossPredictionMatrix:
                                                       pool[i : i + 1])[0]
 
     def test_empty_pool(self, small_collection):
-        bank = stage1_train(small_collection, LearnerSpec.ridge(2.0),
-                            TrainingScope.FULL_TASK)
+        bank = stage1_train(small_collection, LearnerSpec.ridge(2.0))
         matrix = cross_prediction_matrix(bank, np.empty((0, 3)), ())
         assert matrix.values.shape == (0, 3)
 
     def test_pool_of_wrong_width_is_a_validation_error(self, small_collection):
-        bank = stage1_train(small_collection, LearnerSpec.ridge(2.0),
-                            TrainingScope.FULL_TASK)
+        bank = stage1_train(small_collection, LearnerSpec.ridge(2.0))
         with pytest.raises(ValidationError, match="4 feature columns"):
             cross_prediction_matrix(bank, np.ones((5, 4)), tuple("abcde"))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_prediction_names_the_model_and_the_example(self, narrow_collection):
-        bank = stage1_train(narrow_collection, LearnerSpec.ridge(1.0), TrainingScope.FULL_TASK)
+        bank = stage1_train(narrow_collection, LearnerSpec.ridge(1.0))
         with pytest.raises(ValidationError) as info:
             cross_prediction_matrix(bank, np.array([[0.5, 0.2], [1e308, 1.0]]),
                                     example_ids=("b", "a"))

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from crossrep.data import CollectionMode, make_fold_plan, make_holdout_plan
-from crossrep.engine import (ExtrinsicMatrix, TrainingScope,
-                             audit_no_leakage, build_extrinsic, cross_predict, load_bank,
-                             save_bank, second_order_extrinsic, select_descriptors,
+from crossrep.engine import (ExtrinsicMatrix, audit_no_leakage, build_extrinsic, cross_predict,
+                             load_bank, save_bank, second_order_extrinsic, select_descriptors,
                              stage1_train, stage2_train)
 from crossrep.errors import FitError, IngestionError, ValidationError
 from crossrep.evaluation import rmse
@@ -22,12 +21,12 @@ RIDGE = LearnerSpec.ridge(5.0, seed=0)
 
 class TestStage1:
     def test_one_model_per_task(self, small_collection):
-        bank = stage1_train(small_collection, RIDGE, TrainingScope.FULL_TASK)
+        bank = stage1_train(small_collection, RIDGE)
         assert bank.task_ids == small_collection.task_ids
         assert len(bank.models) == 3
 
     def test_full_task_fingerprints_cover_all_rows(self, small_collection):
-        bank = stage1_train(small_collection, RIDGE, TrainingScope.FULL_TASK)
+        bank = stage1_train(small_collection, RIDGE)
         for task in small_collection.tasks:
             fp = bank.models[task.task_id].train_fingerprint
             assert fp.row_ids == task.example_ids
@@ -35,7 +34,7 @@ class TestStage1:
     def test_train_split_only_covers_train_rows(self, shared_collection):
         plan = make_holdout_plan(20, 0.3, seed=2)
         train, test = plan.split(0)
-        bank = stage1_train(shared_collection, RIDGE, TrainingScope.TRAIN_SPLIT_ONLY,
+        bank = stage1_train(shared_collection, RIDGE,
                             {t: train for t in shared_collection.task_ids})
         expected = tuple(shared_collection.tasks[0].example_ids[i] for i in train)
         for model in bank.models.values():
@@ -51,7 +50,7 @@ class TestStage1:
         X = shared_collection.tasks[0].features
         for f in range(plan.n_splits):
             train, _ = plan.split(f)
-            bank = stage1_train(shared_collection, spec, TrainingScope.TRAIN_SPLIT_ONLY,
+            bank = stage1_train(shared_collection, spec,
                                 {t: train for t in shared_collection.task_ids})
             for task in shared_collection.tasks:
                 model = bank.models[task.task_id]
@@ -63,8 +62,8 @@ class TestStage1:
 
     def test_rerun_is_identical(self, small_collection):
         spec = LearnerSpec.forest(n_trees=5, seed=3)
-        a = stage1_train(small_collection, spec, TrainingScope.FULL_TASK)
-        b = stage1_train(small_collection, spec, TrainingScope.FULL_TASK)
+        a = stage1_train(small_collection, spec)
+        b = stage1_train(small_collection, spec)
         X = small_collection.tasks[0].features
         for tid in a.task_ids:
             assert a.models[tid].train_fingerprint.digest == b.models[tid].train_fingerprint.digest
@@ -78,26 +77,26 @@ class TestStage1:
         col = TaskCollection([good, tiny], CollectionMode.INDEPENDENT_EXAMPLES, "c")
         bad_spec = LearnerSpec.svr(c=-1.0)  # invalid C triggers a fit error
         with pytest.raises(FitError, match="'ok'|'tiny'"):
-            stage1_train(col, bad_spec, TrainingScope.FULL_TASK)
+            stage1_train(col, bad_spec)
 
 
 class TestBuildExtrinsic:
     def test_width_is_n_minus_one(self, small_collection):
-        bank = stage1_train(small_collection, RIDGE, TrainingScope.FULL_TASK)
+        bank = stage1_train(small_collection, RIDGE)
         task = small_collection.tasks[0]
         ext = build_extrinsic(task.task_id, bank, cross_predict(bank, task.features))
         assert ext.n_columns == small_collection.n_tasks - 1
         assert task.task_id not in ext.source_model_ids
 
     def test_matches_oracle_exactly(self, small_collection):
-        bank = stage1_train(small_collection, RIDGE, TrainingScope.FULL_TASK)
+        bank = stage1_train(small_collection, RIDGE)
         for task in small_collection.tasks:
             ext = build_extrinsic(task.task_id, bank, cross_predict(bank, task.features))
             oracle = oracle_extrinsic(small_collection, bank, task.task_id)
             assert np.array_equal(ext.values, oracle)
 
     def test_unknown_task(self, small_collection):
-        bank = stage1_train(small_collection, RIDGE, TrainingScope.FULL_TASK)
+        bank = stage1_train(small_collection, RIDGE)
         with pytest.raises(ValidationError, match="unknown task"):
             build_extrinsic("nope", bank,
                             cross_predict(bank, small_collection.tasks[0].features))
@@ -186,7 +185,7 @@ class TestSecondOrder:
                          relatedness=0.7, nonlinearity=Nonlinearity.LINEAR,
                          noise_sd=0.05, seed=11)
         col = generate_collection(spec)
-        bank = stage1_train(col, RIDGE, TrainingScope.FULL_TASK)
+        bank = stage1_train(col, RIDGE)
         stage2_models, stage2_columns = {}, {}
         for task in col.tasks:
             ext = build_extrinsic(task.task_id, bank, cross_predict(bank, task.features))
@@ -228,8 +227,7 @@ class TestSecondOrder:
 
 class TestBankPersistence:
     def test_save_load_roundtrip(self, tmp_path, small_collection):
-        bank = stage1_train(small_collection, LearnerSpec.forest(n_trees=4, seed=1),
-                            TrainingScope.FULL_TASK)
+        bank = stage1_train(small_collection, LearnerSpec.forest(n_trees=4, seed=1))
         save_bank(bank, tmp_path / "bank")
         loaded = load_bank(tmp_path / "bank")
         assert loaded.task_ids == bank.task_ids
@@ -244,7 +242,7 @@ class TestBankPersistence:
         from crossrep.data import TaskCollection
         col = TaskCollection([make_task("ok"), make_task("../escaped")],
                              CollectionMode.INDEPENDENT_EXAMPLES, "c")
-        bank = stage1_train(col, RIDGE, TrainingScope.FULL_TASK)
+        bank = stage1_train(col, RIDGE)
         with pytest.raises(ValidationError, match="task '../escaped'"):
             save_bank(bank, tmp_path / "bank")
         assert list(tmp_path.iterdir()) == []
@@ -253,7 +251,7 @@ class TestBankPersistence:
     def test_models_entry_outside_the_bank_directory_is_refused(self, tmp_path,
                                                                 small_collection, where):
         bank_dir = tmp_path / "bank"
-        save_bank(stage1_train(small_collection, RIDGE, TrainingScope.FULL_TASK), bank_dir)
+        save_bank(stage1_train(small_collection, RIDGE), bank_dir)
         outside = tmp_path / "t1.model.json"
         outside.write_bytes((bank_dir / "t1.model.json").read_bytes())
         entry = {"parent": "../t1.model.json", "absolute": str(outside), "dotdot": ".."}[where]
@@ -268,7 +266,7 @@ class TestBankPersistence:
             f"not a file name in the bank directory")
 
     def test_truncated_archive_names_the_file(self, tmp_path, small_collection):
-        bank = stage1_train(small_collection, RIDGE, TrainingScope.FULL_TASK)
+        bank = stage1_train(small_collection, RIDGE)
         save_bank(bank, tmp_path / "bank")
         archive = tmp_path / "bank" / "t1.model.json"
         archive.write_text(archive.read_text()[:40])
@@ -277,23 +275,23 @@ class TestBankPersistence:
             dict(loaded.models)
 
     def test_feature_count_comes_from_the_models(self, tmp_path, small_collection):
-        bank = stage1_train(small_collection, RIDGE, TrainingScope.FULL_TASK)
+        bank = stage1_train(small_collection, RIDGE)
         width = small_collection.tasks[0].features.shape[1]
         assert bank.feature_count == width
         save_bank(bank, tmp_path / "bank")
         assert load_bank(tmp_path / "bank").feature_count == width
         with pytest.raises(TypeError):
-            type(bank)(bank.models, RIDGE, "c", TrainingScope.FULL_TASK, feature_count=1)
+            type(bank)(bank.models, RIDGE, "c", feature_count=1)
 
     def test_audit_detects_leak(self, shared_collection):
-        bank = stage1_train(shared_collection, RIDGE, TrainingScope.FULL_TASK)
+        bank = stage1_train(shared_collection, RIDGE)
         heldout = shared_collection.tasks[0].example_ids[:5]
         violations = audit_no_leakage(bank, heldout)
         assert len(violations) == shared_collection.n_tasks
 
 
 def test_build_extrinsic_propagates_model_failure(small_collection):
-    bank = stage1_train(small_collection, RIDGE, TrainingScope.FULL_TASK)
+    bank = stage1_train(small_collection, RIDGE)
     wrong_width = np.ones((4, 7))  # models expect 3 columns
     with pytest.raises(FitError, match="source model"):
         build_extrinsic(small_collection.tasks[0].task_id, bank,
@@ -321,13 +319,13 @@ class TestNonFinitePredictions:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_ridge_overflow_is_returned_without_a_warning(self, narrow_collection):
-        bank = stage1_train(narrow_collection, LearnerSpec.ridge(1.0), TrainingScope.FULL_TASK)
+        bank = stage1_train(narrow_collection, LearnerSpec.ridge(1.0))
         out = cross_predict(bank, self.POOL)
         assert np.isinf(out[0]).all()
         assert np.isfinite(out[1]).all()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_svr_predicts_its_bias_infinitely_far_away(self, narrow_collection):
-        bank = stage1_train(narrow_collection, LearnerSpec.svr(), TrainingScope.FULL_TASK)
+        bank = stage1_train(narrow_collection, LearnerSpec.svr())
         out = cross_predict(bank, self.POOL)
         assert list(out[0]) == [model.state.bias for model in bank.models.values()]

@@ -24,10 +24,9 @@ import pytest
 
 from crossrep import cli
 from crossrep.data import CollectionMode, SplitKind, Task, TaskCollection
-from crossrep.engine import TrainingScope
 from crossrep.learners import LearnerSpec
 from crossrep.pipeline import (COMPARISON_NAME, SCORES_NAME, PipelineConfig,
-                               SplitProtocol, run_pipeline, write_result)
+                               SplitProtocol, TrainingScope, run_pipeline, write_result)
 from crossrep.synth import Nonlinearity, SynthSpec, generate_collection
 
 RIDGE = LearnerSpec.ridge(5.0)

@@ -16,9 +16,8 @@ import numpy as np
 import pytest
 
 from crossrep.data import CollectionMode, SplitKind, TaskCollection
-from crossrep.engine import TrainingScope
 from crossrep.learners import LearnerSpec
-from crossrep.pipeline import PipelineConfig, SplitProtocol, run_pipeline
+from crossrep.pipeline import PipelineConfig, SplitProtocol, TrainingScope, run_pipeline
 from crossrep.seeding import derive_seed
 from crossrep.synth import SynthSpec, generate_collection
 

@@ -10,11 +10,10 @@ import pytest
 from crossrep import __version__, engine, evaluation, pipeline
 from crossrep.data import (CollectionMode, SplitKind, Task, TaskCollection,
                            normalize_targets)
-from crossrep.engine import TrainingScope
 from crossrep.errors import ConfigError, FitError
 from crossrep.learners import LearnerSpec, TrainFingerprint
-from crossrep.pipeline import (PipelineConfig, SplitProtocol, render_report, run_pipeline,
-                               scores_tsv, write_result)
+from crossrep.pipeline import (PipelineConfig, SplitProtocol, TrainingScope, render_report,
+                               run_pipeline, scores_tsv, write_result)
 from crossrep.synth import Nonlinearity, SynthSpec, generate_collection
 from test_golden import CASES as GOLDEN_CASES
 
@@ -313,7 +312,7 @@ class TestSharedExamplesProtocol:
                              final_spec=RIDGE,
                              split=SplitProtocol(SplitKind.HOLDOUT, test_fraction=0.3),
                              seed=5)
-        assert cfg.resolved_scope is TrainingScope.TRAIN_SPLIT_ONLY
+        assert cfg.stage1_scope is TrainingScope.TRAIN_SPLIT_ONLY
         audits = _spy(monkeypatch, "audit_no_leakage")
         result = run_pipeline(cfg)
         assert len(audits) == 1
@@ -386,10 +385,13 @@ class TestLeakageAuditLine:
         assert "leakage audit: not applicable (independent examples)" in lines
         assert "leakage audit: clean" not in lines
 
-    def test_full_task_scope_is_not_audited(self, shared_collection, monkeypatch):
+    @pytest.mark.parametrize("mode", list(CollectionMode), ids=lambda m: m.value)
+    def test_full_task_scope_is_not_audited(self, mode, shared_collection, monkeypatch):
+        col = (shared_collection if mode is CollectionMode.SHARED_EXAMPLES
+               else toy_collection())
         calls = _spy(monkeypatch, "audit_no_leakage")
-        result = run_pipeline(config(shared_collection, transformer_spec=RIDGE,
-                                     final_spec=RIDGE, stage1_scope=TrainingScope.FULL_TASK))
+        result = run_pipeline(config(col, transformer_spec=RIDGE, final_spec=RIDGE,
+                                     stage1_scope=TrainingScope.FULL_TASK))
         assert calls == []
         assert ("leakage audit: not applicable (full-task stage-1 scope)"
                 in render_report(result).splitlines())

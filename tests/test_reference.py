@@ -11,10 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossrep.data import CollectionMode, SplitKind, TaskCollection, normalize_targets
-from crossrep.engine import TrainingScope
 from crossrep.evaluation import comparison_tsv
 from crossrep.learners import LearnerSpec
-from crossrep.pipeline import PipelineConfig, SplitProtocol, run_pipeline, scores_tsv
+from crossrep.pipeline import PipelineConfig, SplitProtocol, TrainingScope, run_pipeline, scores_tsv
 from crossrep.synth import SynthSpec, generate_collection
 
 from reference import reference_result

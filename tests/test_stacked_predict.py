@@ -16,7 +16,7 @@ import pytest
 
 from crossrep import engine
 from crossrep.data import CollectionMode, Task, TaskCollection
-from crossrep.engine import (ModelBank, TrainingScope, build_extrinsic, cross_predict,
+from crossrep.engine import (ModelBank, build_extrinsic, cross_predict,
                              load_bank, save_bank, second_order_extrinsic, select_descriptors,
                              stage1_train, stage2_train)
 from crossrep.errors import FitError
@@ -47,7 +47,7 @@ def collection():
 @pytest.fixture(scope="module", params=sorted(SPECS))
 def bank_of(request):
     col = collection()
-    return col, stage1_train(col, SPECS[request.param], TrainingScope.FULL_TASK)
+    return col, stage1_train(col, SPECS[request.param])
 
 
 def stage2(col, bank, cap=None):
@@ -163,13 +163,13 @@ def test_non_finite_block_raises_as_predict_does(bank_of):
 def test_first_failing_model_in_bank_order_is_named(bank_of):
     """A bank whose widths differ is predicted model by model."""
     col, bank = bank_of
-    wide = stage1_train(collection(), SPECS["ridge"], TrainingScope.FULL_TASK).models["t03"]
+    wide = stage1_train(collection(), SPECS["ridge"]).models["t03"]
     narrow_col = TaskCollection(
         [Task(t.task_id, t.features[:, :7], t.targets, t.feature_names[:7], t.example_ids)
          for t in col.tasks[:4]], CollectionMode.INDEPENDENT_EXAMPLES, "narrow")
-    models = dict(stage1_train(narrow_col, SPECS["ridge"], TrainingScope.FULL_TASK).models)
+    models = dict(stage1_train(narrow_col, SPECS["ridge"]).models)
     models["t02"] = wide
-    mixed = ModelBank(models, SPECS["ridge"], "mixed", TrainingScope.FULL_TASK)
+    mixed = ModelBank(models, SPECS["ridge"], "mixed")
     assert mixed._stack is None
     with pytest.raises(FitError) as info:
         cross_predict(mixed, col.tasks[0].features[:, :7])
@@ -234,7 +234,7 @@ def svr_pool(rows):
 
 @pytest.fixture(scope="module", params=["memory", "saved"])
 def svr_bank(request, tmp_path_factory):
-    bank = stage1_train(svr_collection(), SVR, TrainingScope.FULL_TASK)
+    bank = stage1_train(svr_collection(), SVR)
     if request.param == "saved":
         bank = load_bank(save_bank(bank, tmp_path_factory.mktemp("svr_bank")).parent)
     return bank
@@ -293,7 +293,7 @@ def test_stage1_of_a_shared_svr_run_builds_one_gram(monkeypatch):
     monkeypatch.setattr(svr, "rbf_gram", gram)
     monkeypatch.setattr(svr, "fit_svr", fit)
     col = svr_collection()
-    bank = stage1_train(col, SVR, TrainingScope.FULL_TASK)
+    bank = stage1_train(col, SVR)
     assert grams == [True] and len(fits) == col.n_tasks == len(bank.models)
     monkeypatch.undo()
     for task in col.tasks:
@@ -307,7 +307,7 @@ def test_stage1_of_a_shared_svr_run_builds_one_gram(monkeypatch):
 def test_a_bank_of_other_standardizations_falls_back_after_two_archives(tmp_path,
                                                                          monkeypatch):
     col = svr_collection(CollectionMode.INDEPENDENT_EXAMPLES)
-    bank = load_bank(save_bank(stage1_train(col, SVR, TrainingScope.FULL_TASK),
+    bank = load_bank(save_bank(stage1_train(col, SVR),
                                tmp_path).parent)
     reads = []
 

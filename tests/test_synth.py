@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crossrep.data import CollectionMode
-from crossrep.engine import TrainingScope, build_extrinsic, cross_predict, stage1_train
+from crossrep.engine import build_extrinsic, cross_predict, stage1_train
 from crossrep.errors import ValidationError
 from crossrep.learners import LearnerSpec
 from crossrep.synth import Nonlinearity, SynthSpec, generate_collection
@@ -105,7 +105,7 @@ class TestOracleExtrinsic:
     ])
     def test_matches_engine(self, learner):
         col = generate_collection(spec(n_tasks=4, n_examples_per_task=10))
-        bank = stage1_train(col, learner, TrainingScope.FULL_TASK)
+        bank = stage1_train(col, learner)
         for task in col.tasks:
             engine = build_extrinsic(task.task_id, bank, cross_predict(bank, task.features))
             oracle = oracle_extrinsic(col, bank, task.task_id)
@@ -113,12 +113,12 @@ class TestOracleExtrinsic:
 
     def test_two_task_collection_single_column(self):
         col = generate_collection(spec(n_tasks=2))
-        bank = stage1_train(col, LearnerSpec.ridge(5.0), TrainingScope.FULL_TASK)
+        bank = stage1_train(col, LearnerSpec.ridge(5.0))
         oracle = oracle_extrinsic(col, bank, col.tasks[0].task_id)
         assert oracle.shape == (50, 1)
 
     def test_unknown_task_id(self):
         col = generate_collection(spec())
-        bank = stage1_train(col, LearnerSpec.ridge(5.0), TrainingScope.FULL_TASK)
+        bank = stage1_train(col, LearnerSpec.ridge(5.0))
         with pytest.raises(ValidationError, match="unknown task"):
             oracle_extrinsic(col, bank, "missing")
