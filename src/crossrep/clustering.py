@@ -347,7 +347,7 @@ def write_pairwise_distances(path: str | Path, X: np.ndarray, ids: tuple[str, ..
             fh.write("\t".join(["item_id", *ids]) + "\n")
             for i, item_id in enumerate(ids):
                 row = _distances_from(X, i, buf, dist)
-                fh.write("\t".join([item_id, *(repr(float(v)) for v in row)]) + "\n")
+                fh.write("\t".join([item_id, *map(repr, row.tolist())]) + "\n")
         partial.replace(path)
     except BaseException:
         partial.unlink(missing_ok=True)

@@ -584,19 +584,18 @@ def _check_cell(task: Task, what: str, value: str, header: bool = False) -> None
 
 
 def _row_prefixes(task: Task) -> list[str]:
-    """Each data row of ``task``'s file up to its target cell: the id and
-    feature cells as ``csv.writer`` writes them and the comma before the
-    target. CSV quotes each cell on its own, so a prefix plus ``repr`` of
-    the target is the row ``csv.writer`` writes."""
+    """Each data row of ``task``'s file up to its target cell: the id cell
+    as ``csv.writer`` writes it, then each feature's ``repr`` and a comma.
+    CSV never quotes a float's ``repr``, so the rows are ``csv.writer``'s."""
     for name in task.feature_names:
         _check_cell(task, "feature name", name, header=True)
     for example_id in task.example_ids:
         _check_cell(task, "example id", example_id)
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(
-        [example_id, *map(repr, row), ""]
-        for example_id, row in zip(task.example_ids, task.features.tolist()))
-    return buf.getvalue().split("\n")[:-1]  # no checked cell holds a line break
+    csv.writer(buf, lineterminator="\n").writerows([e, ""] for e in task.example_ids)
+    id_cells = buf.getvalue().split("\n")[:-1]  # no checked cell holds a line break
+    return [f"{i}{','.join(map(repr, row))}," if row else i
+            for i, row in zip(id_cells, task.features.tolist())]
 
 
 def _same_rows(a: Task, b: Task) -> bool:

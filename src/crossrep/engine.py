@@ -326,7 +326,8 @@ class _ArchivedModels(Mapping[str, FittedModel]):
     Each model is read from its archive, and checked, when it is looked up,
     and is not kept: a pass over the models holds at most two, the previous
     one until the next archive has been read. The first archive is read
-    once up front for the feature count that every archive must have.
+    once up front for the feature count that every archive must have. A
+    model looked up under a task id must have been trained on that task.
     """
 
     def __init__(self, paths: dict[str, Path], spec: LearnerSpec) -> None:
@@ -337,7 +338,13 @@ class _ArchivedModels(Mapping[str, FittedModel]):
             self.feature_count = self._read(self._first).feature_count
 
     def __getitem__(self, task_id: str) -> FittedModel:
-        return self._read(self._paths[task_id])
+        path = self._paths[task_id]
+        model = self._read(path)
+        if model.train_fingerprint.task_id != task_id:
+            raise IngestionError(f"{path}: 'train_fingerprint' names task "
+                                 f"{model.train_fingerprint.task_id!r}, but {BANK_INDEX_NAME}'s "
+                                 f"'models' files it under {task_id!r}")
+        return model
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._paths)

@@ -10,7 +10,12 @@ the library computed before it went one centroid and one block of rows at
 a time, and the distance table is built whole, as the library did before
 it streamed the table to its file. The SMO loop keeps the masked copies of
 the violation values that the solver took before it kept penalty vectors.
+A task file is rendered by giving every cell of every row to
+``csv.writer``, as the writer did before it joined the features' ``repr``.
 """
+
+import csv
+import io
 
 import numpy as np
 
@@ -364,3 +369,13 @@ def masked_smo(K, y, c, epsilon, tol, max_iter):
     else:
         bias = float(0.5 * (m + M))
     return a, bias, it, gap
+
+
+def csv_task_file(task, target):
+    """The text of ``task``'s file, each row written whole by ``csv.writer``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["id", *task.feature_names, target])
+    writer.writerows([example_id, *map(repr, row), repr(y)] for example_id, row, y in
+                     zip(task.example_ids, task.features.tolist(), task.targets.tolist()))
+    return buf.getvalue()

@@ -417,6 +417,8 @@ class TestBankAndCluster:
         ("learner_spec", {"kind": "ridge", "hyperparams": {"lam": 10.0, "mu": 1}, "seed": 0}),
         ("learner_spec", {"kind": "ridge", "hyperparams": {"lam": "x"}, "seed": 0}),
         ("task_order", ["task000", 1]),
+        ("models", {"task000": "task000.model.json", "task001": "task000.model.json",
+                    "task002": "task002.model.json", "task003": "task003.model.json"}),
     ])
     @pytest.mark.parametrize("command", ["inspect-bank", "cluster"])
     def test_malformed_bank_index_is_validation_error(self, command, key, value, tmp_path,

@@ -265,6 +265,20 @@ class TestBankPersistence:
             f"{index_path}: 'task_order'[1] 't1' has 'models' entry {entry!r}, which is "
             f"not a file name in the bank directory")
 
+    def test_archive_filed_under_another_task_is_refused(self, tmp_path, small_collection):
+        """An index whose 'models' sends t1 to t0's archive would load t0's model as both."""
+        bank_dir = tmp_path / "bank"
+        save_bank(stage1_train(small_collection, RIDGE), bank_dir)
+        index_path = bank_dir / "bank_index.json"
+        index = json.loads(index_path.read_text())
+        index["models"]["t1"] = "t0.model.json"
+        index_path.write_text(json.dumps(index))
+        with pytest.raises(IngestionError) as info:
+            dict(load_bank(bank_dir).models)
+        assert str(info.value) == (
+            f"{bank_dir / 't0.model.json'}: 'train_fingerprint' names task 't0', but "
+            f"bank_index.json's 'models' files it under 't1'")
+
     def test_truncated_archive_names_the_file(self, tmp_path, small_collection):
         bank = stage1_train(small_collection, RIDGE)
         save_bank(bank, tmp_path / "bank")

@@ -5,16 +5,30 @@ written, because ``repr`` round-trips any float. These pin every byte of
 every file (task files and manifest) for a shared and an independent
 ``synth`` collection and for a hand-built one whose ids and names need CSV
 quoting. The digests were recorded before the writer rendered a shared
-block once, and must pass unedited.
+block once, and must pass unedited. ``setup_digests.json`` pins every file
+``crossrep synth`` writes for each benchmark workload's seed-0 full-size
+set-up, recorded while every cell still went through ``csv.writer``; a
+property checks drawn tasks against that renderer (``csv_task_file``).
 """
 
+import contextlib
 import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from crossrep.data import CollectionMode, Task, TaskCollection, write_collection
+from crossrep.cli import main
+from crossrep.data import (CollectionMode, Task, TaskCollection, load_task, write_collection,
+                           write_task_file)
 from crossrep.synth import SynthSpec, generate_collection
+from helpers import csv_task_file
+from test_bench_digests import WORKLOADS
 
 
 def synth(mode):
@@ -60,10 +74,72 @@ GOLDEN = {
 }
 
 
+def _digests(directory):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(directory.iterdir())}
+
+
 @pytest.mark.parametrize("name", sorted(COLLECTIONS))
 def test_written_files_keep_their_bytes(tmp_path, name):
     build, target = COLLECTIONS[name]
     write_collection(build(), tmp_path / "c", target=target)
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted((tmp_path / "c").iterdir())}
-    assert digests == GOLDEN[name]
+    assert _digests(tmp_path / "c") == GOLDEN[name]
+
+
+SETUP_DIGESTS = json.loads(Path(__file__).with_name("setup_digests.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_benchmark_setup_files_keep_their_bytes(tmp_path, name):
+    """The ``synth`` step of the workload's set-up, at full size and seed 0:
+    12 to 100 tasks, whose Gaussian draws include exponent forms such as
+    ``-7.093645266259751e-05``."""
+    workload = WORKLOADS[name]
+    argv = workload.setup_commands(workload.sizes("full"), 0, tmp_path)[0]
+    assert argv[0] == "synth"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert _digests(tmp_path / "data") == SETUP_DIGESTS[name]
+
+
+def _cell_text(alphabet):
+    """Cells the reader gives back: no whitespace at either end, no line break."""
+    return st.text(st.sampled_from(alphabet), max_size=5).filter(lambda s: s == s.strip())
+
+
+IDS = _cell_text('a7 ,"\t\0\u00e9\u4e2d\U0001f600')
+NAMES = _cell_text('a7 ,"\0\u00e9\u4e2d\U0001f600').filter(lambda s: s != "id")
+VALUES = st.one_of(st.sampled_from([-0.0, 5e-324, 1e16, 1e-05, 1.5e300, -1.5e300]),
+                   st.integers(-10 ** 17, 10 ** 17).map(float),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def tasks(draw):
+    """A task of 1 to 4 rows and 0 to 5 feature columns, and a target name."""
+    n, p = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    ids = draw(st.lists(IDS, min_size=n, max_size=n, unique=True))
+    header = draw(st.lists(NAMES, min_size=p + 1, max_size=p + 1, unique=True))
+    table = np.array(draw(st.lists(VALUES, min_size=n * (p + 1), max_size=n * (p + 1))))
+    table = table.reshape(n, p + 1)
+    return Task("t", table[:, :p], table[:, p], tuple(header[:p]), tuple(ids)), header[p]
+
+
+@given(tasks())
+@example((Task("t", np.empty((2, 0)), np.array([0.0, -1.5]), (), ("a", "")), "y"))
+@settings(max_examples=300, deadline=None)
+def test_written_task_file_is_the_csv_writers(drawn):
+    """``write_task_file`` writes what ``csv.writer`` writes for every cell.
+    The file reads back to the same ids and value bits; a file of no
+    feature columns, which the reader refuses, is checked by its bytes."""
+    task, target = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_task_file(task, path, target)
+        assert path.read_bytes() == csv_task_file(task, target).encode("utf-8")
+        if task.feature_names:
+            back = load_task(path, target)
+            assert back.example_ids == task.example_ids
+            assert back.feature_names == task.feature_names
+            assert back.features.tobytes() == task.features.tobytes()
+            assert back.targets.tobytes() == task.targets.tobytes()
